@@ -47,10 +47,6 @@ class DegenerateInputError(RockstackError):
     """Input admits no valid model (e.g. collinear points for a plane)."""
 
 
-class InsufficientNeighborhoodError(RockstackError):
-    """Not enough neighbors inside the query radius."""
-
-
 class PlacementError(RockstackError):
     """Scene generator could not place objects under the clearance constraint."""
 

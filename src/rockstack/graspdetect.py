@@ -14,21 +14,44 @@ Ranking uses a geometric antipodal score instead of a learned classifier:
 the fraction of closing-region points whose normals oppose the closing axis
 within a friction cone, weighted by how well filled the closing region is.
 Everything is deterministic given the config seed.
+
+Candidates are evaluated in array passes, not one at a time. For each
+chunk of seeds and each orientation, the closing and finger bands, the push
+depth, the caught points, the insertion and the extent are computed for all
+seeds at once as rows of ``(seeds, points)`` arrays with masked
+``min``/``max``/``count`` reductions. The survivors are scored in the same
+pass with the :func:`closing_region_mask` test, as one
+``(seeds * points, 3) @ rotation`` product. Candidates stay arrays
+(:class:`CandidateSet`); a validated :class:`RigidTransform` is built only
+for a grasp that is returned or read out.
+
+The batched pass gives the same bits as evaluating one candidate at a time
+(:func:`score_candidate`): every element goes through the same float
+expressions, in the same order. In particular:
+
+* seed projections use ``np.vecdot``, which rounds each row like
+  ``float(seed @ axis)``; a matrix-vector product does not;
+* a masked minimum of ``u + back`` is taken as ``min(u) + back``, which is
+  exact because rounding is monotone;
+* the closing-region product stacks the ``points - origin`` rows of several
+  candidates; a row of a matrix product does not depend on the rows stacked
+  with it. Seeds are chunked, points never are, and a chunk keeps
+  ``seeds * points`` to 128 KB of floats whatever the cloud size;
+* the friction-cone test reads each normal's closing-axis projection from
+  one matrix-vector product over the cloud. A closing region of a single
+  point makes a 1x3 product, which numpy evaluates as a dot product, so
+  those candidates read ``np.vecdot`` instead.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyCloudError,
-    InsufficientNeighborhoodError,
-    ValidationError,
-)
+from .errors import EmptyCloudError, ValidationError
 from .geometry import RigidTransform
 from .pointcloud import (
     Plane,
@@ -225,45 +248,6 @@ def _tangent_fallback(normal: np.ndarray) -> np.ndarray:
     return t / np.linalg.norm(t)
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    lead = int(np.argmax(np.abs(v)))
-    return -v if v[lead] < 0 else v
-
-
-def local_frame(cloud: PointCloud, idx: int, radius: float) -> RigidTransform:
-    """Darboux-style surface frame at a point.
-
-    Columns: x' = minor-curvature direction, y' = major-curvature direction,
-    z' = surface normal. Curvature directions come from the covariance of
-    the neighbors' normals (the normal barely turns along the minor axis).
-    """
-    if cloud.normals is None:
-        raise ValidationError("local_frame requires a cloud with normals")
-    p = cloud.points[idx]
-    d2 = np.sum((cloud.points - p) ** 2, axis=1)
-    nb = np.nonzero(d2 <= radius * radius)[0]
-    nb = nb[nb != idx]
-    if nb.size < 3:
-        raise InsufficientNeighborhoodError(
-            f"only {nb.size} neighbors within {radius} mm; need >= 3"
-        )
-    z_axis = cloud.normals[idx]
-    nn = cloud.normals[nb]
-    centered = nn - nn.mean(axis=0)
-    cov = centered.T @ centered
-    vals, vecs = np.linalg.eigh(cov)
-    variation = vecs[:, -1]  # direction the normal turns fastest along
-    y_axis = variation - np.dot(variation, z_axis) * z_axis
-    norm = np.linalg.norm(y_axis)
-    if vals[-1] < 1e-12 or norm < 1e-6:
-        y_axis = _tangent_fallback(z_axis)  # flat patch: any stable tangent works
-    else:
-        y_axis = y_axis / norm
-    y_axis = _canonical_sign(y_axis)
-    x_axis = np.cross(y_axis, z_axis)
-    return RigidTransform(np.column_stack([x_axis, y_axis, z_axis]), p)
-
-
 def _closing_frame_axes(cfg: GraspConfig) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Approach axis plus (closing, hand) axis pairs for each orientation."""
     h_cfg = np.asarray(cfg.hand_axis, dtype=np.float64)
@@ -284,113 +268,240 @@ def _closing_frame_axes(cfg: GraspConfig) -> tuple[np.ndarray, list[tuple[np.nda
     return approach, axes
 
 
-def generate_candidates(
-    cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig
-) -> list[GraspCandidate]:
-    """Unscored candidates for sampled seeds and swept closing directions.
+# seeds x points per chunk of the batched pass: 128 KB per float array, so
+# the temporaries of a chunk stay near 1 MB
+_CHUNK_ELEMENTS = 1 << 14
 
-    The cloud must be cropped, above-plane filtered and carry normals. Each
-    candidate is pushed along its approach to the deepest collision-free
-    depth; candidates whose closing region holds fewer than
-    ``cfg.min_closing_points`` points are dropped.
+
+@dataclass(frozen=True, eq=False)
+class CandidateSet:
+    """Grasp candidates as a struct of arrays, one row per candidate, in
+    (seed_index, orientation_index) order.
+
+    ``len()`` is the candidate count. Indexing or iterating builds
+    :class:`GraspCandidate` values, so only the rows read out pay for a
+    validated :class:`RigidTransform`.
     """
-    seeds = sample_seeds(cloud, cfg)
-    pts = cloud.points
-    approach, axes = _closing_frame_axes(cfg)
+
+    rotations: np.ndarray  # (orientations, 3, 3); columns approach, closing, hand
+    origin: np.ndarray  # (n, 3) palm centers
+    grasp_width: np.ndarray
+    score: np.ndarray
+    closing_point_count: np.ndarray
+    seed_index: np.ndarray
+    orientation_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, i: int) -> GraspCandidate:
+        o = int(self.orientation_index[i])
+        return GraspCandidate(
+            pose=RigidTransform(self.rotations[o].copy(), self.origin[i].copy()),
+            grasp_width=float(self.grasp_width[i]),
+            score=float(self.score[i]),
+            closing_point_count=int(self.closing_point_count[i]),
+            seed_index=int(self.seed_index[i]),
+            orientation_index=o,
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def select(self, cfg: GraspConfig) -> list[GraspCandidate]:
+        """``select_grasps(filter_by_approach(list(self), cfg), cfg)``,
+        building only the grasps it returns."""
+        # every candidate shares the approach axis, so the cone keeps all or none
+        if not _approach_in_cone(self.rotations[0, :, 0], cfg):
+            return []
+        order = _ranking(self.score, self.seed_index, self.orientation_index)
+        return [self[i] for i in order[: cfg.num_selected]]
+
+
+def _masked_min(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return a.min(axis=1, initial=np.inf, where=mask)
+
+
+def _masked_max(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return a.max(axis=1, initial=-np.inf, where=mask)
+
+
+def _push_and_catch(
+    u: np.ndarray,
+    gamma: np.ndarray,
+    eta: np.ndarray,
+    seed_points: np.ndarray,
+    approach: np.ndarray,
+    hand: HandGeometry,
+    cfg: GraspConfig,
+):
+    """Candidates of one orientation for a chunk of seeds, one row per seed.
+
+    ``u``, ``gamma`` and ``eta`` are every point's offset from the row's seed
+    along the approach, closing and hand axes. Returns the surviving rows
+    with their palm centers, grasp widths and caught-point counts.
+    """
     half_ap = hand.max_aperture / 2.0
     corridor_half = half_ap + hand.finger_width
     half_h = hand.hand_height / 2.0
     fd = hand.finger_depth
     step = cfg.push_step
 
-    pa = pts @ approach
-    pcs = [pts @ c for c, _ in axes]
-    phs = [pts @ h for _, h in axes]
-
-    out: list[GraspCandidate] = []
-    for seed_index, pt_idx in enumerate(seeds):
-        s = pts[pt_idx]
-        u_all = pa - float(s @ approach)
-        for orient_index, (c_axis, h_axis) in enumerate(axes):
-            gamma = pcs[orient_index] - float(s @ c_axis)
-            eta = phs[orient_index] - float(s @ h_axis)
-            in_band = np.abs(eta) <= half_h
-            closing_band = in_band & (np.abs(gamma) <= half_ap)
-            if not np.any(closing_band):
-                continue
-            finger_band = in_band & (np.abs(gamma) > half_ap) & (np.abs(gamma) <= corridor_half)
-            corridor = closing_band | finger_band
-            u = u_all[corridor]
-            back = fd - float(u.min()) + step
-            # push depth at which the fingertip plane reaches each point,
-            # and at which the point would pass behind the palm face
-            tip_closing = u_all[closing_band] + back - fd
-            palm_closing = u_all[closing_band] + back
-            if np.any(finger_band):
-                bad_finger = float(np.min(u_all[finger_band] + back - fd))
-            else:
-                bad_finger = np.inf
-            bad_palm = float(np.min(palm_closing))
-            depth_limit = min(bad_finger - _EPS, bad_palm + _EPS)
-            max_steps = int(math.floor(depth_limit / step))
-            if max_steps < 1:
-                continue
-            delta = max_steps * step
-            caught = (tip_closing <= delta + _EPS) & (delta <= palm_closing + _EPS)
-            count = int(np.count_nonzero(caught))
-            if count < cfg.min_closing_points:
-                continue
-            # material must actually reach between the fingers, not graze the tips
-            insertion = delta - float(np.min(tip_closing[caught]))
-            if insertion < cfg.min_insertion:
-                continue
-            g = gamma[closing_band][caught]
-            extent = float(g.max() - g.min())
+    abs_gamma = np.abs(gamma)
+    in_band = np.abs(eta) <= half_h
+    closing_band = in_band & (abs_gamma <= half_ap)
+    finger_band = in_band & (abs_gamma > half_ap) & (abs_gamma <= corridor_half)
+    u_closing = _masked_min(u, closing_band)
+    u_finger = _masked_min(u, finger_band)
+    # rows with an empty closing band turn to inf/nan here and are dropped below
+    with np.errstate(invalid="ignore"):
+        back = fd - np.minimum(u_closing, u_finger) + step
+        # push depth at which the fingertip plane reaches each point, and at
+        # which the point would pass behind the palm face; rounding is
+        # monotone, so min(u + back) is min(u) + back exactly
+        palm = u + back[:, None]
+        tip = palm - fd
+        bad_finger = u_finger + back - fd
+        bad_palm = u_closing + back
+        depth_limit = np.minimum(bad_finger - _EPS, bad_palm + _EPS)
+        max_steps = np.floor(depth_limit / step)
+        delta = max_steps * step
+        caught = (
+            closing_band
+            & (tip <= (delta + _EPS)[:, None])
+            & (delta[:, None] <= palm + _EPS)
+        )
+        count = np.count_nonzero(caught, axis=1)
+        # material must actually reach between the fingers, not graze the tips
+        insertion = delta - _masked_min(tip, caught)
+        width = _masked_max(gamma, caught) - _masked_min(gamma, caught) + cfg.width_clearance
+        keep = (
+            closing_band.any(axis=1)
+            & (max_steps >= 1)
+            & (count >= cfg.min_closing_points)
+            & (insertion >= cfg.min_insertion)
             # fingers must have room to actually close on the material
-            if extent + cfg.width_clearance > hand.max_aperture:
-                continue
-            width = extent + cfg.width_clearance
-            origin = s + approach * (delta - back)
-            pose = RigidTransform(np.column_stack([approach, c_axis, h_axis]), origin)
-            out.append(
-                GraspCandidate(
-                    pose=pose,
-                    grasp_width=width,
-                    score=0.0,
-                    closing_point_count=count,
-                    seed_index=seed_index,
-                    orientation_index=orient_index,
-                )
+            & (width <= hand.max_aperture)
+        )
+    rows = np.flatnonzero(keep)
+    origin = seed_points[rows] + approach * (delta - back)[rows, None]
+    return rows, origin, width[rows], count[rows]
+
+
+def _score_rows(
+    points_t: np.ndarray,
+    origin: np.ndarray,
+    rotation: np.ndarray,
+    aligned: np.ndarray,
+    aligned_single: np.ndarray,
+    hand: HandGeometry,
+    expected_closing_points: float,
+) -> np.ndarray:
+    """:func:`score_candidate` for the candidates at ``origin`` sharing
+    ``rotation``. ``points_t`` is the cloud's points transposed to (3, n);
+    ``aligned``/``aligned_single`` flag the normals inside the friction cone
+    (see the module docstring)."""
+    # offsets one coordinate at a time: broadcasting along a trailing axis of
+    # 3 is several times slower than along the points
+    diff = np.empty((len(origin), points_t.shape[1], 3))
+    for j in range(3):
+        np.subtract(points_t[j], origin[:, j, None], out=diff[..., j])
+    local = (diff.reshape(-1, 3) @ rotation).reshape(diff.shape)
+    inside = _in_closing_region(local, hand)
+    count = np.count_nonzero(inside, axis=1)
+    antipodal = np.count_nonzero(inside & aligned, axis=1)
+    single = count == 1
+    antipodal[single] = np.count_nonzero(inside[single] & aligned_single, axis=1)
+    with np.errstate(invalid="ignore"):
+        score = antipodal / count * (count / expected_closing_points)
+    return np.where(count == 0, 0.0, score)
+
+
+def generate_candidates(cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig) -> CandidateSet:
+    """Scored candidates for sampled seeds and swept closing directions.
+
+    The cloud must be cropped, above-plane filtered and carry normals. Each
+    candidate is pushed along its approach to the deepest collision-free
+    depth; candidates whose closing region holds fewer than
+    ``cfg.min_closing_points`` points are dropped. Survivors carry the score
+    :func:`score_candidate` gives them.
+    """
+    if cloud.normals is None:
+        raise ValidationError("scoring requires a cloud with normals")
+    seeds = sample_seeds(cloud, cfg)
+    pts = cloud.points
+    seed_points = pts[seeds]
+    approach, axes = _closing_frame_axes(cfg)
+    rotations = np.stack([np.column_stack([approach, c, h]) for c, h in axes])
+    cos_thresh = math.cos(math.radians(cfg.friction_half_angle_deg))
+
+    pa = pts @ approach
+    sa = np.vecdot(seed_points, approach)
+    # per orientation: point and seed projections on the closing and hand
+    # axes, and the normals inside the friction cone about the closing axis
+    frames = []
+    for (c_axis, h_axis), rotation in zip(axes, rotations):
+        closing_axis = rotation[:, 1]  # strided, as GraspCandidate.closing_axis is
+        frames.append(
+            (
+                pts @ c_axis,
+                np.vecdot(seed_points, c_axis),
+                pts @ h_axis,
+                np.vecdot(seed_points, h_axis),
+                np.abs(cloud.normals @ closing_axis) >= cos_thresh,
+                np.abs(np.vecdot(cloud.normals, closing_axis)) >= cos_thresh,
             )
-    return out
+        )
+    points_t = pts.T.copy()
+    chunk = max(1, _CHUNK_ELEMENTS // len(pts))
+    parts = []
+    for lo in range(0, len(seeds), chunk):
+        part = slice(lo, lo + chunk)
+        u = pa - sa[part, None]
+        for orient_index, (pc, sc, ph, sh, aligned, aligned_single) in enumerate(frames):
+            rows, origin, width, count = _push_and_catch(
+                u, pc - sc[part, None], ph - sh[part, None], seed_points[part], approach, hand, cfg
+            )
+            score = _score_rows(
+                points_t,
+                origin,
+                rotations[orient_index],
+                aligned,
+                aligned_single,
+                hand,
+                cfg.expected_closing_points,
+            )
+            parts.append((lo + rows, np.full(len(rows), orient_index), origin, width, score, count))
+
+    seed_index, orient, origin, width, score, count = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    order = np.lexsort((orient, seed_index))
+    return CandidateSet(
+        rotations=rotations,
+        origin=origin[order],
+        grasp_width=width[order],
+        score=score[order],
+        closing_point_count=count[order],
+        seed_index=seed_index[order],
+        orientation_index=orient[order],
+    )
+
+
+def _in_closing_region(local: np.ndarray, hand: HandGeometry) -> np.ndarray:
+    return (
+        (local[..., 0] >= -_EPS)
+        & (local[..., 0] <= hand.finger_depth + _EPS)
+        & (np.abs(local[..., 1]) <= hand.max_aperture / 2.0 + _EPS)
+        & (np.abs(local[..., 2]) <= hand.hand_height / 2.0 + _EPS)
+    )
 
 
 def closing_region_mask(
     points: np.ndarray, pose: RigidTransform, hand: HandGeometry
 ) -> np.ndarray:
     """Boolean mask of points inside the closing region of a grasp pose."""
-    local = (points - pose.translation) @ pose.rotation
-    return (
-        (local[:, 0] >= -_EPS)
-        & (local[:, 0] <= hand.finger_depth + _EPS)
-        & (np.abs(local[:, 1]) <= hand.max_aperture / 2.0 + _EPS)
-        & (np.abs(local[:, 2]) <= hand.hand_height / 2.0 + _EPS)
-    )
-
-
-def finger_volumes_mask(
-    points: np.ndarray, pose: RigidTransform, hand: HandGeometry
-) -> np.ndarray:
-    """Boolean mask of points inside either finger volume of a grasp pose."""
-    local = (points - pose.translation) @ pose.rotation
-    half_ap = hand.max_aperture / 2.0
-    return (
-        (local[:, 0] >= -_EPS)
-        & (local[:, 0] <= hand.finger_depth + _EPS)
-        & (np.abs(local[:, 1]) > half_ap + _EPS)
-        & (np.abs(local[:, 1]) <= half_ap + hand.finger_width - _EPS)
-        & (np.abs(local[:, 2]) <= hand.hand_height / 2.0 + _EPS)
-    )
+    return _in_closing_region((points - pose.translation) @ pose.rotation, hand)
 
 
 def score_candidate(
@@ -417,19 +528,34 @@ def score_candidate(
     return antipodal * (count / expected_closing_points)
 
 
+_DOWN = np.array([0.0, 0.0, -1.0])
+
+
+def _approach_in_cone(approach: np.ndarray, cfg: GraspConfig) -> bool:
+    if not cfg.approach_filter:
+        return True
+    cos_thresh = math.cos(math.radians(cfg.cone_half_angle_deg))
+    return float(approach @ _DOWN) >= cos_thresh - _EPS
+
+
 def filter_by_approach(grasps: list[GraspCandidate], cfg: GraspConfig) -> list[GraspCandidate]:
     """Keep candidates approaching within the cone about world -z; order kept."""
-    if not cfg.approach_filter:
-        return list(grasps)
-    cos_thresh = math.cos(math.radians(cfg.cone_half_angle_deg))
-    down = np.array([0.0, 0.0, -1.0])
-    return [g for g in grasps if float(g.approach @ down) >= cos_thresh - _EPS]
+    return [g for g in grasps if _approach_in_cone(g.approach, cfg)]
+
+
+def _ranking(score: np.ndarray, seed_index: np.ndarray, orientation_index: np.ndarray) -> np.ndarray:
+    """Indices by descending score, ties broken by (seed, orientation) index."""
+    return np.lexsort((orientation_index, seed_index, -score))
 
 
 def select_grasps(grasps: list[GraspCandidate], cfg: GraspConfig) -> list[GraspCandidate]:
     """Top ``num_selected`` by score, ties broken by (seed, orientation) index."""
-    ranked = sorted(grasps, key=lambda g: (-g.score, g.seed_index, g.orientation_index))
-    return ranked[: cfg.num_selected]
+    order = _ranking(
+        np.array([g.score for g in grasps], dtype=np.float64),
+        np.array([g.seed_index for g in grasps], dtype=np.int64),
+        np.array([g.orientation_index for g in grasps], dtype=np.int64),
+    )
+    return [grasps[i] for i in order[: cfg.num_selected]]
 
 
 def detect_grasps(
@@ -440,7 +566,7 @@ def detect_grasps(
     workspace: Workspace | None = None,
     viewpoint=(0.0, 0.0, 0.0),
 ) -> list[GraspCandidate]:
-    """Full pipeline: crop, above-plane filter, normals, generate, score,
+    """Full pipeline: crop, above-plane filter, normals, generate and score,
     approach-filter, select. Returns [] when nothing survives the filters."""
     if len(cloud) == 0:
         raise EmptyCloudError("detect_grasps on an empty cloud")
@@ -451,14 +577,4 @@ def detect_grasps(
     if len(work) < max(cfg.normals_k, cfg.min_closing_points):
         return []
     work = estimate_normals(work, k=cfg.normals_k, viewpoint=viewpoint)
-    candidates = generate_candidates(work, hand, cfg)
-    scored = [
-        replace(
-            g,
-            score=score_candidate(
-                work, g, hand, cfg.friction_half_angle_deg, cfg.expected_closing_points
-            ),
-        )
-        for g in candidates
-    ]
-    return select_grasps(filter_by_approach(scored, cfg), cfg)
+    return generate_candidates(work, hand, cfg).select(cfg)

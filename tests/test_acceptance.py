@@ -51,6 +51,7 @@ from rockstack.scenesim import (
 )
 from rockstack.taskexec import ExecParams, check_stack_stability, run_stacking_task
 
+from grasp_oracle import rock_scene_cloud
 from stability_oracle import monte_carlo_stability, oracle_margin, random_resting_pair
 from test_graspdetect import brute_force_sound
 
@@ -112,25 +113,6 @@ def test_criterion_02_ransac_recovery():
     _report("criterion 2 RANSAC", f"{good}/100 seeds within 1 deg / 1 mm")
 
 
-def _rock_scene_cloud(seed: int):
-    """Observation cloud over the first rock of a seeded scene."""
-    scene = generate_scene(SceneSpec(rock_count=(1, 2)), seed=seed)
-    rock = scene.rocks[0]
-    cx, cy = rock.center_of_mass[:2]
-    pts = []
-    for i, dx in enumerate((-120.0, 120.0)):
-        cam = CameraSpec(
-            scene.hand_camera_intrinsics,
-            camera_pose_from_lookat((cx + dx, cy, 330.0), (cx, cy, 0.0)),
-        )
-        depth = render_depth(scene, cam, SensorModel(), seed * 31 + i)
-        pts.append(cloud_from_depth(depth, cam.intrinsics, cam.pose).points)
-    cloud = PointCloud(np.concatenate(pts), frame="robot")
-    plane, _ = fit_plane_ransac(cloud, 200, 4.0, seed=seed, max_points=2500)
-    ws = Workspace((cx - 70, cy - 70, -60.0), (cx + 70, cy + 70, 400.0))
-    return cloud, plane, ws, (cx, cy, 350.0)
-
-
 def test_criterion_03_grasp_soundness_100_scenes():
     """On 100 seeded rock scenes every selected grasp passes the brute-force
     collision/closing/approach/width oracle; never more than 20 returned."""
@@ -138,7 +120,7 @@ def test_criterion_03_grasp_soundness_100_scenes():
     checked = 0
     total_grasps = 0
     for seed in range(100):
-        cloud, plane, ws, viewpoint = _rock_scene_cloud(seed)
+        cloud, plane, ws, viewpoint = rock_scene_cloud(seed)
         cfg = GraspConfig(seed=seed)
         grasps = detect_grasps(cloud, hand, cfg, plane, ws, viewpoint)
         assert len(grasps) <= 20
@@ -167,6 +149,7 @@ def test_criterion_04_real_time_budget():
     ws = Workspace((cx - 70, cy - 70, -60.0), (cx + 70, cy + 70, 400.0))
     hand = HandGeometry()
     cfg = GraspConfig(seed=2)
+    limit_ms = 100.0
     times = []
     for _ in range(20):
         start = time.perf_counter()
@@ -174,10 +157,11 @@ def test_criterion_04_real_time_budget():
         times.append(time.perf_counter() - start)
     median_ms = float(np.median(times)) * 1000.0
     assert grasps
-    assert median_ms < 100.0
+    assert median_ms < limit_ms
     _report(
         "criterion 4 real-time",
-        f"median {median_ms:.1f} ms on {len(cloud)} points, {len(grasps)} grasps",
+        f"median {median_ms:.1f} ms on {len(cloud)} points, {len(grasps)} grasps, "
+        f"headroom {median_ms / limit_ms:.2f} (median / {limit_ms:.0f} ms limit)",
     )
 
 

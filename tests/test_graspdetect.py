@@ -8,13 +8,15 @@ implementations of the box tests.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from rockstack.errors import EmptyCloudError, InsufficientNeighborhoodError
+from rockstack import graspdetect
+from rockstack.errors import EmptyCloudError
 from rockstack.geometry import RigidTransform
 from rockstack.graspdetect import (
     GraspCandidate,
@@ -23,10 +25,8 @@ from rockstack.graspdetect import (
     closing_region_mask,
     detect_grasps,
     filter_by_approach,
-    finger_volumes_mask,
     generate_candidates,
     load_grasps_json,
-    local_frame,
     sample_seeds,
     save_grasps_json,
     score_candidate,
@@ -39,8 +39,16 @@ from rockstack.pointcloud import (
     estimate_normals,
     fit_plane_ransac,
 )
+from rockstack.shapes import Superellipsoid
 
 from conftest import box_cloud
+from grasp_oracle import (
+    finger_volumes_mask,
+    preprocess,
+    reference_candidates,
+    reference_detect,
+    rock_scene_cloud,
+)
 
 
 def brute_force_sound(grasp: GraspCandidate, cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig) -> bool:
@@ -99,46 +107,17 @@ class TestSampleSeeds:
         assert p > 0.01
 
 
-class TestLocalFrame:
-    def test_planar_patch_normal(self):
-        xs, ys = np.meshgrid(np.arange(-5, 6, dtype=float), np.arange(-5, 6, dtype=float))
-        pts = np.column_stack([xs.ravel() * 4, ys.ravel() * 4, np.zeros(xs.size)])
-        cloud = estimate_normals(PointCloud(pts), k=8, viewpoint=(0, 0, 100))
-        center = int(np.argmin(np.sum(pts[:, :2] ** 2, axis=1)))
-        frame = local_frame(cloud, center, radius=12.0)
-        angle = math.degrees(math.acos(min(1.0, abs(frame.rotation[2, 2]))))
-        assert angle < 1.0
-
-    def test_cylinder_minor_curvature_axis(self):
-        # cylinder along x: normals only turn around the circumference
-        theta = np.linspace(-0.9, 0.9, 25)
-        xs = np.linspace(-30, 30, 25)
-        tt, xx = np.meshgrid(theta, xs)
-        r = 25.0
-        pts = np.column_stack([xx.ravel(), r * np.sin(tt.ravel()), r * np.cos(tt.ravel())])
-        cloud = estimate_normals(PointCloud(pts), k=8, viewpoint=(0, 0, 200))
-        top = int(np.argmin(np.abs(pts[:, 0]) + np.abs(pts[:, 1])))
-        frame = local_frame(cloud, top, radius=12.0)
-        axis_angle = math.degrees(math.acos(min(1.0, abs(frame.rotation[0, 0]))))
-        assert axis_angle < 5.0  # x' aligned with the cylinder axis
-
-    def test_isolated_point_insufficient(self):
-        pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0], [50.0, 50.0, 0.0]])
-        cloud = PointCloud(pts, np.tile([0.0, 0.0, 1.0], (4, 1)))
-        with pytest.raises(InsufficientNeighborhoodError):
-            local_frame(cloud, 0, radius=5.0)
-
-    def test_orthonormal_output(self):
-        rng = np.random.default_rng(4)
-        pts = rng.uniform(-50, 50, (200, 3))
-        cloud = estimate_normals(PointCloud(pts), k=10, viewpoint=(0, 0, 200))
-        frame = local_frame(cloud, 0, radius=60.0)
-        np.testing.assert_allclose(frame.rotation.T @ frame.rotation, np.eye(3), atol=1e-9)
-        assert np.linalg.det(frame.rotation) == pytest.approx(1.0, abs=1e-9)
-
-
 def _with_normals(cloud: PointCloud, viewpoint=(0.0, 0.0, 400.0)) -> PointCloud:
     return estimate_normals(cloud, k=10, viewpoint=viewpoint)
+
+
+def _dome_cloud() -> PointCloud:
+    """Smooth dome wider than the aperture: every cap chord at the minimum
+    insertion depth already exceeds it, so nothing is pinchable anywhere."""
+    shape = Superellipsoid(ax=95.0, ay=95.0, az=40.0, e1=1.0, e2=1.0)
+    pts = shape.surface_points(72, 144)  # ~3 mm pitch, sensor-like density
+    pts = pts[pts[:, 2] > 0.0] + np.array([0.0, 0.0, 40.0])
+    return _with_normals(PointCloud(pts))
 
 
 class TestGenerateCandidates:
@@ -158,16 +137,8 @@ class TestGenerateCandidates:
         assert max(widths) <= 48.0
 
     def test_object_wider_than_aperture_yields_nothing(self):
-        # smooth 150 mm dome: every cap chord at the minimum insertion depth
-        # already exceeds the aperture, so nothing is pinchable anywhere
-        from rockstack.shapes import Superellipsoid
-
-        shape = Superellipsoid(ax=95.0, ay=95.0, az=40.0, e1=1.0, e2=1.0)
-        pts = shape.surface_points(72, 144)  # ~3 mm pitch, sensor-like density
-        pts = pts[pts[:, 2] > 0.0] + np.array([0.0, 0.0, 40.0])
-        cloud = _with_normals(PointCloud(pts))
-        cands = generate_candidates(cloud, HandGeometry(), GraspConfig(seed=0))
-        assert cands == []
+        cands = generate_candidates(_dome_cloud(), HandGeometry(), GraspConfig(seed=0))
+        assert len(cands) == 0
 
     def test_wide_box_only_narrow_pinches_survive(self):
         # a 90 mm box still admits diagonal corner pinches, but every survivor
@@ -184,7 +155,7 @@ class TestGenerateCandidates:
     def test_single_point_cannot_reach_min_closing(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]]))
         cands = generate_candidates(cloud, HandGeometry(), GraspConfig(seed=0, num_samples=1))
-        assert cands == []
+        assert len(cands) == 0
 
     def test_candidates_collision_free_by_construction(self):
         cloud = _with_normals(box_cloud(width=40.0, depth=55.0, height=35.0))
@@ -444,3 +415,106 @@ class TestSerialization:
     def test_hand_round_trip(self):
         hand = HandGeometry(finger_width=10.0, max_aperture=70.0)
         assert HandGeometry.from_json_dict(hand.to_json_dict()) == hand
+
+
+def _grasps_json(grasps) -> list[str]:
+    # one string per grasp, so a failure names the first grasp that differs
+    return [json.dumps(g.to_json_dict(), sort_keys=True) for g in grasps]
+
+
+ORACLE_SEEDS = range(40)
+ORACLE_VARIANTS = {
+    "default": {},
+    "cone_90": {"cone_half_angle_deg": 90.0},
+    "voxel_2": {"voxel_leaf": 2.0},
+    "orientations_8_samples_150": {"num_orientations": 8, "num_samples": 150},
+    "tilted_hand_axis": {"hand_axis": (0.2, 0.0, 1.0)},
+    "no_approach_filter": {"approach_filter": False, "hand_axis": (0.0, 0.6, 0.8)},
+}
+
+
+@pytest.fixture(scope="module")
+def scene_clouds() -> list:
+    """Criterion 3's observation clouds, rendered once for the module."""
+    return [rock_scene_cloud(seed) for seed in ORACLE_SEEDS]
+
+
+class TestOracleAgreement:
+    """The batched detector gives the bytes of the one-at-a-time reference."""
+
+    hand = HandGeometry()
+
+    @pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+    def test_rock_scenes(self, scene_clouds, variant):
+        returned = 0
+        for seed in ORACLE_SEEDS:
+            cloud, plane, ws, viewpoint = scene_clouds[seed]
+            cfg = GraspConfig(seed=seed, **ORACLE_VARIANTS[variant])
+            got = detect_grasps(cloud, self.hand, cfg, plane, ws, viewpoint)
+            expected = reference_detect(cloud, self.hand, cfg, plane, ws, viewpoint)
+            assert _grasps_json(got) == _grasps_json(expected), f"scene seed {seed}"
+            returned += len(got)
+        assert returned > 0
+
+    @pytest.mark.parametrize("chunk_elements", [graspdetect._CHUNK_ELEMENTS, 1000])
+    def test_every_candidate(self, scene_clouds, monkeypatch, chunk_elements):
+        # 1000 elements holds one to four seeds, so a cloud takes many chunks
+        monkeypatch.setattr(graspdetect, "_CHUNK_ELEMENTS", chunk_elements)
+        for seed in range(10):
+            cloud, plane, ws, viewpoint = scene_clouds[seed]
+            cfg = GraspConfig(seed=seed)
+            work = preprocess(cloud, cfg, plane, ws, viewpoint)
+            got = generate_candidates(work, self.hand, cfg)
+            expected = reference_candidates(work, self.hand, cfg)
+            assert len(got) == len(expected) > 0
+            assert _grasps_json(got) == _grasps_json(expected), f"scene seed {seed}"
+
+    @pytest.mark.parametrize("size", [(40.0, 60.0, 30.0), (90.0, 90.0, 30.0), (40.0, 55.0, 35.0)])
+    def test_lattice_boxes(self, size):
+        # 2 mm lattices with a 2 mm push step put points exactly on push
+        # depths, where the epsilon conventions of the push and catch decide
+        cloud = _with_normals(box_cloud(*size))
+        for seed in range(3):
+            cfg = GraspConfig(seed=seed)
+            got = generate_candidates(cloud, self.hand, cfg)
+            expected = reference_candidates(cloud, self.hand, cfg)
+            assert _grasps_json(got) == _grasps_json(expected), f"seed {seed}"
+
+    def test_uncropped_two_view_cloud_spans_seed_chunks(self, scene_clouds):
+        # no workspace, and a plane 50 mm below the fitted floor keeps the
+        # floor too: the whole cloud reaches the batched pass
+        cloud, fitted, _, viewpoint = scene_clouds[0]
+        plane = Plane(fitted.normal, fitted.offset - 50.0)
+        cfg = GraspConfig(seed=0)
+        work = preprocess(cloud, cfg, plane, None, viewpoint)
+        assert len(work) == len(cloud) > 30_000
+        assert len(work) * cfg.num_samples > 10 * graspdetect._CHUNK_ELEMENTS
+        got = detect_grasps(cloud, self.hand, cfg, plane, None, viewpoint)
+        assert got
+        assert _grasps_json(got) == _grasps_json(
+            reference_detect(cloud, self.hand, cfg, plane, None, viewpoint)
+        )
+
+    @pytest.mark.parametrize("min_closing_points", [1, 10])
+    def test_single_point(self, min_closing_points):
+        # with one closing point allowed, every orientation yields a candidate
+        # whose closing region holds that single point
+        cloud = PointCloud(np.array([[0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]]))
+        cfg = GraspConfig(seed=0, num_samples=1, min_closing_points=min_closing_points)
+        got = generate_candidates(cloud, self.hand, cfg)
+        expected = reference_candidates(cloud, self.hand, cfg)
+        assert len(got) == len(expected) == (cfg.num_orientations if min_closing_points == 1 else 0)
+        assert _grasps_json(got) == _grasps_json(expected)
+        plane = Plane((0.0, 0.0, 1.0), -10.0)
+        assert detect_grasps(cloud, self.hand, cfg, plane) == []
+        assert reference_detect(cloud, self.hand, cfg, plane) == []
+
+    def test_dome_wider_than_aperture(self):
+        cloud = _dome_cloud()
+        cfg = GraspConfig(seed=0)
+        assert len(generate_candidates(cloud, self.hand, cfg)) == 0
+        assert reference_candidates(cloud, self.hand, cfg) == []
+        plane = Plane((0.0, 0.0, 1.0), 0.0)
+        viewpoint = (0.0, 0.0, 400.0)
+        assert detect_grasps(cloud, self.hand, cfg, plane, viewpoint=viewpoint) == []
+        assert reference_detect(cloud, self.hand, cfg, plane, viewpoint=viewpoint) == []
