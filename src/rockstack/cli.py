@@ -26,9 +26,10 @@ from .harness import (
 from .pointcloud import fit_plane_ransac, load_cloud_xyz
 from .scenesim import (
     SensorModel,
+    apply_depth_noise,
     generate_scene,
-    render_depth,
-    render_instance_masks,
+    instance_masks,
+    render_scene_geometry,
     scene_to_json_dict,
 )
 
@@ -68,9 +69,9 @@ def _cmd_scene_gen(args) -> int:
         json.dump(scene_to_json_dict(scene), f, indent=2, sort_keys=True)
         f.write("\n")
     if args.dump_images:
-        depth = render_depth(scene, scene.base_camera, cfg.sensor, cfg.base_seed)
-        write_depth_pgm(out / "depth_base.pgm", depth)
-        for mask in render_instance_masks(scene, scene.base_camera):
+        depth, ids = render_scene_geometry(scene, scene.base_camera)
+        write_depth_pgm(out / "depth_base.pgm", apply_depth_noise(depth, cfg.sensor, cfg.base_seed))
+        for mask in instance_masks(scene, ids):
             write_mask_pbm(out / f"mask_{mask.instance_id}.pbm", mask)
     print(f"scene written to {out}", file=sys.stderr)
     return EXIT_OK

@@ -21,14 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import project_point
+from .geometry import deproject_pixel, mask_centroid, project_point
 from .graspdetect import GraspConfig, HandGeometry, detect_grasps
 from .perception import (
     WorkspacePose,
-    detect_objects,
-    mask_centroid,
-    object_workspace_pose,
+    detections_from_masks,
+    median_window_depths,
     pose_stability_stats,
+    window_bounds,
 )
 from .pointcloud import Workspace, cloud_from_depth, fit_plane_ransac
 from .scenesim import (
@@ -36,13 +36,13 @@ from .scenesim import (
     SensorModel,
     apply_depth_noise,
     generate_scene,
+    instance_masks,
     render_scene_geometry,
 )
 from .taskexec import (
     ExecParams,
     TrialReport,
     _derive_seed,
-    _measure_point_via_depth,
     run_assembly_task,
     run_stacking_task,
 )
@@ -293,65 +293,81 @@ def compute_metrics(reports: list[TrialReport]) -> MetricsSummary:
 def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     """Repeated pose measurement of statically placed objects.
 
-    The scene renders once; per sample, fresh sensor noise is applied to the
-    depth pixels each measurement actually reads (the centroid windows),
-    which is distribution-identical to re-noising the full image.
+    Each probe is a pixel read through the depth image: the mask centroid
+    of every detection (5x5 median window) and, with a body in the scene,
+    the projected socket (3x3 window). Sample k draws fresh sensor noise
+    from ``_derive_seed(seed, 100_000 + k)`` over a window two pixels wider
+    than each probe's read window, in probe order, which is
+    distribution-identical to re-noising the full image.
+
+    Only the noise changes from sample to sample, so the scene is rendered
+    once (the masks come from the same id image as the depth) and the
+    centroids, projected socket, windows, in-image checks and camera
+    transform are computed once. Every sample writes all its noisy windows
+    into one depth buffer before any probe reads it, because windows of
+    different probes may overlap; the read windows are collected into a
+    ``(samples, h, w)`` stack per probe, and the medians, deprojection and
+    transform to the robot frame then run as one array pass per probe. A
+    sample whose read window has no valid pixel is dropped; a probe whose
+    pixel lies outside the image is dropped whole. Positions are gathered
+    per label in sample-major, probe-minor order.
     """
     scene = generate_scene(cfg.scene, seed)
     camera = scene.base_camera
-    depth_float, _ = render_scene_geometry(scene, camera)
-    clean = apply_depth_noise(depth_float, SensorModel(), 0)
-    dets = detect_objects(scene, camera, labels=("rock", "head", "leg", "body"))
+    intr = camera.intrinsics
+    depth_float, ids = render_scene_geometry(scene, camera)
+    dets = detections_from_masks(
+        instance_masks(scene, ids), labels=("rock", "head", "leg", "body")
+    )
 
-    probes = []  # (label, kind, u, v, window, payload)
+    probes = []  # (label, u, v, read window size)
     for det in dets:
         cu, cv = mask_centroid(det.mask)
-        probes.append((det.label, "detection", cu, cv, 5, det))
+        probes.append((det.label, cu, cv, 5))
     bodies = [p for p in scene.parts if p.part_class == "body"]
     if bodies:
         socket = bodies[0].attachment_world("socket_top")
         cam_pt = camera.pose.inverse().apply(socket.translation)
-        u, v, _ = project_point(camera.intrinsics, cam_pt)
-        probes.append(("body_joint", "point", float(u), float(v), 3, socket.translation))
+        u, v, _ = project_point(intr, cam_pt)
+        probes.append(("body_joint", float(u), float(v), 3))
 
-    h, w = clean.shape
-    windows = []
-    for _, _, u, v, win, _ in probes:
-        half = win // 2 + 1
-        iu, iv = int(round(u)), int(round(v))
-        windows.append(
-            (max(iv - half, 0), min(iv + half + 1, h), max(iu - half, 0), min(iu + half + 1, w))
-        )
-
-    positions: dict = {}
     n_samples = cfg.samples
+    depth = apply_depth_noise(depth_float, SensorModel(), 0)
+    writes = []  # (clean region, buffer view) for every probe, in probe order
+    reads = []  # (label, u, v, buffer view, window stack) for probes inside the image
+    for label, u, v, size in probes:
+        v0, v1, u0, u1 = window_bounds(u, v, size + 2, depth.shape)
+        writes.append((depth_float[v0:v1, u0:u1], depth[v0:v1, u0:u1]))
+        if 0 <= u < intr.width and 0 <= v < intr.height:
+            v0, v1, u0, u1 = window_bounds(u, v, size, depth.shape)
+            stack = np.empty((n_samples, v1 - v0, u1 - u0), dtype=np.uint16)
+            reads.append((label, u, v, depth[v0:v1, u0:u1], stack))
+
     for k in range(n_samples):
         rng = np.random.default_rng(_derive_seed(seed, 100_000 + k))
-        depth_k = clean.copy()
-        for (v0, v1, u0, u1) in windows:
-            region = depth_float[v0:v1, u0:u1]
-            valid = np.isfinite(region)
-            noisy = np.where(valid, region, 0.0)
-            if cfg.sensor.depth_sigma > 0:
-                noisy = noisy + rng.normal(0.0, cfg.sensor.depth_sigma, size=region.shape)
-            quant = np.clip(np.rint(noisy), 0, 65535).astype(np.uint16)
-            quant[~valid] = 0
-            if cfg.sensor.dropout_rate > 0:
-                quant[rng.random(region.shape) < cfg.sensor.dropout_rate] = 0
-            depth_k[v0:v1, u0:u1] = quant
-        for label, kind, u, v, win, payload in probes:
-            try:
-                if kind == "detection":
-                    pose = object_workspace_pose(payload, depth_k, camera.intrinsics, camera.pose)
-                    pos = pose.position
-                else:
-                    pos = _measure_point_via_depth(payload, depth_k, camera, window=win)
-            except Exception:
-                continue
-            positions.setdefault(label, []).append(pos)
+        for region, view in writes:
+            view[...] = apply_depth_noise(region, cfg.sensor, rng)
+        for *_, view, stack in reads:
+            stack[k] = view
+
+    by_label: dict = {}  # label -> [(positions (n, 3), kept (n,))] in probe order
+    for label, u, v, _, stack in reads:
+        d = median_window_depths(stack)
+        kept = ~np.isnan(d)
+        cam_pts = deproject_pixel(intr, u, v, d[kept])
+        # One matrix-vector product per robot axis rounds each point as the
+        # single-point ``camera.pose.apply`` does (both are contiguous
+        # length-3 dot products); an (n, 3) @ (3, 3) product does not once
+        # the rotation has no zero entries.
+        per_axis = np.stack([cam_pts @ row for row in camera.pose.rotation], axis=1)
+        pos = np.zeros((n_samples, 3))
+        pos[kept] = per_axis + camera.pose.translation
+        by_label.setdefault(label, []).append((pos, kept))
 
     classes = {}
-    for label, pts in sorted(positions.items()):
+    for label, rows in sorted(by_label.items()):
+        kept = np.stack([k for _, k in rows], axis=1)
+        pts = np.stack([pos for pos, _ in rows], axis=1)[kept]
         if len(pts) < 2:
             continue
         sx, sy, sz = pose_stability_stats(

@@ -9,6 +9,7 @@ model could be swapped in without touching this module.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,20 @@ def detect_objects(
     live detector would.
     """
     masks = render_instance_masks(scene, camera, extra_objects, exclude_ids)
+    return detections_from_masks(masks, sensor, seed, labels)
+
+
+def detections_from_masks(
+    masks: list[InstanceMask],
+    sensor: SensorModel | None = None,
+    seed: int = 0,
+    labels: tuple | None = None,
+) -> list[Detection]:
+    """The detections of :func:`detect_objects` from already rendered masks.
+
+    Mask ``i`` (counted over all masks, before the label filter) is degraded
+    with seed ``seed + 1000 * (i + 1)``; masks left empty are dropped.
+    """
     out = []
     for i, mask in enumerate(masks):
         if labels is not None and mask.label not in labels:
@@ -114,23 +129,44 @@ def sort_by_mask_area(detections: list[Detection]) -> list[Detection]:
     return sorted(keep, key=key)
 
 
+def window_bounds(u: float, v: float, size: int, shape: tuple) -> tuple[int, int, int, int]:
+    """Rows ``v0:v1`` and columns ``u0:u1`` of the ``size x size`` window
+    centred on the pixel nearest (u, v), clipped at the image border."""
+    half = size // 2
+    iu = int(round(u))
+    iv = int(round(v))
+    h, w = shape
+    return max(iv - half, 0), min(iv + half + 1, h), max(iu - half, 0), min(iu + half + 1, w)
+
+
+def median_window_depths(windows: np.ndarray) -> np.ndarray:
+    """Median of the valid (> 0) depths of each window in a stack, mm.
+
+    ``windows`` has shape ``(n, ...)``; each of the n windows is reduced on
+    its own. A window without a valid pixel yields NaN.
+    """
+    flat = windows.reshape(len(windows), math.prod(windows.shape[1:]))
+    valid = flat > 0
+    count = valid.sum(axis=1)
+    ordered = np.sort(np.where(valid, flat.astype(np.float64), np.inf), axis=1)
+    out = np.full(len(flat), np.nan)
+    rows = np.flatnonzero(count)
+    hi = count[rows] // 2
+    lo = (count[rows] - 1) // 2
+    out[rows] = (ordered[rows, lo] + ordered[rows, hi]) / 2.0
+    return out
+
+
 def median_window_depth(depth: np.ndarray, u: float, v: float, size: int = 5) -> float:
     """Median of the valid depths in a ``size x size`` window at (u, v), mm.
 
     Robust to holes; raises when the whole window is missing.
     """
-    half = size // 2
-    iu = int(round(u))
-    iv = int(round(v))
-    h, w = depth.shape
-    window = depth[
-        max(iv - half, 0) : min(iv + half + 1, h),
-        max(iu - half, 0) : min(iu + half + 1, w),
-    ]
-    valid = window[window > 0]
-    if valid.size == 0:
+    v0, v1, u0, u1 = window_bounds(u, v, size, depth.shape)
+    d = median_window_depths(depth[None, v0:v1, u0:u1])[0]
+    if np.isnan(d):
         raise MissingDepthError(f"no valid depth in {size}x{size} window at ({u:.1f}, {v:.1f})")
-    return float(np.median(valid.astype(np.float64)))
+    return float(d)
 
 
 def object_workspace_pose(

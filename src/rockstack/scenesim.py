@@ -690,8 +690,15 @@ def render_scene_geometry(
     return depth.reshape(h, w), ids.reshape(h, w)
 
 
-def apply_depth_noise(depth: np.ndarray, sensor: SensorModel, seed: int) -> np.ndarray:
-    """Noise + 1 mm quantization + dropout; misses and dropouts become 0."""
+def apply_depth_noise(
+    depth: np.ndarray, sensor: SensorModel, seed: int | np.random.Generator
+) -> np.ndarray:
+    """Noise + 1 mm quantization + dropout; misses and dropouts become 0.
+
+    ``seed`` may be a Generator, which is drawn from in place (``normal``
+    then ``random``, each over ``depth.shape``), so one stream can noise
+    several windows in turn.
+    """
     rng = np.random.default_rng(seed)
     valid = np.isfinite(depth)
     noisy = np.where(valid, depth, 0.0)
@@ -729,6 +736,14 @@ def render_instance_masks(
     Transient geometry (negative ids) occludes but is never listed.
     """
     _, ids = render_scene_geometry(scene, camera, extra_objects, exclude_ids)
+    return instance_masks(scene, ids, exclude_ids)
+
+
+def instance_masks(
+    scene: Scene, ids: np.ndarray, exclude_ids: set | None = None
+) -> list[InstanceMask]:
+    """Masks of the scene objects from an id image of
+    :func:`render_scene_geometry`, in scene object order."""
     masks = []
     for obj in scene.objects():
         if exclude_ids and obj.instance_id in exclude_ids:

@@ -41,7 +41,7 @@ from .graspdetect import (
 )
 from .perception import (
     Detection,
-    detect_objects,
+    detections_from_masks,
     estimate_height,
     median_window_depth,
     object_workspace_pose,
@@ -55,7 +55,10 @@ from .scenesim import (
     Scene,
     SensorModel,
     Terrain,
+    apply_depth_noise,
+    instance_masks,
     render_depth,
+    render_scene_geometry,
 )
 from .shapes import Box
 from .geometry import camera_pose_from_lookat, deproject_pixel
@@ -594,10 +597,7 @@ def run_stacking_task(
 
     # -- detect (eye on base)
     t0 = clock.total
-    depth_base = render_depth(scene, scene.base_camera, sensor, _derive_seed(seed, 1))
-    dets = detect_objects(
-        scene, scene.base_camera, sensor, _derive_seed(seed, 2), labels=("rock",)
-    )
+    depth_base, dets = _observe_base(scene, sensor, seed, ("rock",))
     clock.action()
     if not dets:
         _phase(phases, "detect", t0, clock, "failed", "no-detections")
@@ -773,6 +773,18 @@ def run_stacking_task(
     return report
 
 
+def _observe_base(
+    scene: Scene, sensor: SensorModel, seed: int, labels: tuple
+) -> tuple[np.ndarray, list[Detection]]:
+    """Noisy depth image and detections from a single render of the base
+    camera; the same seeds as ``render_depth`` and ``detect_objects``."""
+    depth, ids = render_scene_geometry(scene, scene.base_camera)
+    dets = detections_from_masks(
+        instance_masks(scene, ids), sensor, _derive_seed(seed, 2), labels=labels
+    )
+    return apply_depth_noise(depth, sensor, _derive_seed(seed, 1)), dets
+
+
 def _measure_point_via_depth(
     point_world: np.ndarray,
     depth: np.ndarray,
@@ -876,10 +888,7 @@ def run_assembly_task(
 
     # -- get_pose
     t0 = clock.total
-    depth_base = render_depth(scene, scene.base_camera, sensor, _derive_seed(seed, 1))
-    dets = detect_objects(
-        scene, scene.base_camera, sensor, _derive_seed(seed, 2), labels=(part.part_class,)
-    )
+    depth_base, dets = _observe_base(scene, sensor, seed, (part.part_class,))
     clock.action()
     if not dets:
         return fail("get_pose", t0, "pose-detect-fail")

@@ -25,6 +25,8 @@ from rockstack.harness import (
 )
 from rockstack.taskexec import TrialReport
 
+from pose_oracle import oracle_pose_stability_trial
+
 QUICK_STACK = {
     "task": "stack",
     "trials": 2,
@@ -269,6 +271,129 @@ class TestRunExperiment:
         report = run_trial(cfg, 0)
         assert report.metrics["n_grasps"] >= 1
         assert report.success
+
+
+def _pose_cfg(samples: int = 60, sensor: dict | None = None, scene: dict | None = None):
+    data = {"task": "pose_stability", "samples": samples, "sensor": sensor or {}}
+    if scene is not None:
+        data["scene"] = scene
+    return ExperimentConfig.from_json_dict(data)
+
+
+def _pose_json(report: TrialReport) -> str:
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+
+
+def _overlaps(a, b) -> bool:
+    return a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
+
+
+# a 600 mm camera over the body whose aim puts the socket pixel just past the
+# bottom border (v = 240.46) or just inside it (v = 239.94)
+def _aimed_camera(look_at_y: float) -> dict:
+    return {
+        "position": [0.0, 500.0, 600.0],
+        "look_at": [0.0, look_at_y, 0.0],
+        "intrinsics": {"fx": 600.0, "fy": 600.0, "cx": 160.0, "cy": 120.0, "width": 320, "height": 240},
+    }
+
+
+class TestPoseOracleAgreement:
+    """The batched pose-stability runner reproduces the per-sample loop of
+    ``tests/pose_oracle.py`` byte for byte."""
+
+    @pytest.mark.parametrize(
+        "sensor",
+        [
+            {},
+            {"depth_sigma": 2.0},
+            {"depth_sigma": 3.0, "dropout_rate": 0.3},
+            {"depth_sigma": 2.0, "dropout_rate": 0.97},
+        ],
+        ids=["sigma0", "sigma2", "sigma3-dropout0.3", "sigma2-dropout0.97"],
+    )
+    def test_seeds_per_sensor(self, sensor):
+        cfg = _pose_cfg(sensor=sensor)
+        for seed in range(6):
+            got = _pose_json(run_trial(cfg, seed))
+            assert got == _pose_json(oracle_pose_stability_trial(cfg, seed))
+        if sensor.get("dropout_rate") == 0.97:
+            classes = json.loads(got)["metrics"]["classes"]
+            assert any(row["samples"] < cfg.samples for row in classes.values())
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            {"parts": ["head", "leg"], "rock_count": [1, 2]},
+            {"parts": [], "rock_count": [3, 4]},
+        ],
+        ids=["no-body", "rocks-only"],
+    )
+    def test_scenes_without_a_socket_probe(self, scene):
+        cfg = _pose_cfg(sensor={"depth_sigma": 2.0}, scene=scene)
+        for seed in range(2):
+            got = _pose_json(run_trial(cfg, seed))
+            assert got == _pose_json(oracle_pose_stability_trial(cfg, seed))
+            assert "body_joint" not in json.loads(got)["metrics"]["classes"]
+
+    def test_two_samples(self):
+        cfg = _pose_cfg(samples=2, sensor={"depth_sigma": 3.0, "dropout_rate": 0.3})
+        for seed in range(3):
+            assert _pose_json(run_trial(cfg, seed)) == _pose_json(
+                oracle_pose_stability_trial(cfg, seed)
+            )
+
+    def test_socket_noise_window_overwrites_the_body_read_window(self):
+        from rockstack.geometry import mask_centroid, project_point
+        from rockstack.perception import detect_objects, window_bounds
+        from rockstack.scenesim import generate_scene
+
+        cfg = _pose_cfg(sensor={"depth_sigma": 2.0})
+        scene = generate_scene(cfg.scene, 3)
+        cam = scene.base_camera
+        (body,) = detect_objects(scene, cam, labels=("body",))
+        socket = scene.parts[0].attachment_world("socket_top")
+        u, v, _ = project_point(cam.intrinsics, cam.pose.inverse().apply(socket.translation))
+        shape = (cam.intrinsics.height, cam.intrinsics.width)
+        body_read = window_bounds(*mask_centroid(body.mask), 5, shape)
+        socket_write = window_bounds(float(u), float(v), 3 + 2, shape)
+        assert _overlaps(body_read, socket_write)
+        got = _pose_json(run_trial(cfg, 3))
+        assert got == _pose_json(oracle_pose_stability_trial(cfg, 3))
+        assert {"body", "body_joint"} <= set(json.loads(got)["metrics"]["classes"])
+
+    @pytest.mark.parametrize("look_at_y, joint_kept", [(444.8, False), (445.3, True)])
+    def test_socket_at_the_image_border(self, look_at_y, joint_kept):
+        scene = {"parts": ["body"], "rock_count": [2, 2], "base_camera": _aimed_camera(look_at_y)}
+        cfg = _pose_cfg(sensor={"depth_sigma": 2.0}, scene=scene)
+        got = _pose_json(run_trial(cfg, 0))
+        assert got == _pose_json(oracle_pose_stability_trial(cfg, 0))
+        assert ("body_joint" in json.loads(got)["metrics"]["classes"]) is joint_kept
+
+    def test_tilted_and_offset_camera(self):
+        # a rotation without zero entries: the robot-frame transform must
+        # round each point as the single-point path does
+        camera = {
+            "position": [-140.0, 330.0, 420.0],
+            "look_at": [15.0, 530.0, 0.0],
+            "intrinsics": {"fx": 300.0, "fy": 300.0, "cx": 160.0, "cy": 120.0, "width": 320, "height": 240},
+        }
+        cfg = _pose_cfg(sensor={"depth_sigma": 2.0}, scene={"base_camera": camera})
+        for seed in range(2):
+            got = _pose_json(run_trial(cfg, seed))
+            assert got == _pose_json(oracle_pose_stability_trial(cfg, seed))
+            assert len(json.loads(got)["metrics"]["classes"]) >= 4
+
+    def test_unexpected_error_reaches_the_crash_record(self, monkeypatch):
+        import rockstack.harness as harness_mod
+
+        def broken(windows):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(harness_mod, "median_window_depths", broken)
+        report = run_trial(_pose_cfg(sensor={"depth_sigma": 2.0}), 0)
+        assert report.success is False
+        assert report.phases[0]["error_code"] == "exception:TypeError"
 
 
 class TestCsv:

@@ -36,6 +36,7 @@ from rockstack.perception import (
     detection_to_json_dict,
     estimate_height,
     median_window_depth,
+    median_window_depths,
     object_workspace_pose,
     pose_stability_stats,
     sort_by_mask_area,
@@ -128,6 +129,42 @@ class TestMedianWindowDepth:
     def test_all_missing_raises(self):
         with pytest.raises(MissingDepthError):
             median_window_depth(np.zeros((10, 10), dtype=np.uint16), 5, 5)
+
+    def test_batched_matches_numpy_median_of_valid_pixels(self):
+        rng = np.random.default_rng(7)
+        for shape in ((5, 5), (3, 3), (2, 5), (1, 3)):
+            windows = rng.integers(1, 65536, size=(400,) + shape).astype(np.uint16)
+            windows[rng.random(windows.shape) < rng.random((400, 1, 1))] = 0
+            windows[:5] = 0
+            got = median_window_depths(windows)
+            flat = windows.reshape(400, -1)
+            counts = np.count_nonzero(flat, axis=1)
+            assert np.all(np.isnan(got[counts == 0]))
+            # both parities of the valid count occur for every window size
+            assert {0, 1} <= set((counts[counts > 0] % 2).tolist())
+            for row, d in zip(flat, got):
+                valid = row[row > 0]
+                if valid.size:
+                    assert d == float(np.median(valid.astype(np.float64)))
+
+    def test_windows_clipped_at_the_border(self):
+        rng = np.random.default_rng(3)
+        depth = rng.integers(0, 900, size=(12, 16)).astype(np.uint16)
+        for u, v in ((0.0, 0.0), (15.4, 11.0), (0.4, 6.0), (7.0, 11.6), (15.0, 0.2)):
+            iu, iv = int(round(u)), int(round(v))
+            for size in (3, 5):
+                half = size // 2
+                window = depth[max(iv - half, 0) : iv + half + 1, max(iu - half, 0) : iu + half + 1]
+                assert window.shape != (size, size)
+                valid = window[window > 0].astype(np.float64)
+                assert median_window_depth(depth, u, v, size) == float(np.median(valid))
+
+    def test_window_with_only_missing_pixels_raises_at_the_border(self):
+        depth = np.full((10, 10), 700, dtype=np.uint16)
+        depth[:2, :2] = 0
+        with pytest.raises(MissingDepthError):
+            median_window_depth(depth, 0.0, 0.0, size=3)
+        assert median_window_depth(depth, 0.0, 0.0, size=5) == 700.0
 
 
 class TestObjectWorkspacePose:

@@ -26,6 +26,7 @@ from rockstack.scenesim import (
     apply_depth_noise,
     degrade_mask,
     generate_scene,
+    instance_masks,
     make_body,
     make_head,
     make_leg,
@@ -208,6 +209,25 @@ class TestRenderDepth:
         c = render_depth(scene, scene.base_camera, sensor, seed=12)
         assert not np.array_equal(a, c)
 
+    def test_generator_is_drawn_in_place(self):
+        depth = np.full((6, 7), 500.0)
+        depth[0, :3] = np.inf
+        sensor = SensorModel(depth_sigma=2.0, dropout_rate=0.2)
+        np.testing.assert_array_equal(
+            apply_depth_noise(depth, sensor, np.random.default_rng(9)),
+            apply_depth_noise(depth, sensor, 9),
+        )
+        # two windows noised in turn from one stream: normal then random each
+        rng = np.random.default_rng(9)
+        first = apply_depth_noise(depth[:3], sensor, rng)
+        second = apply_depth_noise(depth[3:], sensor, rng)
+        ref = np.random.default_rng(9)
+        for window, got in ((depth[:3], first), (depth[3:], second)):
+            noisy = np.rint(np.where(np.isfinite(window), window, 0.0) + ref.normal(0.0, 2.0, window.shape))
+            expect = np.where(np.isfinite(window), noisy, 0).astype(np.uint16)
+            expect[ref.random(window.shape) < 0.2] = 0
+            np.testing.assert_array_equal(got, expect)
+
     def test_noise_model_validation(self):
         with pytest.raises(ValidationError):
             SensorModel(depth_sigma=-1.0)
@@ -251,6 +271,18 @@ class TestInstanceMasks:
         _, ids = render_scene_geometry(scene, scene.base_camera)
         for m in masks:
             np.testing.assert_array_equal(m.bitmap, ids == m.instance_id)
+
+    def test_masks_from_an_id_image(self):
+        scene = generate_scene(SceneSpec(rock_count=(3, 3)), seed=4)
+        _, ids = render_scene_geometry(scene, scene.base_camera)
+        masks = instance_masks(scene, ids)
+        assert [m.instance_id for m in masks] == [r.instance_id for r in scene.rocks]
+        for m, r in zip(masks, render_instance_masks(scene, scene.base_camera)):
+            assert (m.instance_id, m.label) == (r.instance_id, r.label)
+            np.testing.assert_array_equal(m.bitmap, r.bitmap)
+        excluded = {scene.rocks[1].instance_id}
+        kept = instance_masks(scene, ids, excluded)
+        assert [m.instance_id for m in kept] == [scene.rocks[0].instance_id, scene.rocks[2].instance_id]
 
     def test_mask_depth_coherence_reintersection(self):
         scene = single_rock_scene(Superellipsoid(22, 18, 14, 0.9, 1.1), (10.0, 490.0, 14.0))

@@ -25,6 +25,7 @@ from rockstack.errors import (
 from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
 from rockstack.graspdetect import GraspCandidate, GraspConfig, HandGeometry
 from rockstack.harness import ExperimentConfig
+from rockstack.perception import detect_objects
 from rockstack.scenesim import (
     CameraSpec,
     RockModel,
@@ -35,6 +36,7 @@ from rockstack.scenesim import (
     generate_scene,
     make_body,
     make_head,
+    render_depth,
 )
 from rockstack.shapes import Superellipsoid
 from rockstack.taskexec import (
@@ -43,6 +45,8 @@ from rockstack.taskexec import (
     ExecParams,
     StackState,
     TrialReport,
+    _derive_seed,
+    _observe_base,
     check_stack_stability,
     execute_grasp,
     gripper_geometry,
@@ -312,6 +316,30 @@ class TestRunStackingTask:
             assert all(s in allowed for s in stems)
             order = [allowed.index(s) for s in stems if s != "abort"]
             assert order == sorted(order)
+
+
+class TestObserveBase:
+    def test_one_render_gives_the_depth_and_detections_of_two(self, monkeypatch):
+        import rockstack.taskexec as taskexec_mod
+
+        scene = generate_scene(SceneSpec(rock_count=(2, 2), parts=("body", "head")), seed=3)
+        sensor = SensorModel(
+            depth_sigma=2.0, dropout_rate=0.05, mask_erosion=0.2, boundary_flip_rate=0.1
+        )
+        real = taskexec_mod.render_scene_geometry
+        calls = []
+        monkeypatch.setattr(
+            taskexec_mod, "render_scene_geometry", lambda *a: calls.append(a) or real(*a)
+        )
+        depth, dets = _observe_base(scene, sensor, 11, ("head",))
+        assert len(calls) == 1
+        cam = scene.base_camera
+        np.testing.assert_array_equal(depth, render_depth(scene, cam, sensor, _derive_seed(11, 1)))
+        expected = detect_objects(scene, cam, sensor, _derive_seed(11, 2), labels=("head",))
+        assert [d.instance_id for d in dets] == [d.instance_id for d in expected] != []
+        for got, want in zip(dets, expected):
+            np.testing.assert_array_equal(got.mask.bitmap, want.mask.bitmap)
+            assert got.bbox == want.bbox
 
 
 class TestRunAssemblyTask:
