@@ -736,18 +736,14 @@ def render_instance_masks(
     Transient geometry (negative ids) occludes but is never listed.
     """
     _, ids = render_scene_geometry(scene, camera, extra_objects, exclude_ids)
-    return instance_masks(scene, ids, exclude_ids)
+    return instance_masks(scene, ids)
 
 
-def instance_masks(
-    scene: Scene, ids: np.ndarray, exclude_ids: set | None = None
-) -> list[InstanceMask]:
+def instance_masks(scene: Scene, ids: np.ndarray) -> list[InstanceMask]:
     """Masks of the scene objects from an id image of
     :func:`render_scene_geometry`, in scene object order."""
     masks = []
     for obj in scene.objects():
-        if exclude_ids and obj.instance_id in exclude_ids:
-            continue
         bitmap = ids == obj.instance_id
         if not np.any(bitmap):
             continue

@@ -280,9 +280,6 @@ class TestInstanceMasks:
         for m, r in zip(masks, render_instance_masks(scene, scene.base_camera)):
             assert (m.instance_id, m.label) == (r.instance_id, r.label)
             np.testing.assert_array_equal(m.bitmap, r.bitmap)
-        excluded = {scene.rocks[1].instance_id}
-        kept = instance_masks(scene, ids, excluded)
-        assert [m.instance_id for m in kept] == [scene.rocks[0].instance_id, scene.rocks[2].instance_id]
 
     def test_mask_depth_coherence_reintersection(self):
         scene = single_rock_scene(Superellipsoid(22, 18, 14, 0.9, 1.1), (10.0, 490.0, 14.0))
