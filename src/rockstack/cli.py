@@ -25,7 +25,6 @@ from .harness import (
 )
 from .pointcloud import fit_plane_ransac, load_cloud_xyz
 from .scenesim import (
-    SensorModel,
     apply_depth_noise,
     generate_scene,
     instance_masks,

@@ -14,7 +14,7 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,39 @@ from .errors import (
     ValidationError,
 )
 
-ORTHONORMAL_TOL = 1e-9
+
+def _json_value(value):
+    return [_json_value(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _tuple_value(value):
+    return tuple(_tuple_value(v) for v in value) if isinstance(value, (list, tuple)) else value
+
+
+class JsonFields:
+    """JSON codec for config dataclasses whose JSON keys are the field names.
+
+    Tuple fields are written as (nested) lists and read back as tuples;
+    fields with a float default are read through ``float``; other values
+    pass through. An unknown key raises ``TypeError`` from the constructor,
+    and ``__post_init__`` validates the result.
+    """
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        defaults = {f.name: f.default for f in fields(cls)}
+        kwargs = {}
+        for key, value in data.items():
+            default = defaults.get(key)
+            if isinstance(default, tuple):
+                value = _tuple_value(value)
+            elif isinstance(default, float):
+                value = float(value)
+            kwargs[key] = value
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -49,13 +81,6 @@ class CameraIntrinsics:
                 f"principal point ({self.cx}, {self.cy}) outside {self.width}x{self.height} image"
             )
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """3x3 intrinsic matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "fx": self.fx,
@@ -76,10 +101,6 @@ class CameraIntrinsics:
             width=int(data["width"]),
             height=int(data["height"]),
         )
-
-
-# Placeholder defaults; the real sensor's parameters are a config input.
-DEFAULT_INTRINSICS = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
 def deproject_pixel(intr: CameraIntrinsics, u, v, d):
@@ -168,9 +189,6 @@ class RigidTransform:
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T

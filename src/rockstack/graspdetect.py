@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCloudError, ValidationError
-from .geometry import RigidTransform
+from .geometry import JsonFields, RigidTransform
 from .pointcloud import (
     Plane,
     PointCloud,
@@ -67,7 +67,7 @@ _EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class HandGeometry:
+class HandGeometry(JsonFields):
     """Parallel-gripper dimensions, mm.
 
     Defaults are deliberately smaller than the physical gripper; small hands
@@ -84,21 +84,9 @@ class HandGeometry:
             if getattr(self, name) <= 0:
                 raise ValidationError(f"hand geometry field {name} must be > 0")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "finger_width": self.finger_width,
-            "max_aperture": self.max_aperture,
-            "finger_depth": self.finger_depth,
-            "hand_height": self.hand_height,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HandGeometry":
-        return cls(**{k: float(v) for k, v in data.items()})
-
 
 @dataclass(frozen=True)
-class GraspConfig:
+class GraspConfig(JsonFields):
     """Detector configuration; JSON keys mirror the field names."""
 
     num_samples: int = 100
@@ -132,33 +120,6 @@ class GraspConfig:
         object.__setattr__(self, "hand_axis", tuple(axis / norm))
         if self.push_step <= 0:
             raise ValidationError("push_step must be > 0")
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "num_samples": self.num_samples,
-            "num_orientations": self.num_orientations,
-            "num_selected": self.num_selected,
-            "hand_axis": list(self.hand_axis),
-            "approach_filter": self.approach_filter,
-            "cone_half_angle_deg": self.cone_half_angle_deg,
-            "min_closing_points": self.min_closing_points,
-            "seed": self.seed,
-            "friction_half_angle_deg": self.friction_half_angle_deg,
-            "expected_closing_points": self.expected_closing_points,
-            "push_step": self.push_step,
-            "width_clearance": self.width_clearance,
-            "plane_margin": self.plane_margin,
-            "normals_k": self.normals_k,
-            "voxel_leaf": self.voxel_leaf,
-        }
-        return d
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GraspConfig":
-        kwargs = dict(data)
-        if "hand_axis" in kwargs:
-            kwargs["hand_axis"] = tuple(float(x) for x in kwargs["hand_axis"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -119,11 +119,11 @@ class ExperimentConfig:
         for name, factory, payload in sections:
             try:
                 kwargs[name] = factory.from_json_dict(payload)
-            except (ValidationError, TypeError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
         try:
             kwargs["exec_params"] = ExecParams.from_json_dict(data.get("exec", {}))
-        except (ValidationError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"exec: {exc}") from exc
         return cls(**kwargs)
 

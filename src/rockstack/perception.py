@@ -131,12 +131,19 @@ def sort_by_mask_area(detections: list[Detection]) -> list[Detection]:
 
 def window_bounds(u: float, v: float, size: int, shape: tuple) -> tuple[int, int, int, int]:
     """Rows ``v0:v1`` and columns ``u0:u1`` of the ``size x size`` window
-    centred on the pixel nearest (u, v), clipped at the image border."""
+    centred on the pixel nearest (u, v), clipped at the image border.
+
+    Every end lies in ``[0, n]``, so a window wholly outside the image is
+    empty."""
     half = size // 2
-    iu = int(round(u))
-    iv = int(round(v))
     h, w = shape
-    return max(iv - half, 0), min(iv + half + 1, h), max(iu - half, 0), min(iu + half + 1, w)
+    v0, v1 = _clipped_span(int(round(v)), half, h)
+    u0, u1 = _clipped_span(int(round(u)), half, w)
+    return v0, v1, u0, u1
+
+
+def _clipped_span(i: int, half: int, n: int) -> tuple[int, int]:
+    return min(max(i - half, 0), n), max(min(i + half + 1, n), 0)
 
 
 def median_window_depths(windows: np.ndarray) -> np.ndarray:

@@ -11,13 +11,20 @@ which stand in for segmentation damage under harsh exposure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import PlacementError, ValidationError
-from .geometry import CameraIntrinsics, InstanceMask, RigidTransform, camera_pose_from_lookat, mask_bbox
+from .geometry import (
+    CameraIntrinsics,
+    InstanceMask,
+    JsonFields,
+    RigidTransform,
+    camera_pose_from_lookat,
+    mask_bbox,
+)
 from .shapes import (
     Box,
     Cylinder,
@@ -103,9 +110,33 @@ class Terrain:
             + h11 * fx * fy
         )
 
+    def raycast_world(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Ray parameter of the first terrain hit along ``origin + s * dirs``;
+        inf for rays that do not descend or whose fixed point misses."""
+        dz = dirs[:, 2]
+        descending = dz < -1e-9
+        s = np.full(dirs.shape[0], np.inf)
+        if not np.any(descending):
+            return s
+        d = dirs[descending]
+        oz = origin[2]
+        est = np.full(d.shape[0], (np.mean(self.heights) - oz)) / d[:, 2]
+        for _ in range(8):
+            x = origin[0] + est * d[:, 0]
+            y = origin[1] + est * d[:, 1]
+            h = self.height_at(x, y)
+            est = (h - oz) / d[:, 2]
+        x = origin[0] + est * d[:, 0]
+        y = origin[1] + est * d[:, 1]
+        resid = np.abs(oz + est * d[:, 2] - self.height_at(x, y))
+        good = (resid < 0.05) & (est > 0)
+        s_sub = np.where(good, est, np.inf)
+        s[descending] = s_sub
+        return s
+
 
 @dataclass(frozen=True)
-class SensorModel:
+class SensorModel(JsonFields):
     """Depth noise plus the mask-degradation analog of harsh exposure."""
 
     depth_sigma: float = 0.0
@@ -120,18 +151,6 @@ class SensorModel:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValidationError(f"{name} must lie in [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "depth_sigma": self.depth_sigma,
-            "dropout_rate": self.dropout_rate,
-            "mask_erosion": self.mask_erosion,
-            "boundary_flip_rate": self.boundary_flip_rate,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SensorModel":
-        return cls(**{k: float(v) for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -337,7 +356,7 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(JsonFields):
     """Distribution parameters for seeded scene generation."""
 
     rock_count: tuple = (2, 4)
@@ -363,47 +382,6 @@ class SceneSpec:
             raise ValidationError("rock_semi_axis range must be positive and ordered")
         if self.rock_count[0] == 0 and not self.parts:
             raise ValidationError("scene must contain at least one object")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rock_count": list(self.rock_count),
-            "rock_semi_axis": list(self.rock_semi_axis),
-            "rock_height_axis": list(self.rock_height_axis),
-            "rock_exponents": list(self.rock_exponents),
-            "min_separation": self.min_separation,
-            "min_area_separation": self.min_area_separation,
-            "region": [list(self.region[0]), list(self.region[1])],
-            "terrain_extent": list(self.terrain_extent),
-            "terrain_center": list(self.terrain_center),
-            "terrain_pitch": self.terrain_pitch,
-            "terrain_amplitude": self.terrain_amplitude,
-            "parts": list(self.parts),
-            "body_position": list(self.body_position),
-            "base_camera": self.base_camera,
-            "hand_camera_intrinsics": self.hand_camera_intrinsics,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SceneSpec":
-        kwargs = {}
-        tuple_fields = {
-            "rock_count",
-            "rock_semi_axis",
-            "rock_height_axis",
-            "rock_exponents",
-            "terrain_extent",
-            "terrain_center",
-            "parts",
-            "body_position",
-        }
-        for key, value in data.items():
-            if key == "region":
-                kwargs[key] = (tuple(value[0]), tuple(value[1]))
-            elif key in tuple_fields:
-                kwargs[key] = tuple(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
 
 
 DEFAULT_BASE_CAMERA = {
@@ -510,6 +488,22 @@ def _sample_rock_shapes(spec: SceneSpec, count: int, rng) -> list[Superellipsoid
     return shapes
 
 
+def _place_xy(spec: SceneSpec, rng, radius_xy: float, placed_xy: list, placed_r: list, what: str):
+    """Draw xy in the spec's region until it clears every placed object by
+    the larger of ``min_separation`` and the summed radii plus 2 mm."""
+    (x0, x1), (y0, y1) = spec.region
+    for _ in range(100):
+        xy = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
+        if all(
+            np.linalg.norm(xy - q) >= max(spec.min_separation, radius_xy + r + 2.0)
+            for q, r in zip(placed_xy, placed_r)
+        ):
+            return xy
+    raise PlacementError(
+        f"could not place {what} with clearance {spec.min_separation} mm in 100 attempts"
+    )
+
+
 def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     """Deterministic scene: terrain, settled non-overlapping rocks, parts."""
     terrain = Terrain.generate(
@@ -527,21 +521,9 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     placed_xy: list[np.ndarray] = []
     placed_r: list[float] = []
     rocks: list[RockModel] = []
-    (x0, x1), (y0, y1) = spec.region
     for i, shape in enumerate(shapes):
         radius_xy = math.sqrt(shape.ax**2 + shape.ay**2)
-        for attempt in range(100):
-            xy = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
-            ok = all(
-                np.linalg.norm(xy - q) >= max(spec.min_separation, radius_xy + r + 2.0)
-                for q, r in zip(placed_xy, placed_r)
-            )
-            if ok:
-                break
-        else:
-            raise PlacementError(
-                f"could not place rock {i} with clearance {spec.min_separation} mm in 100 attempts"
-            )
+        xy = _place_xy(spec, rng, radius_xy, placed_xy, placed_r, f"rock {i}")
         yaw = rng.uniform(0.0, 2.0 * math.pi)
         start_z = shape.az + 60.0
         pose = RigidTransform.rotation_z(yaw, (xy[0], xy[1], start_z))
@@ -561,17 +543,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
             xy = np.asarray(spec.body_position, dtype=np.float64)
             pose = RigidTransform.from_translation((xy[0], xy[1], 80.0))
         else:
-            radius_xy = 45.0
-            for attempt in range(100):
-                xy = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
-                ok = all(
-                    np.linalg.norm(xy - q) >= max(spec.min_separation, radius_xy + r + 2.0)
-                    for q, r in zip(placed_xy, placed_r)
-                )
-                if ok:
-                    break
-            else:
-                raise PlacementError(f"could not place part {part_class!r} in 100 attempts")
+            xy = _place_xy(spec, rng, 45.0, placed_xy, placed_r, f"part {part_class!r}")
             yaw = rng.uniform(0.0, 2.0 * math.pi)
             pose = RigidTransform.rotation_z(yaw, (xy[0], xy[1], 80.0))
         part = factory(next_id, pose)
@@ -611,29 +583,6 @@ def _pixel_dirs(intr: CameraIntrinsics, pose: RigidTransform) -> np.ndarray:
     return dirs_cam.reshape(-1, 3) @ pose.rotation.T
 
 
-def _raycast_terrain(terrain: Terrain, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    dz = dirs[:, 2]
-    descending = dz < -1e-9
-    s = np.full(dirs.shape[0], np.inf)
-    if not np.any(descending):
-        return s
-    d = dirs[descending]
-    oz = origin[2]
-    est = np.full(d.shape[0], (np.mean(terrain.heights) - oz)) / d[:, 2]
-    for _ in range(8):
-        x = origin[0] + est * d[:, 0]
-        y = origin[1] + est * d[:, 1]
-        h = terrain.height_at(x, y)
-        est = (h - oz) / d[:, 2]
-    x = origin[0] + est * d[:, 0]
-    y = origin[1] + est * d[:, 1]
-    resid = np.abs(oz + est * d[:, 2] - terrain.height_at(x, y))
-    good = (resid < 0.05) & (est > 0)
-    s_sub = np.where(good, est, np.inf)
-    s[descending] = s_sub
-    return s
-
-
 def _object_pixel_rows(
     obj, intr: CameraIntrinsics, pose: RigidTransform
 ) -> np.ndarray | None:
@@ -671,7 +620,7 @@ def render_scene_geometry(
     intr = camera.intrinsics
     origin = camera.pose.translation
     dirs = _pixel_dirs(intr, camera.pose)
-    depth = _raycast_terrain(scene.terrain, origin, dirs)
+    depth = scene.terrain.raycast_world(origin, dirs)
     ids = np.where(np.isfinite(depth), TERRAIN_ID, MISS_ID).astype(np.int32)
     objects = scene.objects() + list(extra_objects or [])
     for obj in objects:

@@ -27,10 +27,11 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    CameraIntrinsics,
+    JsonFields,
     RigidTransform,
+    camera_pose_from_lookat,
+    deproject_pixel,
     project_point,
-    rotation_angle,
 )
 from .graspdetect import (
     GraspCandidate,
@@ -45,8 +46,9 @@ from .perception import (
     estimate_height,
     median_window_depth,
     object_workspace_pose,
+    sort_by_mask_area,
 )
-from .pointcloud import Workspace, cloud_from_depth, fit_plane_ransac
+from .pointcloud import Plane, PointCloud, Workspace, cloud_from_depth, fit_plane_ransac
 from .scenesim import (
     PLUG_BALL_RADIUS,
     CameraSpec,
@@ -61,7 +63,6 @@ from .scenesim import (
     render_scene_geometry,
 )
 from .shapes import Box
-from .geometry import camera_pose_from_lookat, deproject_pixel
 
 GRIPPER_ID = -10
 
@@ -76,7 +77,7 @@ PLUG_MATE_FLIP = RigidTransform.rotation_x(math.pi)
 
 
 @dataclass(frozen=True)
-class ExecParams:
+class ExecParams(JsonFields):
     """Task-execution constants; JSON keys mirror the field names."""
 
     stack_target_xy: tuple = (250.0, 500.0)
@@ -93,32 +94,6 @@ class ExecParams:
     pre_assembly_position: tuple = (0.0, 430.0, 240.0)
     crop_half_xy: float = 70.0
     support_from_terrain: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stack_target_xy": list(self.stack_target_xy),
-            "release_clearance_factor": self.release_clearance_factor,
-            "pregrasp_height": self.pregrasp_height,
-            "pregrasp_offset": self.pregrasp_offset,
-            "transport_height": self.transport_height,
-            "arm_speed": self.arm_speed,
-            "action_time": self.action_time,
-            "reach_min": list(self.reach_min),
-            "reach_max": list(self.reach_max),
-            "attach_tol_mm": self.attach_tol_mm,
-            "attach_tol_deg": self.attach_tol_deg,
-            "pre_assembly_position": list(self.pre_assembly_position),
-            "crop_half_xy": self.crop_half_xy,
-            "support_from_terrain": self.support_from_terrain,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExecParams":
-        kwargs = dict(data)
-        for key in ("stack_target_xy", "reach_min", "reach_max", "pre_assembly_position"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
     @property
     def reach(self) -> Workspace:
@@ -326,15 +301,7 @@ def _vertical_surface_z(obj, xys: np.ndarray, from_above: bool) -> np.ndarray:
     else:
         origins = np.column_stack([xys, np.full(n, center[2] - radius - 1.0)])
         dirs = np.tile([0.0, 0.0, 1.0], (n, 1))
-    inv = obj.pose.inverse()
-    o_local = inv.apply(origins)
-    d_local = dirs @ obj.pose.rotation
-    if isinstance(obj, RockModel):
-        s = obj.shape.raycast(o_local, d_local)
-    else:
-        from .shapes import union_raycast
-
-        s = union_raycast(obj.primitives, o_local, d_local)
+    s = obj.raycast_world(origins, dirs)
     z = origins[:, 2] + s * dirs[:, 2]
     return np.where(np.isfinite(s), z, np.nan)
 
@@ -525,54 +492,55 @@ def _phase(phases: list, name: str, clock_start: float, clock: _Clock, outcome: 
     )
 
 
-def _observe_object(
+def _observe_and_detect(
     scene: Scene,
-    center_xy: tuple,
+    xy: np.ndarray,
+    hand: HandGeometry,
+    grasp_cfg: GraspConfig,
     sensor: SensorModel,
     params: ExecParams,
-    seed: int,
-):
-    """Eye-in-hand observation of one object from two oblique wrist poses.
+    observe_seed: int,
+    grasp_seed: int,
+) -> tuple[list[GraspCandidate], Plane]:
+    """Eye-in-hand observation of the object at ``xy`` from two oblique wrist
+    poses, then grasp detection in a box around it.
 
     A single straight-down view contains almost no side-wall points on squat
     objects, which starves the antipodal score; sweeping the wrist camera
     across the object (as an angled wrist mount does) fills the walls in.
-    Returns the merged cloud, a support-plane fit, and the nominal viewpoint.
+    When no grasp passes the approach cone, detection runs once more with the
+    cone opened to 90 degrees. Returns the grasps and the local support-plane
+    fit.
     """
-    from .pointcloud import PointCloud
-
-    cx, cy = float(center_xy[0]), float(center_xy[1])
+    cx, cy = float(xy[0]), float(xy[1])
     height = params.pregrasp_height - 20.0
     pts = []
-    for i, (dx, dy) in enumerate(((-120.0, 0.0), (120.0, 0.0))):
-        eye = (cx + dx, cy + dy, height)
+    for i, dx in enumerate((-120.0, 120.0)):
         cam = CameraSpec(
-            scene.hand_camera_intrinsics, camera_pose_from_lookat(eye, (cx, cy, 0.0))
+            scene.hand_camera_intrinsics,
+            camera_pose_from_lookat((cx + dx, cy, height), (cx, cy, 0.0)),
         )
-        depth = render_depth(scene, cam, sensor, _derive_seed(seed, 200 + i))
-        pts.append(
-            cloud_from_depth(depth, cam.intrinsics, cam.pose, stride=1).points
-        )
+        depth = render_depth(scene, cam, sensor, _derive_seed(observe_seed, 200 + i))
+        pts.append(cloud_from_depth(depth, cam.intrinsics, cam.pose, stride=1).points)
     cloud = PointCloud(np.concatenate(pts), frame="robot")
     plane, _ = fit_plane_ransac(
-        cloud, iters=200, tol=4.0, seed=_derive_seed(seed, 210), max_points=2500
+        cloud, iters=200, tol=4.0, seed=_derive_seed(observe_seed, 210), max_points=2500
     )
+    half = params.crop_half_xy
+    ws = Workspace((cx - half, cy - half, -60.0), (cx + half, cy + half, 400.0))
     viewpoint = (cx, cy, params.pregrasp_height)
-    return cloud, plane, viewpoint
+    cfg = replace(grasp_cfg, seed=grasp_seed)
+    grasps = detect_grasps(cloud, hand, cfg, plane, ws, viewpoint)
+    if not grasps:
+        wide = replace(cfg, cone_half_angle_deg=90.0)
+        grasps = detect_grasps(cloud, hand, wide, plane, ws, viewpoint)
+    return grasps, plane
 
 
 def _rock_true_height(rock: RockModel, terrain: Terrain) -> float:
     pts = _object_surface_points(rock)
     top = float(np.max(pts[:, 2]))
     return top - float(terrain.height_at(rock.center_of_mass[0], rock.center_of_mass[1]))
-
-
-def _detect_grasps_with_retry(cloud, hand, cfg, plane, workspace, viewpoint):
-    grasps = detect_grasps(cloud, hand, cfg, plane, workspace, viewpoint)
-    if grasps:
-        return grasps, False
-    wide = replace(cfg, cone_half_angle_deg=90.0)
-    return detect_grasps(cloud, hand, wide, plane, workspace, viewpoint), True
 
 
 def run_stacking_task(
@@ -616,8 +584,6 @@ def run_stacking_task(
 
     # -- sort by mask area, largest first
     t0 = clock.total
-    from .perception import sort_by_mask_area  # local import avoids cycle at module load
-
     ordered = sort_by_mask_area(dets)
     _phase(phases, "sort", t0, clock, "ok")
 
@@ -681,21 +647,15 @@ def run_stacking_task(
             arm = move_to(arm, pre, scene)
             clock.move(240.0)  # observation sweep
 
-            cloud, local_plane, viewpoint = _observe_object(
+            grasps, local_plane = _observe_and_detect(
                 scene,
-                (pose.position[0], pose.position[1]),
+                pose.position,
+                hand,
+                grasp_cfg,
                 sensor,
                 params,
-                _derive_seed(seed, 10 + sorted_index),
-            )
-            half = params.crop_half_xy
-            ws = Workspace(
-                (pose.position[0] - half, pose.position[1] - half, -60.0),
-                (pose.position[0] + half, pose.position[1] + half, 400.0),
-            )
-            cfg = replace(grasp_cfg, seed=_derive_seed(seed, 30 + sorted_index))
-            grasps, _retried = _detect_grasps_with_retry(
-                cloud, hand, cfg, local_plane, ws, viewpoint
+                observe_seed=_derive_seed(seed, 10 + sorted_index),
+                grasp_seed=_derive_seed(seed, 30 + sorted_index),
             )
             clock.action()
             if not grasps:
@@ -821,27 +781,11 @@ def _point_visible(
     ball's own near surface)."""
     origin = camera.pose.translation
     ray = (point_world - origin).reshape(1, 3)
-    s_min = np.inf
-    from .shapes import union_raycast
-
-    for obj in scene.objects() + list(extra_objects):
-        inv = obj.pose.inverse()
-        o_local = np.broadcast_to(inv.apply(origin), (1, 3))
-        d_local = ray @ obj.pose.rotation
-        if isinstance(obj, RockModel):
-            s = obj.shape.raycast(o_local, d_local)
-        else:
-            s = union_raycast(obj.primitives, o_local, d_local)
-        s_min = min(s_min, float(s[0]))
-    # terrain
-    dz = ray[0, 2]
-    if dz < -1e-9:
-        from .scenesim import _raycast_terrain
-
-        s_t = _raycast_terrain(scene.terrain, origin, ray)
-        s_min = min(s_min, float(s_t[0]))
-    dist = float(np.linalg.norm(ray))
-    return s_min >= 1.0 - tol_mm / dist
+    s_min = min(
+        float(obj.raycast_world(origin, ray)[0])
+        for obj in [scene.terrain, *scene.objects(), *extra_objects]
+    )
+    return s_min >= 1.0 - tol_mm / float(np.linalg.norm(ray))
 
 
 def run_assembly_task(
@@ -918,21 +862,15 @@ def run_assembly_task(
     try:
         arm = move_to(arm, pre, scene)
         clock.move(240.0)  # observation sweep
-        cloud, local_plane, viewpoint = _observe_object(
+        grasps, _ = _observe_and_detect(
             scene,
-            (part_pose_meas.position[0], part_pose_meas.position[1]),
+            part_pose_meas.position,
+            hand,
+            grasp_cfg,
             sensor,
             params,
-            _derive_seed(seed, 10),
-        )
-        half = params.crop_half_xy
-        ws = Workspace(
-            (part_pose_meas.position[0] - half, part_pose_meas.position[1] - half, -60.0),
-            (part_pose_meas.position[0] + half, part_pose_meas.position[1] + half, 400.0),
-        )
-        cfg = replace(grasp_cfg, seed=_derive_seed(seed, 12))
-        grasps, _ = _detect_grasps_with_retry(
-            cloud, hand, cfg, local_plane, ws, viewpoint
+            observe_seed=_derive_seed(seed, 10),
+            grasp_seed=_derive_seed(seed, 12),
         )
         clock.action()
         if not grasps:

@@ -1,6 +1,10 @@
-"""Shared fixtures: reference intrinsics and synthetic clouds."""
+"""Shared fixtures: reference intrinsics, synthetic clouds and the
+output-tree hash."""
 
 from __future__ import annotations
+
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,3 +53,13 @@ def box_cloud(
     cloud[:, 0] += cx
     cloud[:, 1] += cy
     return PointCloud(cloud, frame="robot")
+
+
+def tree_hash(d: Path) -> str:
+    """SHA-256 over the file names and bytes of a run's output tree, in name
+    order."""
+    h = hashlib.sha256()
+    for f in sorted(Path(d).iterdir()):
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    return h.hexdigest()

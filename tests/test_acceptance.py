@@ -11,11 +11,9 @@ Run just this module with:  pytest tests/test_acceptance.py -v -s
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +49,7 @@ from rockstack.scenesim import (
 )
 from rockstack.taskexec import ExecParams, check_stack_stability, run_stacking_task
 
+from conftest import tree_hash
 from grasp_oracle import rock_scene_cloud
 from stability_oracle import monte_carlo_stability, oracle_margin, random_resting_pair
 from test_graspdetect import brute_force_sound
@@ -360,14 +359,6 @@ def test_criterion_09_assembly_benchmark():
     )
 
 
-def _tree_hash(d: Path) -> str:
-    h = hashlib.sha256()
-    for f in sorted(Path(d).iterdir()):
-        h.update(f.name.encode())
-        h.update(f.read_bytes())
-    return h.hexdigest()
-
-
 def test_criterion_10_deterministic_output_tree(tmp_path):
     """Identical config and seeds give a byte-identical output tree, serial
     and parallel runs included."""
@@ -384,7 +375,7 @@ def test_criterion_10_deterministic_output_tree(tmp_path):
     run_experiment(cfg, out_dir=dirs[0], workers=1)
     run_experiment(cfg, out_dir=dirs[1], workers=1)
     run_experiment(cfg, out_dir=dirs[2], workers=2)
-    hashes = [_tree_hash(d) for d in dirs]
+    hashes = [tree_hash(d) for d in dirs]
     assert hashes[0] == hashes[1] == hashes[2]
     _report("criterion 10 determinism", f"3 runs, tree hash {hashes[0][:12]}…")
 

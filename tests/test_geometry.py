@@ -167,13 +167,6 @@ class TestRigidTransform:
         r = RigidTransform.rotation_y(0.8).rotation
         assert rotation_angle(r) == pytest.approx(0.8, abs=1e-12)
 
-    def test_matmul_alias(self):
-        a = RigidTransform.rotation_z(0.5)
-        b = RigidTransform.from_translation([1.0, 0.0, 0.0])
-        via_op = a @ b
-        via_method = a.compose(b)
-        np.testing.assert_allclose(via_op.translation, via_method.translation)
-
 
 class TestLookAt:
     def test_overhead_camera_conventions(self):

@@ -7,14 +7,15 @@ byte-identical reproducibility, serial and parallel.
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 
 from rockstack.errors import ConfigError, ValidationError
+from rockstack.graspdetect import GraspConfig, HandGeometry
 from rockstack.harness import (
+    DEFAULT_ASSEMBLY_CAMERA,
     ExperimentConfig,
     MetricsSummary,
     compute_metrics,
@@ -23,8 +24,10 @@ from rockstack.harness import (
     run_trial,
     summary_to_csv,
 )
-from rockstack.taskexec import TrialReport
+from rockstack.scenesim import SceneSpec, SensorModel
+from rockstack.taskexec import ExecParams, TrialReport
 
+from conftest import tree_hash
 from pose_oracle import oracle_pose_stability_trial
 
 QUICK_STACK = {
@@ -38,6 +41,71 @@ QUICK_STACK = {
         "rock_semi_axis": [16, 30],
     },
 }
+
+
+# every field of each config section set off its default
+NON_DEFAULT_SECTIONS = [
+    HandGeometry(finger_width=10.0, max_aperture=70.0, finger_depth=40.0, hand_height=20.0),
+    GraspConfig(
+        num_samples=64,
+        num_orientations=3,
+        num_selected=7,
+        hand_axis=(0.0, -1.0, 0.0),
+        approach_filter=False,
+        cone_half_angle_deg=30.0,
+        min_closing_points=5,
+        seed=9,
+        friction_half_angle_deg=20.0,
+        expected_closing_points=25.0,
+        push_step=1.5,
+        width_clearance=3.0,
+        min_insertion=60.0,
+        plane_margin=4.0,
+        normals_k=9,
+        voxel_leaf=1.5,
+    ),
+    SensorModel(depth_sigma=2.0, dropout_rate=0.01, mask_erosion=0.1, boundary_flip_rate=0.02),
+    SceneSpec(
+        rock_count=(3, 3),
+        rock_semi_axis=(15.0, 25.0),
+        rock_height_axis=(10.0, 18.0),
+        rock_exponents=(0.8, 1.1),
+        min_separation=120.0,
+        min_area_separation=0.2,
+        region=((-100.0, 100.0), (400.0, 600.0)),
+        terrain_extent=(300.0, 200.0),
+        terrain_center=(0.0, 510.0),
+        terrain_pitch=8.0,
+        terrain_amplitude=4.0,
+        parts=("body", "leg"),
+        body_position=(10.0, 550.0),
+        base_camera=DEFAULT_ASSEMBLY_CAMERA,
+        hand_camera_intrinsics={
+            "fx": 120.0,
+            "fy": 120.0,
+            "cx": 80.0,
+            "cy": 60.0,
+            "width": 160,
+            "height": 120,
+        },
+    ),
+    ExecParams(
+        stack_target_xy=(240.0, 490.0),
+        release_clearance_factor=1.1,
+        pregrasp_height=340.0,
+        pregrasp_offset=110.0,
+        transport_height=290.0,
+        arm_speed=150.0,
+        action_time=0.25,
+        reach_min=(-400.0, 20.0, -10.0),
+        reach_max=(400.0, 800.0, 900.0),
+        attach_tol_mm=2.0,
+        attach_tol_deg=4.0,
+        pre_assembly_position=(10.0, 420.0, 230.0),
+        crop_half_xy=60.0,
+        support_from_terrain=False,
+    ),
+]
 
 
 def fake_stack_report(seed, success, rocks, pairs=(3, 3)) -> TrialReport:
@@ -86,10 +154,25 @@ class TestConfig:
             ExperimentConfig.from_json_dict({"task": "stack", "schema_version": 99})
 
     def test_field_path_in_error(self):
-        with pytest.raises(ConfigError, match="scene"):
-            ExperimentConfig.from_json_dict({"task": "stack", "scene": {"rock_count": [3, 2]}})
-        with pytest.raises(ConfigError, match="grasp"):
-            ExperimentConfig.from_json_dict({"task": "stack", "grasp": {"num_samples": 0}})
+        bad = [
+            ("scene", {"rock_count": [3, 2]}),
+            ("grasp", {"num_samples": 0}),
+            ("sensor", {"depth_sigma": "high"}),
+            ("grasp", {"cone_half_angle_deg": "wide"}),
+        ]
+        bad += [(name, {"no_such_field": 1}) for name in ("scene", "sensor", "hand", "grasp", "exec")]
+        for name, payload in bad:
+            with pytest.raises(ConfigError, match=name):
+                ExperimentConfig.from_json_dict({"task": "stack", name: payload})
+
+    @pytest.mark.parametrize("section", NON_DEFAULT_SECTIONS, ids=lambda s: type(s).__name__)
+    def test_section_round_trip_covers_every_field(self, section):
+        names = [f.name for f in dataclasses.fields(section)]
+        default = type(section)()
+        assert [n for n in names if getattr(section, n) == getattr(default, n)] == []
+        data = section.to_json_dict()
+        assert list(data) == names
+        assert type(section).from_json_dict(json.loads(json.dumps(data))) == section
 
     def test_round_trip(self):
         cfg = ExperimentConfig.from_json_dict(QUICK_STACK)
@@ -204,21 +287,26 @@ class TestComputeMetrics:
 
 
 class TestRunExperiment:
-    def _tree_hash(self, d: Path) -> str:
-        h = hashlib.sha256()
-        for f in sorted(Path(d).iterdir()):
-            h.update(f.name.encode())
-            h.update(f.read_bytes())
-        return h.hexdigest()
-
     def test_byte_identical_rerun_and_parallel(self, tmp_path):
         cfg = ExperimentConfig.from_json_dict(QUICK_STACK)
         dirs = [tmp_path / f"run{i}" for i in range(3)]
         run_experiment(cfg, out_dir=dirs[0], workers=1)
         run_experiment(cfg, out_dir=dirs[1], workers=1)
         run_experiment(cfg, out_dir=dirs[2], workers=2)
-        h = [self._tree_hash(d) for d in dirs]
+        h = [tree_hash(d) for d in dirs]
         assert h[0] == h[1] == h[2]
+
+    def test_parallel_workers_get_every_grasp_field(self, tmp_path):
+        # workers rebuild the config from its JSON, so a field missing from
+        # that JSON would run them with its default (min_insertion 10 mm
+        # finds grasps on these rocks, 60 mm finds none)
+        cfg = ExperimentConfig.from_json_dict(
+            {"task": "grasp_bench", "trials": 2, "grasp": {"min_insertion": 60}}
+        )
+        serial, _ = run_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
+        run_experiment(cfg, out_dir=tmp_path / "parallel", workers=2)
+        assert [r.metrics["n_grasps"] for r in serial] == [0, 0]
+        assert tree_hash(tmp_path / "serial") == tree_hash(tmp_path / "parallel")
 
     def test_summary_recomputable_from_files(self, tmp_path):
         cfg = ExperimentConfig.from_json_dict(QUICK_STACK)

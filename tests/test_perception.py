@@ -40,6 +40,7 @@ from rockstack.perception import (
     object_workspace_pose,
     pose_stability_stats,
     sort_by_mask_area,
+    window_bounds,
 )
 from rockstack.pointcloud import Plane, Workspace
 from rockstack.scenesim import (
@@ -165,6 +166,19 @@ class TestMedianWindowDepth:
         with pytest.raises(MissingDepthError):
             median_window_depth(depth, 0.0, 0.0, size=3)
         assert median_window_depth(depth, 0.0, 0.0, size=5) == 700.0
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [(-10.0, 50.0), (330.0, 50.0), (50.0, -10.0), (50.0, 250.0)],
+        ids=["left", "right", "above", "below"],
+    )
+    def test_window_wholly_outside_the_image_is_empty(self, u, v):
+        depth = np.full((240, 320), 500, dtype=np.uint16)
+        v0, v1, u0, u1 = window_bounds(u, v, 5, depth.shape)
+        assert 0 <= v0 <= v1 <= 240 and 0 <= u0 <= u1 <= 320
+        assert (v1 - v0) * (u1 - u0) == 0
+        with pytest.raises(MissingDepthError):
+            median_window_depth(depth, u, v, 5)
 
 
 class TestObjectWorkspacePose:
