@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BehindCameraError,
+    ConfigError,
     EmptyMaskError,
     MissingDepthError,
     OutOfBoundsError,
@@ -40,9 +41,11 @@ class JsonFields:
     """JSON codec for config dataclasses whose JSON keys are the field names.
 
     Tuple fields are written as (nested) lists and read back as tuples;
-    fields with a float default are read through ``float``; other values
-    pass through. An unknown key raises ``TypeError`` from the constructor,
-    and ``__post_init__`` validates the result.
+    fields with a float default are read through ``float``; a field with an
+    int default takes only an int (not a bool), else ``ConfigError`` names
+    the field; other values pass through. An unknown key raises
+    ``TypeError`` from the constructor, and ``__post_init__`` validates the
+    result.
     """
 
     def to_json_dict(self) -> dict:
@@ -58,6 +61,9 @@ class JsonFields:
                 value = _tuple_value(value)
             elif isinstance(default, float):
                 value = float(value)
+            elif isinstance(default, int) and not isinstance(default, bool):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ConfigError(f"{key}: expected an integer, got {value!r}")
             kwargs[key] = value
         return cls(**kwargs)
 
@@ -183,16 +189,25 @@ class RigidTransform:
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
+    @classmethod
+    def _unchecked(cls, rotation: np.ndarray, translation: np.ndarray) -> "RigidTransform":
+        """Build from float64 ``(3, 3)`` and ``(3,)`` arrays derived from
+        validated transforms, skipping ``__post_init__``."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rotation", rotation)
+        object.__setattr__(obj, "translation", translation)
+        return obj
+
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Return the transform applying ``other`` first, then ``self``."""
-        return RigidTransform(
+        return RigidTransform._unchecked(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
+        return RigidTransform._unchecked(rt, -rt @ self.translation)
 
     def to_json_dict(self) -> dict:
         return {

@@ -71,6 +71,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task: unknown task {self.task!r}; expected one of {TASKS}")
+        for name in ("trials", "base_seed", "samples"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name}: expected an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
         if self.samples < 2:

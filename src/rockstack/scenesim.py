@@ -37,6 +37,7 @@ from .shapes import (
 
 TERRAIN_ID = -1
 MISS_ID = -2
+_RAY_BLOCK = 8192  # terrain rays cast together: 64 KB per float temporary
 
 
 @dataclass(frozen=True)
@@ -99,20 +100,30 @@ class Terrain:
         iy = np.clip(np.floor(gy).astype(int), 0, ny - 2)
         fx = gx - ix
         fy = gy - iy
-        h00 = self.heights[iy, ix]
-        h01 = self.heights[iy, ix + 1]
-        h10 = self.heights[iy + 1, ix]
-        h11 = self.heights[iy + 1, ix + 1]
+        gx1 = 1 - fx
+        gy1 = 1 - fy
+        flat = self.heights.ravel()
+        k00 = iy * nx + ix
+        k10 = k00 + nx
         return (
-            h00 * (1 - fx) * (1 - fy)
-            + h01 * fx * (1 - fy)
-            + h10 * (1 - fx) * fy
-            + h11 * fx * fy
+            flat[k00] * gx1 * gy1
+            + flat[k00 + 1] * fx * gy1
+            + flat[k10] * gx1 * fy
+            + flat[k10 + 1] * fx * fy
         )
 
     def raycast_world(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Ray parameter of the first terrain hit along ``origin + s * dirs``;
         inf for rays that do not descend or whose fixed point misses."""
+        s = np.full(dirs.shape[0], np.inf)
+        start = np.mean(self.heights) - origin[2]
+        # each ray's result depends on that ray alone; blocks keep the
+        # temporaries of a full image small
+        for i in range(0, dirs.shape[0], _RAY_BLOCK):
+            s[i : i + _RAY_BLOCK] = self._cast_block(origin, dirs[i : i + _RAY_BLOCK], start)
+        return s
+
+    def _cast_block(self, origin: np.ndarray, dirs: np.ndarray, start: float) -> np.ndarray:
         dz = dirs[:, 2]
         descending = dz < -1e-9
         s = np.full(dirs.shape[0], np.inf)
@@ -120,12 +131,21 @@ class Terrain:
             return s
         d = dirs[descending]
         oz = origin[2]
-        est = np.full(d.shape[0], (np.mean(self.heights) - oz)) / d[:, 2]
+        est = np.full(d.shape[0], start) / d[:, 2]
+        # est <- (height under the ray at est - oz) / dz is a fixed map per
+        # ray, so a ray whose est repeats bit for bit would only repeat it.
+        live = np.arange(d.shape[0])
         for _ in range(8):
-            x = origin[0] + est * d[:, 0]
-            y = origin[1] + est * d[:, 1]
+            dl = d[live]
+            el = est[live]
+            x = origin[0] + el * dl[:, 0]
+            y = origin[1] + el * dl[:, 1]
             h = self.height_at(x, y)
-            est = (h - oz) / d[:, 2]
+            new = (h - oz) / dl[:, 2]
+            est[live] = new
+            live = live[new.view(np.int64) != el.view(np.int64)]
+            if live.size == 0:
+                break
         x = origin[0] + est * d[:, 0]
         y = origin[1] + est * d[:, 1]
         resid = np.abs(oz + est * d[:, 2] - self.height_at(x, y))

@@ -20,35 +20,43 @@ from .errors import ValidationError
 _MISS = np.inf
 
 
-def _first_crossing(g_fn, s_lo, s_hi, active, n_samples=48, n_bisect=24):
+def _first_crossing(g_fn, s_lo, s_hi, active, w_lo, w_hi, n_samples=48, n_bisect=24):
     """Vectorized first root of g(s) <= 0 on [s_lo, s_hi] for active rays.
 
     ``g_fn(s, mask)`` evaluates the implicit gap for the masked rays at
     per-ray parameters ``s``. Assumes g > 0 at s_lo for a proper entry hit.
+    The samples sit at ``s_lo + (s_hi - s_lo) * i / n_samples``; the caller
+    guarantees g > 0 at every sample outside the window ``[w_lo, w_hi]``, so
+    only samples inside it are evaluated, and a ray stops once its samples
+    pass ``w_hi``. The result equals that of evaluating every sample.
     """
     n = s_lo.shape[0]
     hit_s = np.full(n, _MISS)
+    active = active & (w_lo <= w_hi) & (w_hi >= s_lo) & (w_lo <= s_lo + (s_hi - s_lo))
     if not np.any(active):
         return hit_s
     idx = np.nonzero(active)[0]
-    lo = s_lo[idx].copy()
-    hi = s_hi[idx].copy()
-    span = hi - lo
-    prev = lo.copy()
+    lo = s_lo[idx]
+    span = s_hi[idx] - lo
+    w_lo = w_lo[idx]
+    w_hi = w_hi[idx]
+    prev = lo
+    live = np.ones(idx.size, dtype=bool)
     found = np.zeros(idx.size, dtype=bool)
     bracket_lo = np.zeros(idx.size)
     bracket_hi = np.zeros(idx.size)
     for i in range(1, n_samples + 1):
         s = lo + span * (i / n_samples)
-        todo = ~found
-        if not np.any(todo):
+        live &= s <= w_hi
+        if not np.any(live):
             break
-        inside = np.zeros(idx.size, dtype=bool)
-        inside[todo] = g_fn(s[todo], idx[todo]) <= 0.0
-        newly = todo & inside
-        bracket_lo[newly] = prev[newly]
-        bracket_hi[newly] = s[newly]
-        found |= newly
+        sub = np.nonzero(live & (s >= w_lo))[0]
+        if sub.size:
+            newly = sub[g_fn(s[sub], idx[sub]) <= 0.0]
+            bracket_lo[newly] = prev[newly]
+            bracket_hi[newly] = s[newly]
+            found[newly] = True
+            live[newly] = False
         prev = s
     if not np.any(found):
         return hit_s
@@ -63,6 +71,21 @@ def _first_crossing(g_fn, s_lo, s_hi, active, n_samples=48, n_bisect=24):
         a = np.where(inside, a, mid)
     hit_s[rows] = b
     return hit_s
+
+
+def _slab_interval(o: np.ndarray, d: np.ndarray, half: np.ndarray):
+    """Per-ray parameter interval inside the box |p| <= half (Kay & Kajiya
+    slabs); empty (lo > hi) on a miss. A zero direction component keeps the
+    ray in or out of that slab for every s."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(d != 0, 1.0 / d, np.inf)
+        t1 = (-half - o) * inv
+        t2 = (half - o) * inv
+    par = d == 0
+    inside_slab = np.abs(o) <= half
+    lo = np.where(par, np.where(inside_slab, -np.inf, np.inf), np.minimum(t1, t2))
+    hi = np.where(par, np.where(inside_slab, np.inf, -np.inf), np.maximum(t1, t2))
+    return lo.max(axis=1), hi.min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -148,11 +171,17 @@ class Superellipsoid:
         s_lo = np.maximum(s_lo, 0.0)
         active = ok & (s_hi > 0)
 
+        # The body lies in |x| <= ax, |y| <= ay, |z| <= az; the widening keeps
+        # every sample point outside the widened box strictly outside the
+        # body after rounding, so skipping it cannot change a result.
+        half = np.array([self.ax, self.ay, self.az]) * (1.0 + 1e-9) + 1e-6
+        w_lo, w_hi = _slab_interval(o, d, half)
+
         def gap(s, rows):
             pts = o[rows] + s[:, None] * d[rows]
             return self.implicit(pts) - 1.0
 
-        return _first_crossing(gap, s_lo, s_hi, active)
+        return _first_crossing(gap, s_lo, s_hi, active, w_lo, w_hi)
 
 
 @dataclass(frozen=True)
@@ -176,17 +205,7 @@ class Box:
     def raycast(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         o = np.asarray(origins, dtype=np.float64).reshape(-1, 3) - self.center
         d = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(d != 0, 1.0 / d, np.inf)
-        t1 = (-self.half_extents - o) * inv
-        t2 = (self.half_extents - o) * inv
-        # rays parallel to a slab: hit only if origin inside that slab
-        par = d == 0
-        inside_slab = np.abs(o) <= self.half_extents
-        lo = np.where(par, np.where(inside_slab, -np.inf, np.inf), np.minimum(t1, t2))
-        hi = np.where(par, np.where(inside_slab, np.inf, -np.inf), np.maximum(t1, t2))
-        t_near = lo.max(axis=1)
-        t_far = hi.min(axis=1)
+        t_near, t_far = _slab_interval(o, d, self.half_extents)
         hit = (t_near <= t_far) & (t_far >= 0) & (t_near >= 0)
         return np.where(hit, t_near, _MISS)
 

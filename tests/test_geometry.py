@@ -7,6 +7,7 @@ pixel enumeration for mask statistics.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,36 @@ class TestRigidTransform:
             RigidTransform(np.eye(3) * 2.0, np.zeros(3))
         with pytest.raises(ValidationError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # det -1
+
+    def test_public_entry_points_still_validate(self):
+        bad = np.array([[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValidationError, match="orthonormal"):
+            RigidTransform(bad, np.zeros(3))
+        with pytest.raises(ValidationError, match="orthonormal"):
+            RigidTransform.from_json_dict({"rotation": bad.ravel().tolist(), "translation": [0, 0, 0]})
+        with pytest.raises(ValidationError, match="finite"):
+            RigidTransform.from_translation([0.0, np.nan, 0.0])
+
+    def test_compose_and_inverse_match_the_checked_constructor(self):
+        """compose and inverse skip re-validation; their arrays are the
+        ones the checked constructor would store, bit for bit."""
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            angles = rng.uniform(-math.pi, math.pi, 3)
+            a = RigidTransform.rotation_z(angles[0], rng.uniform(-500, 500, 3)).compose(
+                RigidTransform.rotation_x(angles[1])
+            )
+            b = RigidTransform.rotation_y(angles[2], rng.uniform(-500, 500, 3))
+            pairs = [
+                (a.compose(b), RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)),
+                (a.inverse(), RigidTransform(a.rotation.T, -a.rotation.T @ a.translation)),
+            ]
+            for got, want in pairs:
+                for x, y in ((got.rotation, want.rotation), (got.translation, want.translation)):
+                    assert x.dtype == y.dtype and x.shape == y.shape
+                    assert x.tobytes() == y.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.inverse().translation = np.zeros(3)
 
     def test_rotation_angle(self):
         r = RigidTransform.rotation_y(0.8).rotation

@@ -159,6 +159,12 @@ class TestConfig:
             ("grasp", {"num_samples": 0}),
             ("sensor", {"depth_sigma": "high"}),
             ("grasp", {"cone_half_angle_deg": "wide"}),
+            ("grasp", {"num_samples": 2.5}),
+            ("grasp", {"num_selected": "20"}),
+            ("grasp", {"seed": True}),
+            ("trials", "3"),
+            ("samples", 2.5),
+            ("base_seed", True),
         ]
         bad += [(name, {"no_such_field": 1}) for name in ("scene", "sensor", "hand", "grasp", "exec")]
         for name, payload in bad:
