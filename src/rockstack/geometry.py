@@ -198,6 +198,14 @@ class RigidTransform:
         object.__setattr__(obj, "translation", translation)
         return obj
 
+    def with_translation(self, t) -> "RigidTransform":
+        """This rotation with translation ``t``; only ``t`` is checked, since
+        the rotation already was."""
+        t = np.asarray(t, dtype=np.float64).reshape(3)
+        if not np.all(np.isfinite(t)):
+            raise ValidationError("translation must be finite")
+        return RigidTransform._unchecked(self.rotation, t)
+
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Return the transform applying ``other`` first, then ``self``."""
         return RigidTransform._unchecked(
@@ -243,7 +251,9 @@ def camera_pose_from_lookat(eye, target, up_hint=(0.0, 1.0, 0.0)) -> RigidTransf
     fwd = fwd / n
     up = np.asarray(up_hint, dtype=np.float64)
     if abs(np.dot(fwd, (0.0, 0.0, 1.0))) > 0.999:
-        right = np.array([1.0, 0.0, 0.0])
+        # world +x, made orthogonal to the forward axis
+        right = np.array([1.0, 0.0, 0.0]) - fwd[0] * fwd
+        right /= np.linalg.norm(right)
     else:
         right = np.cross(up, fwd)
         right /= np.linalg.norm(right)

@@ -22,8 +22,9 @@ seeds at once as rows of ``(seeds, points)`` arrays with masked
 ``min``/``max``/``count`` reductions. The survivors are scored in the same
 pass with the :func:`closing_region_mask` test, as one
 ``(seeds * points, 3) @ rotation`` product. Candidates stay arrays
-(:class:`CandidateSet`); a validated :class:`RigidTransform` is built only
-for a grasp that is returned or read out.
+(:class:`CandidateSet`); each orientation's rotation is validated once, and
+a :class:`RigidTransform` is built only for a grasp that is returned or
+read out.
 
 The batched pass gives the same bits as evaluating one candidate at a time
 (:func:`score_candidate`): every element goes through the same float
@@ -241,10 +242,10 @@ class CandidateSet:
 
     ``len()`` is the candidate count. Indexing or iterating builds
     :class:`GraspCandidate` values, so only the rows read out pay for a
-    validated :class:`RigidTransform`.
+    :class:`RigidTransform`.
     """
 
-    rotations: np.ndarray  # (orientations, 3, 3); columns approach, closing, hand
+    rotations: np.ndarray  # (orientations, 3, 3), validated; columns approach, closing, hand
     origin: np.ndarray  # (n, 3) palm centers
     grasp_width: np.ndarray
     score: np.ndarray
@@ -258,7 +259,7 @@ class CandidateSet:
     def __getitem__(self, i: int) -> GraspCandidate:
         o = int(self.orientation_index[i])
         return GraspCandidate(
-            pose=RigidTransform(self.rotations[o].copy(), self.origin[i].copy()),
+            pose=RigidTransform._unchecked(self.rotations[o].copy(), self.origin[i].copy()),
             grasp_width=float(self.grasp_width[i]),
             score=float(self.score[i]),
             closing_point_count=int(self.closing_point_count[i]),
@@ -393,7 +394,9 @@ def generate_candidates(cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig)
     pts = cloud.points
     seed_points = pts[seeds]
     approach, axes = _closing_frame_axes(cfg)
-    rotations = np.stack([np.column_stack([approach, c, h]) for c, h in axes])
+    rotations = np.stack(
+        [RigidTransform(np.column_stack([approach, c, h]), np.zeros(3)).rotation for c, h in axes]
+    )
     cos_thresh = math.cos(math.radians(cfg.friction_half_angle_deg))
 
     pa = pts @ approach

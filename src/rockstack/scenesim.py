@@ -42,7 +42,12 @@ _RAY_BLOCK = 8192  # terrain rays cast together: 64 KB per float temporary
 
 @dataclass(frozen=True)
 class Terrain:
-    """Regular-grid heightfield, z in mm over an xy rectangle."""
+    """Regular-grid heightfield, z in mm over an xy rectangle.
+
+    Heights are bilinear within a cell and clamp to the edge values off the
+    grid. :meth:`raycast_world` returns the exact first hit, and a
+    descending ray always hits.
+    """
 
     heights: np.ndarray  # (ny, nx)
     pitch: float
@@ -113,46 +118,132 @@ class Terrain:
         )
 
     def raycast_world(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Ray parameter of the first terrain hit along ``origin + s * dirs``;
-        inf for rays that do not descend or whose fixed point misses."""
+        """Ray parameter of the first terrain hit along ``origin + s * dirs``:
+        the least ``s >= 0`` at which the ray is at or below
+        :meth:`height_at`, inf where there is none.
+
+        The cast is exact. It walks the grid cells each ray crosses while
+        its z lies in ``[heights.min(), heights.max()]`` (Amanatides & Woo,
+        1987). Within one cell the bilinear height along the ray is
+        quadratic in ``s``, so the cell's first root is solved for directly.
+        Off the grid the height is ``height_at``'s edge clamp: linear along
+        the unclamped axis, constant in the corner regions. A descending ray
+        therefore always hits, on or off the grid.
+        """
         s = np.full(dirs.shape[0], np.inf)
-        start = np.mean(self.heights) - origin[2]
+        # Each cell's bilinear patch h00 + bx fx + by fy + twist fx fy, over a
+        # grid padded by one edge-replicated ring. The ring's cells are the
+        # clamped regions beyond the edges: along a clamped axis the corner
+        # heights are equal, so its terms vanish and its fraction drops out.
+        h = np.pad(self.heights, 1, mode="edge")
+        h00 = h[:-1, :-1]
+        bx = h[:-1, 1:] - h00
+        by = h[1:, :-1] - h00
+        twist = h[1:, 1:] - h[:-1, 1:] - by
+        patches = np.stack([h00.ravel(), bx.ravel(), by.ravel(), twist.ravel()])
+        z_range = (float(self.heights.min()), float(self.heights.max()))
         # each ray's result depends on that ray alone; blocks keep the
         # temporaries of a full image small
         for i in range(0, dirs.shape[0], _RAY_BLOCK):
-            s[i : i + _RAY_BLOCK] = self._cast_block(origin, dirs[i : i + _RAY_BLOCK], start)
+            s[i : i + _RAY_BLOCK] = self._cast_block(
+                origin, dirs[i : i + _RAY_BLOCK], patches, z_range
+            )
         return s
 
-    def _cast_block(self, origin: np.ndarray, dirs: np.ndarray, start: float) -> np.ndarray:
-        dz = dirs[:, 2]
-        descending = dz < -1e-9
+    def _cast_block(
+        self, origin: np.ndarray, dirs: np.ndarray, patches: np.ndarray, z_range: tuple
+    ) -> np.ndarray:
         s = np.full(dirs.shape[0], np.inf)
-        if not np.any(descending):
+        ny, nx = self.heights.shape
+        oz = float(origin[2])
+        dz = dirs[:, 2]
+        # the part of each ray whose z lies in the height range; no root
+        # lies outside it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_a = (z_range[1] - oz) / dz
+            s_b = (z_range[0] - oz) / dz
+        level = dz == 0
+        within = z_range[0] <= oz <= z_range[1]
+        s_lo = np.where(level, 0.0 if within else np.inf, np.fmin(s_a, s_b))
+        s_hi = np.where(level, np.inf if within else -np.inf, np.fmax(s_a, s_b))
+        s_lo = np.maximum(s_lo, 0.0)
+        rays = np.flatnonzero((s_lo <= s_hi) & np.isfinite(s_lo))
+        if rays.size == 0:
             return s
-        d = dirs[descending]
-        oz = origin[2]
-        est = np.full(d.shape[0], start) / d[:, 2]
-        # est <- (height under the ray at est - oz) / dz is a fixed map per
-        # ray, so a ray whose est repeats bit for bit would only repeat it.
-        live = np.arange(d.shape[0])
-        for _ in range(8):
-            dl = d[live]
-            el = est[live]
-            x = origin[0] + el * dl[:, 0]
-            y = origin[1] + el * dl[:, 1]
-            h = self.height_at(x, y)
-            new = (h - oz) / dl[:, 2]
-            est[live] = new
-            live = live[new.view(np.int64) != el.view(np.int64)]
-            if live.size == 0:
-                break
-        x = origin[0] + est * d[:, 0]
-        y = origin[1] + est * d[:, 1]
-        resid = np.abs(oz + est * d[:, 2] - self.height_at(x, y))
-        good = (resid < 0.05) & (est > 0)
-        s_sub = np.where(good, est, np.inf)
-        s[descending] = s_sub
+
+        # grid coordinates along a ray: g(s) = g0 + s * u
+        gx0 = (float(origin[0]) - self.origin[0]) / self.pitch
+        gy0 = (float(origin[1]) - self.origin[1]) / self.pitch
+        ux = dirs[rays, 0] / self.pitch
+        uy = dirs[rays, 1] / self.pitch
+        dz = dz[rays]
+        s_in = s_lo[rays]
+        s_end = s_hi[rays]
+        # Cells are tracked as integers, cx in [-1, nx - 1] with -1 and
+        # nx - 1 the clamped regions. A cell's exit comes from its index,
+        # never from flooring a point, so every step makes progress.
+        cx = np.clip(np.floor(gx0 + s_in * ux), -1, nx - 1).astype(np.int64)
+        cy = np.clip(np.floor(gy0 + s_in * uy), -1, ny - 1).astype(np.int64)
+        step_x = np.sign(ux).astype(np.int64)
+        step_y = np.sign(uy).astype(np.int64)
+        # exit(c) = (bounds[row + c] - g0) / u: row picks the table for the
+        # ray's direction; a ray that never leaves the cell exits at +inf
+        bounds_x = _exit_bounds(nx)
+        bounds_y = _exit_bounds(ny)
+        row_x = (step_x + 1) * (nx + 1) + 1
+        row_y = (step_y + 1) * (ny + 1) + 1
+        with np.errstate(divide="ignore"):
+            inv_ux = np.where(step_x == 0, 1.0, 1.0 / ux)
+            inv_uy = np.where(step_y == 0, 1.0, 1.0 / uy)
+        uxy = ux * uy
+        while rays.size:
+            sx = (bounds_x[row_x + cx] - gx0) * inv_ux
+            sy = (bounds_y[row_y + cy] - gy0) * inv_uy
+            s_out = np.minimum(np.minimum(sx, sy), s_end)
+            fx = gx0 + s_in * ux - cx
+            fy = gy0 + s_in * uy - cy
+            h00, bx, by, twist = patches[:, (cy + 1) * (nx + 1) + cx + 1]
+            # ray z minus height at s_in + t: f0 + f1 t + f2 t^2
+            f0 = oz + s_in * dz - (h00 + bx * fx + by * fy + twist * fx * fy)
+            f1 = dz - (bx * ux + by * uy + twist * (fx * uy + fy * ux))
+            f2 = -twist * uxy
+            # With f0 > 0 the first nonnegative root is f0 / q when f1 < 0
+            # and q / f2 otherwise (the stable quadratic formula); NaN or a
+            # negative value means none.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = -0.5 * (f1 + np.copysign(np.sqrt(f1 * f1 - 4.0 * f2 * f0), f1))
+                t = np.where(f1 < 0.0, f0 / q, q / f2)
+            t = np.where(f0 <= 0.0, 0.0, t)
+            # At the end of its range a ray is at or below every height, so
+            # its last root lies within the range; the allowance only
+            # absorbs the rounding of that root.
+            last = s_out >= s_end
+            limit = s_out - s_in + np.where(last, 1e-9 * (1.0 + np.abs(s_out)), 0.0)
+            hit = (t >= 0.0) & (t <= limit)
+            s[rays[hit]] = s_in[hit] + t[hit]
+
+            go = ~(hit | last)
+            across_x = (sx <= sy)[go]
+            rays = rays[go]
+            ux, uy, uxy, dz, s_end = ux[go], uy[go], uxy[go], dz[go], s_end[go]
+            inv_ux, inv_uy, row_x, row_y = inv_ux[go], inv_uy[go], row_x[go], row_y[go]
+            step_x, step_y = step_x[go], step_y[go]
+            s_in = np.maximum(s_out[go], s_in[go])
+            cx, cy = cx[go], cy[go]
+            cx = np.where(across_x, cx + step_x, cx)
+            cy = np.where(across_x, cy, cy + step_y)
         return s
+
+
+def _exit_bounds(n: int) -> np.ndarray:
+    """Grid coordinate at which a ray leaves cell c in [-1, n - 1], for
+    ``(dir + 1) * (n + 1) + 1 + c`` with dir the sign of its motion: the
+    cell's low edge going down, none (+inf) standing still, its high edge
+    going up; -inf and +inf past the clamped regions."""
+    edges = np.arange(n, dtype=np.float64)
+    return np.concatenate(
+        [[-np.inf], edges, np.full(n + 1, np.inf), edges, [np.inf]]
+    )
 
 
 @dataclass(frozen=True)
@@ -446,18 +537,14 @@ def _settle_rock(rock: RockModel, terrain: Terrain) -> None:
         best_gap = min(best_gap, g)
         de /= 8.0
         dw /= 8.0
-    rock.pose = RigidTransform(
-        rock.pose.rotation, rock.pose.translation - np.array([0.0, 0.0, best_gap])
-    )
+    rock.pose = rock.pose.with_translation(rock.pose.translation - np.array([0.0, 0.0, best_gap]))
 
 
 def _settle_part(part: RobotPartModel, terrain: Terrain) -> None:
     pts = part.surface_points_world(spacing=2.0)
     gaps = pts[:, 2] - terrain.height_at(pts[:, 0], pts[:, 1])
     drop = float(np.min(gaps))
-    part.pose = RigidTransform(
-        part.pose.rotation, part.pose.translation - np.array([0.0, 0.0, drop])
-    )
+    part.pose = part.pose.with_translation(part.pose.translation - np.array([0.0, 0.0, drop]))
 
 
 def superellipse_unit_area(exponent: float) -> float:

@@ -138,6 +138,19 @@ class Superellipsoid:
     def bounding_radius(self) -> float:
         return math.sqrt(self.ax**2 + self.ay**2 + self.az**2)
 
+    def half_height(self, x, y) -> np.ndarray:
+        """Height of the surface above the local xy plane at (x, y), mm; NaN
+        off the body's footprint.
+
+        Closed form (Barr 1981): az * (1 - G)^(e1/2), where
+        G = (|x/ax|^(2/e2) + |y/ay|^(2/e2))^(e2/e1) and the footprint is G < 1.
+        """
+        x = np.abs(np.asarray(x, dtype=np.float64) / self.ax)
+        y = np.abs(np.asarray(y, dtype=np.float64) / self.ay)
+        g = (x ** (2.0 / self.e2) + y ** (2.0 / self.e2)) ** (self.e2 / self.e1)
+        half = self.az * np.maximum(1.0 - g, 0.0) ** (self.e1 / 2.0)
+        return np.where(g < 1.0, half, np.nan)
+
     def surface_points(self, n_eta: int = 24, n_omega: int = 48) -> np.ndarray:
         """Deterministic parametric surface grid, shape (n_eta * n_omega, 3)."""
         eta = np.linspace(-math.pi / 2, math.pi / 2, n_eta)

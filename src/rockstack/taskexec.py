@@ -18,10 +18,14 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
+    BehindCameraError,
+    EmptyMaskError,
     GraspMissError,
+    MissingDepthError,
     MultiObjectError,
     NoContactError,
     NothingHeldError,
+    OutOfBoundsError,
     TaskFailure,
     UnreachablePoseError,
     ValidationError,
@@ -66,9 +70,12 @@ from .shapes import Box
 
 GRIPPER_ID = -10
 
-# top-down gripper orientation: approach -z, closing +x, hand axis -y
-TOP_DOWN_ROTATION = np.column_stack(
-    [np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])]
+# top-down gripper pose at the origin: approach -z, closing +x, hand axis -y
+TOP_DOWN = RigidTransform(
+    np.column_stack(
+        [np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])]
+    ),
+    np.zeros(3),
 )
 
 # mates a plug frame (z outward from part) into a socket frame (z outward
@@ -114,9 +121,8 @@ class ArmState:
 
     @classmethod
     def home(cls, params: ExecParams, hand: HandGeometry) -> "ArmState":
-        pose = RigidTransform(TOP_DOWN_ROTATION, (0.0, 300.0, 400.0))
         return cls(
-            pose=pose,
+            pose=TOP_DOWN.with_translation((0.0, 300.0, 400.0)),
             opening=hand.max_aperture,
             max_aperture=hand.max_aperture,
             reach=params.reach,
@@ -223,9 +229,7 @@ def execute_grasp(
     if arm.attached_id is not None:
         raise ValidationError("arm already holds an object")
     approach = grasp.pose.rotation[:, 0]
-    pre_pose = RigidTransform(
-        grasp.pose.rotation, grasp.pose.translation - pregrasp_offset * approach
-    )
+    pre_pose = grasp.pose.with_translation(grasp.pose.translation - pregrasp_offset * approach)
     travel = float(np.linalg.norm(pre_pose.translation - arm.pose.translation))
     arm = move_to(arm, pre_pose)
     arm = move_to(arm, grasp.pose)
@@ -259,7 +263,7 @@ def execute_grasp(
     closing_axis = grasp.pose.rotation[:, 1]
     gamma = (caught_pts - grasp.pose.translation) @ closing_axis
     squeeze = 0.5 * (float(gamma.max()) + float(gamma.min()))
-    obj.pose = RigidTransform(obj.pose.rotation, obj.pose.translation - squeeze * closing_axis)
+    obj.pose = obj.pose.with_translation(obj.pose.translation - squeeze * closing_axis)
     rel = arm.pose.inverse().compose(obj.pose)
     offset = 0.0
     if support_z is not None:
@@ -292,7 +296,24 @@ class StackState:
 
 
 def _vertical_surface_z(obj, xys: np.ndarray, from_above: bool) -> np.ndarray:
-    """z of the object's surface along vertical lines; nan where missed."""
+    """z of the object's upper (``from_above``) or lower surface on the
+    vertical lines through ``xys``; NaN where a line misses it.
+
+    For a rock whose rotation is exactly a yaw (third row and column
+    ``(0, 0, 1)``) the surface is the superellipsoid's closed form
+    (:meth:`Superellipsoid.half_height`) in the rock's local xy. Any other
+    pose, and every robot part, is ray cast.
+    """
+    r = obj.pose.rotation
+    if isinstance(obj, RockModel) and r[2, 2] == 1.0 and not (r[2, :2].any() or r[:2, 2].any()):
+        local = (xys - obj.pose.translation[:2]) @ r[:2, :2]
+        half = obj.shape.half_height(local[:, 0], local[:, 1])
+        return obj.pose.translation[2] + (half if from_above else -half)
+    return _cast_vertical(obj, xys, from_above)
+
+
+def _cast_vertical(obj, xys: np.ndarray, from_above: bool) -> np.ndarray:
+    """:func:`_vertical_surface_z` by ray casting along the vertical lines."""
     center, radius = obj.bounding
     n = xys.shape[0]
     if from_above:
@@ -315,7 +336,7 @@ def settle_object(obj, terrain: Terrain, supports: list | None = None) -> None:
         support_z = np.fmax(support_z, np.where(np.isnan(top), -np.inf, top))
     gaps = pts[:, 2] - support_z
     drop = float(np.min(gaps))
-    obj.pose = RigidTransform(obj.pose.rotation, obj.pose.translation - np.array([0.0, 0.0, drop]))
+    obj.pose = obj.pose.with_translation(obj.pose.translation - np.array([0.0, 0.0, drop]))
 
 
 def check_stack_stability(top: RockModel, support: RockModel) -> str:
@@ -381,7 +402,7 @@ def place_on_stack(
     target = np.asarray(stack.target_xy, dtype=np.float64)
     bottom_target = stack.top_z + (params.release_clearance_factor - 1.0) * rock_height
     gripper_z = bottom_target + arm.grip_bottom_offset
-    release_pose = RigidTransform(arm.pose.rotation, (target[0], target[1], gripper_z))
+    release_pose = arm.pose.with_translation((target[0], target[1], gripper_z))
     travel = float(np.linalg.norm(release_pose.translation - arm.pose.translation))
     arm = move_to(arm, release_pose, scene)
 
@@ -408,9 +429,8 @@ def place_on_stack(
     else:
         # topple removes only the top rock: park it beside the stack
         park_xy = target + np.array([stack.top_z - stack.base_z + 120.0, 0.0])
-        rock.pose = RigidTransform(
-            rock.pose.rotation,
-            (park_xy[0], park_xy[1], rock.pose.translation[2] + 50.0),
+        rock.pose = rock.pose.with_translation(
+            (park_xy[0], park_xy[1], rock.pose.translation[2] + 50.0)
         )
         settle_object(rock, scene.terrain, [])
     record = {
@@ -639,9 +659,8 @@ def run_stacking_task(
 
             # pre-grasp above the measured pose, then sweep the wrist camera
             t0 = clock.total
-            pre = RigidTransform(
-                TOP_DOWN_ROTATION,
-                (pose.position[0], pose.position[1], params.pregrasp_height),
+            pre = TOP_DOWN.with_translation(
+                (pose.position[0], pose.position[1], params.pregrasp_height)
             )
             clock.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
             arm = move_to(arm, pre, scene)
@@ -688,9 +707,8 @@ def run_stacking_task(
 
             # lift and place
             t0 = clock.total
-            lift = RigidTransform(
-                arm.pose.rotation,
-                (arm.pose.translation[0], arm.pose.translation[1], params.transport_height),
+            lift = arm.pose.with_translation(
+                (arm.pose.translation[0], arm.pose.translation[1], params.transport_height)
             )
             clock.move(float(np.linalg.norm(lift.translation - arm.pose.translation)))
             arm = move_to(arm, lift, scene)
@@ -845,18 +863,15 @@ def run_assembly_task(
         socket_pos_meas = _measure_point_via_depth(
             socket_true.translation, depth_base, scene.base_camera
         )
-    except TaskFailure:
+    except (EmptyMaskError, MissingDepthError, OutOfBoundsError, BehindCameraError):
         return fail("get_pose", t0, "pose-detect-fail")
-    except Exception:
-        return fail("get_pose", t0, "pose-detect-fail")
-    socket_meas = RigidTransform(socket_true.rotation, socket_pos_meas)
+    socket_meas = socket_true.with_translation(socket_pos_meas)
     _phase(phases, "get_pose", t0, clock, "ok")
 
     # -- grasp
     t0 = clock.total
-    pre = RigidTransform(
-        TOP_DOWN_ROTATION,
-        (part_pose_meas.position[0], part_pose_meas.position[1], params.pregrasp_height),
+    pre = TOP_DOWN.with_translation(
+        (part_pose_meas.position[0], part_pose_meas.position[1], params.pregrasp_height)
     )
     clock.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
     try:
@@ -895,12 +910,11 @@ def run_assembly_task(
 
     # -- pre_assembly
     t0 = clock.total
-    pre_asm = RigidTransform(arm.pose.rotation, params.pre_assembly_position)
+    pre_asm = arm.pose.with_translation(params.pre_assembly_position)
     clock.move(float(np.linalg.norm(pre_asm.translation - arm.pose.translation)))
     try:
-        lift = RigidTransform(
-            arm.pose.rotation,
-            (arm.pose.translation[0], arm.pose.translation[1], params.transport_height),
+        lift = arm.pose.with_translation(
+            (arm.pose.translation[0], arm.pose.translation[1], params.transport_height)
         )
         arm = move_to(arm, lift, scene)
         arm = move_to(arm, pre_asm, scene)
@@ -928,7 +942,7 @@ def run_assembly_task(
         )
     except TaskFailure:
         return fail("detect_joint", t0, "joint-not-visible")
-    plug_meas = RigidTransform(plug_true.rotation, plug_pos_meas)
+    plug_meas = plug_true.with_translation(plug_pos_meas)
     _phase(phases, "detect_joint", t0, clock, "ok")
 
     # -- displace: move so the measured plug mates the measured socket

@@ -172,10 +172,13 @@ class TestRigidTransform:
             RigidTransform.from_json_dict({"rotation": bad.ravel().tolist(), "translation": [0, 0, 0]})
         with pytest.raises(ValidationError, match="finite"):
             RigidTransform.from_translation([0.0, np.nan, 0.0])
+        with pytest.raises(ValidationError, match="finite"):
+            RigidTransform.identity().with_translation([0.0, 0.0, np.inf])
 
     def test_compose_and_inverse_match_the_checked_constructor(self):
-        """compose and inverse skip re-validation; their arrays are the
-        ones the checked constructor would store, bit for bit."""
+        """compose, inverse and with_translation skip re-validating the
+        rotation; their arrays are the ones the checked constructor would
+        store, bit for bit."""
         rng = np.random.default_rng(6)
         for _ in range(50):
             angles = rng.uniform(-math.pi, math.pi, 3)
@@ -186,6 +189,8 @@ class TestRigidTransform:
             pairs = [
                 (a.compose(b), RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)),
                 (a.inverse(), RigidTransform(a.rotation.T, -a.rotation.T @ a.translation)),
+                (a.with_translation(b.translation), RigidTransform(a.rotation, b.translation)),
+                (a.with_translation((1.0, -2, 3.5)), RigidTransform(a.rotation, (1.0, -2, 3.5))),
             ]
             for got, want in pairs:
                 for x, y in ((got.rotation, want.rotation), (got.translation, want.translation)):
@@ -205,6 +210,22 @@ class TestLookAt:
         # optical axis points straight down, image x stays world x
         np.testing.assert_allclose(pose.rotation[:, 2], [0.0, 0.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(pose.rotation[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-4, 10.0, 20.0])
+    def test_near_vertical_views(self, offset):
+        """Within about 2.6 degrees of vertical (offsets below about 13.4 mm here)
+        the image x axis is world +x made orthogonal to the optical axis;
+        straight down keeps the exact axes."""
+        eye = np.array([offset, 0.0, 300.0])
+        r = camera_pose_from_lookat(eye, (0.0, 0.0, 0.0)).rotation
+        np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(r[:, 2], -eye / np.linalg.norm(eye), atol=1e-15)
+        assert abs(r[0, 0]) > 0.99 and r[1, 0] == 0.0
+        if offset < 13.4:
+            assert r[0, 0] > 0.0
+        if offset == 0.0:
+            straight_down = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+            assert r.tobytes() == straight_down.tobytes()
 
     def test_degenerate_lookat_rejected(self):
         with pytest.raises(ValidationError):

@@ -18,6 +18,7 @@ from rockstack.harness import (
     DEFAULT_ASSEMBLY_CAMERA,
     ExperimentConfig,
     MetricsSummary,
+    _dump_json,
     compute_metrics,
     recompute_summary_from_files,
     run_experiment,
@@ -488,6 +489,17 @@ class TestPoseOracleAgreement:
         report = run_trial(_pose_cfg(sensor={"depth_sigma": 2.0}), 0)
         assert report.success is False
         assert report.phases[0]["error_code"] == "exception:TypeError"
+
+
+class TestDumpJson:
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "trial_0.json"
+        _dump_json(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            _dump_json(path, {"a": 2, "b": object()})  # fails after "a" is written
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trial_0.json"]
 
 
 class TestCsv:

@@ -1,10 +1,14 @@
-"""The superellipsoid march, the terrain cast and the RANSAC hypothesis
-against the reference kernels in ``render_oracle.py``, bit for bit.
+"""The superellipsoid march, the terrain height lookup and the RANSAC
+hypothesis against the reference kernels in ``render_oracle.py``, bit for
+bit, and the exact terrain cast against the dense march of
+``terrain_oracle.py``.
 
 The library kernels skip work whose outcome is known: march samples
-outside the superellipsoid's bounding box, fixed-point iterations after a
-ray's estimate repeats, and the ``np.cross`` call overhead. Every case
-here compares raw float64 bytes, so a single rounding difference fails.
+outside the superellipsoid's bounding box and the ``np.cross`` call
+overhead. Those cases compare raw float64 bytes, so a single rounding
+difference fails. The terrain cast solves each grid cell's quadratic where
+the oracle samples and bisects, so their hits agree to 1e-6 mm and their
+misses exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from render_oracle import (
     record_calls,
     superellipsoid_raycast,
     terrain_height_at,
-    terrain_raycast,
 )
 from rockstack import pointcloud
 from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
@@ -25,6 +28,7 @@ from rockstack.harness import ExperimentConfig, run_trial
 from rockstack.pointcloud import PointCloud, _plane_from_three, fit_plane_ransac
 from rockstack.scenesim import Terrain, _pixel_dirs
 from rockstack.shapes import Superellipsoid
+from terrain_oracle import terrain_cast
 
 NOMINAL_STACK = {
     "task": "stack",
@@ -44,6 +48,18 @@ def same_bits(got, want) -> bool:
     got = np.asarray(got)
     want = np.asarray(want)
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def cast_matches_oracle(terrain: Terrain, origin, dirs) -> np.ndarray:
+    """The terrain cast, after checking it against the dense march: the
+    same misses, and hit points within 1e-6 mm."""
+    got = terrain.raycast_world(origin, dirs)
+    want = terrain_cast(terrain, origin, dirs)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    hit = np.isfinite(got)
+    err = np.abs(got[hit] - want[hit]) * np.linalg.norm(dirs[hit], axis=1)
+    assert err.max(initial=0.0) <= 1e-6
+    return got
 
 
 def widened_half(shape: Superellipsoid) -> np.ndarray:
@@ -85,7 +101,8 @@ class TestRecordedStackTrials:
         terrain = calls[1]
         assert len(terrain) > 5
         for t, origin, dirs in terrain:
-            assert same_bits(t.raycast_world(origin, dirs), terrain_raycast(t, origin, dirs))
+            got = cast_matches_oracle(t, origin, dirs)
+            assert np.isfinite(got[dirs[:, 2] < 0]).all()
 
     def test_planes(self, calls):
         planes = calls[2]
@@ -221,16 +238,54 @@ class TestTerrain:
             for k in range(x.size):
                 assert same_bits(t.height_at(x[k], y[k]), terrain_height_at(t, x[k], y[k]))
 
-    @pytest.mark.parametrize("amplitude", [5.0, 40.0, 80.0])
+    @pytest.mark.parametrize("amplitude", [0.0, 5.0, 40.0, 80.0])
     def test_camera_rays(self, amplitude):
         t = Terrain.generate(150.0, 150.0, 2.0, amplitude, seed=9)
         intr = CameraIntrinsics(fx=150.0, fy=150.0, cx=60.0, cy=45.0, width=120, height=90)
         cam = camera_pose_from_lookat((20.0, 480.0, 400.0), (0.0, 500.0, 0.0))
         dirs = _pixel_dirs(intr, cam)
-        got = t.raycast_world(cam.translation, dirs)
-        assert same_bits(got, terrain_raycast(t, cam.translation, dirs))
-        if amplitude == 80.0:
-            assert np.isinf(got).sum() > 100  # the fixed point misses
+        got = cast_matches_oracle(t, cam.translation, dirs)
+        assert np.isfinite(got).all()  # every ray descends onto the grid
+
+    @pytest.mark.parametrize("amplitude", [5.0, 40.0, 80.0])
+    def test_grazing_and_non_descending_rays(self, amplitude):
+        """Rays skimming the surface at shallow angles from just above its
+        highest point, level or rising rays from inside its height range,
+        which can still meet a slope ahead, and rays from below the surface,
+        which are under it at s = 0."""
+        t = Terrain.generate(100.0, 80.0, 5.0, amplitude, seed=5)
+        rng = np.random.default_rng(31)
+        z_hi = t.heights.max()
+        heading = rng.uniform(-np.pi, np.pi, 600)
+        slope = np.concatenate(
+            [-np.geomspace(1e-4, 0.3, 300), np.zeros(100), np.geomspace(1e-4, 0.2, 200)]
+        )
+        dirs = np.column_stack([np.cos(heading), np.sin(heading), slope])
+        rising = []
+        for above in (None, 0.2, 0.6):
+            x, y = rng.uniform(-60, 60), rng.uniform(450, 550)
+            h = float(t.height_at(x, y))
+            z = z_hi + 0.5 if above is None else h + above * (z_hi - h)
+            got = cast_matches_oracle(t, np.array([x, y, z]), dirs)
+            assert np.isfinite(got[slope < 0]).all()
+            rising.append(got[slope >= 0])
+        rising = np.concatenate(rising)
+        assert np.isfinite(rising).any() and np.isinf(rising).any()
+        below = np.array([x, y, h - 0.5])
+        assert (cast_matches_oracle(t, below, dirs) == 0.0).all()
+
+    def test_saddle_cell(self):
+        """One twisted cell, h = 10 fx fy, in which the height along a
+        diagonal ray is quadratic: level, rising and falling rays meet it
+        where the surface curves up into them, or pass over it."""
+        t = Terrain(np.array([[0.0, 0.0], [0.0, 10.0]]), pitch=10.0, origin=(0.0, 0.0))
+        rng = np.random.default_rng(37)
+        heading = rng.uniform(0.1, 1.5, 400)
+        slope = rng.uniform(-0.3, 0.3, 400)
+        dirs = np.column_stack([np.cos(heading), np.sin(heading), slope])
+        for z in (2.0, 5.0, 8.0):
+            got = cast_matches_oracle(t, np.array([-5.0, -5.0, z]), dirs)
+            assert np.isfinite(got).sum() > 100 and np.isinf(got).sum() > 10
 
     def test_off_grid_rays_clamp(self):
         """A tilted camera far outside the grid: most rays land off it and
@@ -240,9 +295,11 @@ class TestTerrain:
         cam = camera_pose_from_lookat((-400.0, 100.0, 150.0), (0.0, 500.0, -50.0))
         dirs = _pixel_dirs(intr, cam)
         dirs = np.concatenate([dirs, [[0.3, 0.2, 0.0], [0.0, 0.0, 1.0], [1e-12, 0.0, -1e-10]]])
-        got = t.raycast_world(cam.translation, dirs)
-        assert np.isinf(got[-3:]).all()
-        assert same_bits(got, terrain_raycast(t, cam.translation, dirs))
+        got = cast_matches_oracle(t, cam.translation, dirs)
+        assert np.isinf(got[-3:-1]).all()
+        # the barely descending ray meets the clamped corner height far off
+        assert got[-1] == pytest.approx((t.heights[0, 0] - cam.translation[2]) / -1e-10)
+        assert np.isfinite(got[dirs[:, 2] < 0]).all()
 
 
 class TestPlaneHypothesis:

@@ -16,6 +16,7 @@ import pytest
 
 from rockstack.errors import (
     GraspMissError,
+    MissingDepthError,
     MultiObjectError,
     NoContactError,
     NothingHeldError,
@@ -24,7 +25,7 @@ from rockstack.errors import (
 )
 from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
 from rockstack.graspdetect import GraspCandidate, GraspConfig, HandGeometry
-from rockstack.harness import ExperimentConfig
+from rockstack.harness import ExperimentConfig, run_trial
 from rockstack.perception import detect_objects
 from rockstack.scenesim import (
     CameraSpec,
@@ -40,13 +41,15 @@ from rockstack.scenesim import (
 )
 from rockstack.shapes import Superellipsoid
 from rockstack.taskexec import (
-    TOP_DOWN_ROTATION,
+    TOP_DOWN,
     ArmState,
     ExecParams,
     StackState,
     TrialReport,
+    _cast_vertical,
     _derive_seed,
     _observe_base,
+    _vertical_surface_z,
     check_stack_stability,
     execute_grasp,
     gripper_geometry,
@@ -100,13 +103,13 @@ def sphere_rock(radius, position, instance_id=0) -> RockModel:
 class TestMoveTo:
     def test_inside_reach(self):
         arm = ArmState.home(ExecParams(), HandGeometry())
-        moved = move_to(arm, RigidTransform(TOP_DOWN_ROTATION, (0.0, 500.0, 200.0)))
+        moved = move_to(arm, TOP_DOWN.with_translation((0.0, 500.0, 200.0)))
         np.testing.assert_allclose(moved.pose.translation, [0.0, 500.0, 200.0])
 
     def test_outside_reach_rejected(self):
         arm = ArmState.home(ExecParams(), HandGeometry())
         with pytest.raises(UnreachablePoseError):
-            move_to(arm, RigidTransform(TOP_DOWN_ROTATION, (5000.0, 0.0, 0.0)))
+            move_to(arm, TOP_DOWN.with_translation((5000.0, 0.0, 0.0)))
 
     def test_attached_object_follows_rigidly(self):
         rock = sphere_rock(20.0, (0.0, 500.0, 20.0))
@@ -201,6 +204,65 @@ class TestStackStability:
             agreements += got == want
         assert checked == 60
         assert agreements == checked
+
+
+class TestVerticalSurface:
+    """The closed-form extent of yaw-only rocks against the vertical ray
+    cast, which every other pose still takes."""
+
+    @pytest.mark.parametrize("e1", [0.3, 2.0])
+    @pytest.mark.parametrize("e2", [0.3, 2.0])
+    def test_closed_form_matches_the_cast(self, e1, e2):
+        shape = Superellipsoid(30.0, 22.0, 15.0, e1, e2)
+        rng = np.random.default_rng(41)
+        omega = rng.uniform(-math.pi, math.pi, 3000)
+        cw, sw = np.cos(omega), np.sin(omega)
+        rim = np.column_stack(
+            [shape.ax * np.sign(cw) * np.abs(cw) ** e2, shape.ay * np.sign(sw) * np.abs(sw) ** e2]
+        )
+        # on the silhouette, 1e-12 to 1e-2 inside or outside it, and within
+        scale = np.concatenate(
+            [
+                np.ones(500),
+                1.0 + rng.choice([-1.0, 1.0], 1500) * np.geomspace(1e-12, 1e-2, 1500),
+                rng.uniform(0.0, 1.0, 1000),
+            ]
+        )
+        local = np.column_stack([rim * scale[:, None], np.zeros(3000)])
+        # The silhouette is G = 1, and G = scale^(2 / e1) along a ray from the
+        # axis. Within 1e-6 of it the height az (1 - G)^(e1 / 2) is below the
+        # resolution of either method for e1 < 2.
+        away = np.abs(1.0 - scale ** (2.0 / e1)) > 1e-6
+        assert (away & (np.abs(scale - 1.0) < 1e-3)).sum() > 300
+        for yaw in (0.0, 0.9, -2.4):
+            rock = RockModel(shape, RigidTransform.rotation_z(yaw, (15.0, 480.0, 22.0)), 0)
+            xys = rock.pose.apply(local)[:, :2]
+            for from_above in (True, False):
+                got = _vertical_surface_z(rock, xys, from_above)[away]
+                want = _cast_vertical(rock, xys, from_above)[away]
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                hit = ~np.isnan(got)
+                assert hit.sum() > 1000
+                assert np.abs(got[hit] - want[hit]).max() <= 1e-6
+
+    def test_other_poses_are_ray_cast(self, monkeypatch):
+        shape = Superellipsoid(25.0, 20.0, 12.0, 0.8, 1.3)
+        tilted = RockModel(
+            shape,
+            RigidTransform.rotation_z(0.4, (0.0, 500.0, 20.0)).compose(RigidTransform.rotation_x(1e-9)),
+            0,
+        )
+        xys = np.random.default_rng(43).uniform((-30.0, 470.0), (30.0, 530.0), size=(2000, 2))
+        got = _vertical_surface_z(tilted, xys, True)
+        assert np.isfinite(got).sum() > 500
+        assert got.tobytes() == _cast_vertical(tilted, xys, True).tobytes()
+
+        def no_cast(self, origin, dirs):
+            raise AssertionError("a yaw-only rock was ray cast")
+
+        monkeypatch.setattr(RockModel, "raycast_world", no_cast)
+        yawed = RockModel(shape, RigidTransform.rotation_z(0.4, (0.0, 500.0, 20.0)), 1)
+        assert np.isfinite(_vertical_surface_z(yawed, xys, False)).sum() > 500
 
 
 class TestPlaceOnStack:
@@ -389,6 +451,20 @@ class TestRunAssemblyTask:
         names = [p["phase"] for p in report.phases]
         expected = ["get_pose", "grasp", "pre_assembly", "detect_joint", "displace", "attach"]
         assert names == expected[: len(names)]
+
+    @pytest.mark.parametrize(
+        "error, code", [(MissingDepthError, "pose-detect-fail"), (TypeError, "exception:TypeError")]
+    )
+    def test_only_perception_errors_fail_get_pose(self, monkeypatch, error, code):
+        import rockstack.taskexec as taskexec_mod
+
+        def broken(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(taskexec_mod, "object_workspace_pose", broken)
+        report = run_trial(self._config("head"), 0)
+        assert not report.success
+        assert report.phases[0]["error_code"] == code
 
     def test_determinism(self):
         cfg = self._config("leg")
