@@ -25,7 +25,6 @@ from .errors import ConfigError, ValidationError
 from .geometry import deproject_pixel, mask_centroid, project_point
 from .graspdetect import GraspConfig, HandGeometry, detect_grasps
 from .perception import (
-    WorkspacePose,
     detections_from_masks,
     median_window_depths,
     pose_stability_stats,
@@ -35,7 +34,7 @@ from .pointcloud import Workspace, cloud_from_depth, fit_plane_ransac
 from .scenesim import (
     SceneSpec,
     SensorModel,
-    apply_depth_noise,
+    _finish_depth_noise,
     generate_scene,
     instance_masks,
     render_scene_geometry,
@@ -300,20 +299,28 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
 
     Each probe is a pixel read through the depth image: the mask centroid
     of every detection (5x5 median window) and, with a body in the scene,
-    the projected socket (3x3 window). Sample k draws fresh sensor noise
-    from ``_derive_seed(seed, 100_000 + k)`` over a window two pixels wider
-    than each probe's read window, in probe order, which is
-    distribution-identical to re-noising the full image.
+    the projected socket (3x3 window). Sample k re-noises, in probe order,
+    a write window two pixels wider than each probe's read window, drawing
+    from ``_derive_seed(seed, 100_000 + k)``; that is distribution-identical
+    to re-noising the full image. Only the noise changes from sample to
+    sample, so the scene is rendered once (the masks come from the same id
+    image as the depth) and the centroids, windows, in-image checks and
+    camera transform are computed once. The trial then runs in three steps:
 
-    Only the noise changes from sample to sample, so the scene is rendered
-    once (the masks come from the same id image as the depth) and the
-    centroids, projected socket, windows, in-image checks and camera
-    transform are computed once. Every sample writes all its noisy windows
-    into one depth buffer before any probe reads it, because windows of
-    different probes may overlap; the read windows are collected into a
-    ``(samples, h, w)`` stack per probe, and the medians, deprojection and
-    transform to the robot frame then run as one array pass per probe. A
-    sample whose read window has no valid pixel is dropped; a probe whose
+    1. *Draw.* Per sample, for each write window in probe order, the
+       ``normal`` and then (with dropout) the ``random`` draws of
+       :func:`~rockstack.scenesim.apply_depth_noise` land in row k of a
+       ``(samples, window pixels)`` array, the write windows side by side.
+    2. *Finish.* One call of the noise model's finishing step turns the
+       clean write windows plus all draws into uint16 depths.
+    3. *Gather.* Windows of different probes may overlap, and a later
+       write overwrites an earlier one before any probe reads, so every
+       read-window pixel takes its column from the last write window that
+       covers it (its own probe's window always does). The read windows of
+       all samples are one gather per probe; the medians, deprojection and
+       transform to the robot frame then run as one array pass per probe.
+
+    A sample whose read window has no valid pixel is dropped; a probe whose
     pixel lies outside the image is dropped whole. Positions are gathered
     per label in sample-major, probe-minor order.
     """
@@ -336,28 +343,39 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
         u, v, _ = project_point(intr, cam_pt)
         probes.append(("body_joint", float(u), float(v), 3))
 
-    n_samples = cfg.samples
-    depth = apply_depth_noise(depth_float, SensorModel(), 0)
-    writes = []  # (clean region, buffer view) for every probe, in probe order
-    reads = []  # (label, u, v, buffer view, window stack) for probes inside the image
+    shape = depth_float.shape
+    column = np.empty(shape, dtype=np.intp)  # stack column last written at each pixel
+    writes = []  # (first, end) stack columns of each write window, in probe order
+    regions = [np.empty(0)]  # the clean write windows, flattened; never empty
+    width = 0
+    reads = []  # (label, u, v, read window bounds) for probes inside the image
     for label, u, v, size in probes:
-        v0, v1, u0, u1 = window_bounds(u, v, size + 2, depth.shape)
-        writes.append((depth_float[v0:v1, u0:u1], depth[v0:v1, u0:u1]))
+        v0, v1, u0, u1 = window_bounds(u, v, size + 2, shape)
+        region = depth_float[v0:v1, u0:u1]
+        writes.append((width, width + region.size))
+        column[v0:v1, u0:u1] = np.arange(width, width + region.size).reshape(region.shape)
+        regions.append(region.ravel())
+        width += region.size
         if 0 <= u < intr.width and 0 <= v < intr.height:
-            v0, v1, u0, u1 = window_bounds(u, v, size, depth.shape)
-            stack = np.empty((n_samples, v1 - v0, u1 - u0), dtype=np.uint16)
-            reads.append((label, u, v, depth[v0:v1, u0:u1], stack))
+            reads.append((label, u, v, window_bounds(u, v, size, shape)))
 
+    n_samples = cfg.samples
+    sensor = cfg.sensor
+    normal = np.empty((n_samples, width)) if sensor.depth_sigma > 0 else None
+    uniform = np.empty((n_samples, width)) if sensor.dropout_rate > 0 else None
     for k in range(n_samples):
         rng = np.random.default_rng(_derive_seed(seed, 100_000 + k))
-        for region, view in writes:
-            view[...] = apply_depth_noise(region, cfg.sensor, rng)
-        for *_, view, stack in reads:
-            stack[k] = view
+        for a, b in writes:
+            if normal is not None:
+                normal[k, a:b] = rng.normal(0.0, sensor.depth_sigma, b - a)
+            if uniform is not None:
+                uniform[k, a:b] = rng.random(b - a)
+    clean = np.broadcast_to(np.concatenate(regions), (n_samples, width))
+    noisy = _finish_depth_noise(clean, sensor, normal, uniform)
 
     by_label: dict = {}  # label -> [(positions (n, 3), kept (n,))] in probe order
-    for label, u, v, _, stack in reads:
-        d = median_window_depths(stack)
+    for label, u, v, (v0, v1, u0, u1) in reads:
+        d = median_window_depths(noisy[:, column[v0:v1, u0:u1].ravel()])
         kept = ~np.isnan(d)
         cam_pts = deproject_pixel(intr, u, v, d[kept])
         # One matrix-vector product per robot axis rounds each point as the
@@ -375,9 +393,7 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
         pts = np.stack([pos for pos, _ in rows], axis=1)[kept]
         if len(pts) < 2:
             continue
-        sx, sy, sz = pose_stability_stats(
-            [WorkspacePose(p, sample_index=i) for i, p in enumerate(pts)]
-        )
+        sx, sy, sz = pose_stability_stats(pts)
         classes[label] = {
             "sigma_x_mm": sx,
             "sigma_y_mm": sy,
@@ -594,13 +610,38 @@ def summary_to_csv(summary: MetricsSummary) -> str:
 
 
 def recompute_summary_from_files(out_dir) -> MetricsSummary:
-    """Rebuild the summary from the written trial files (audit path)."""
+    """Rebuild the summary from the written trial files (audit path).
+
+    Raises ``ValidationError`` when the set is incomplete: the trial
+    indices are not exactly ``0..n-1``, or a ``summary.json`` in the
+    directory counts other than n trials.
+    """
     out_path = Path(out_dir)
-    trial_files = sorted(
-        out_path.glob("trial_*.json"), key=lambda p: int(p.stem.split("_")[1])
-    )
+    indexed = []
+    for p in out_path.glob("trial_*.json"):
+        index = p.stem.removeprefix("trial_")
+        if not index.isdecimal():
+            raise ValidationError(f"{p}: expected a trial_<index>.json name")
+        indexed.append((int(index), p))
+    indexed.sort()
+    indices = [i for i, _ in indexed]
+    if indices != list(range(len(indices))):
+        missing = sorted(set(range(indices[-1] + 1)) - set(indices))
+        raise ValidationError(
+            f"{out_path}: trial indices are not 0..{len(indices) - 1}"
+            f" (missing {missing}, found {len(indices)} files)"
+        )
+    summary_path = out_path / "summary.json"
+    if summary_path.exists():
+        with open(summary_path, "r", encoding="utf-8") as f:
+            recorded = json.load(f)
+        trials = recorded.get("trials") if isinstance(recorded, dict) else None
+        if trials != len(indices):
+            raise ValidationError(
+                f"{summary_path}: counts {trials!r} trials, but {len(indices)} trial files exist"
+            )
     reports = []
-    for p in trial_files:
+    for _, p in indexed:
         with open(p, "r", encoding="utf-8") as f:
             reports.append(TrialReport.from_json_dict(json.load(f)))
     return compute_metrics(reports)

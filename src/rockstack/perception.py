@@ -20,6 +20,7 @@ from .errors import (
     MissingDepthError,
     NegativeHeightError,
     OutOfWorkspaceError,
+    ValidationError,
 )
 from .geometry import (
     CameraIntrinsics,
@@ -245,15 +246,18 @@ def estimate_height(
     return height
 
 
-def pose_stability_stats(samples: list[WorkspacePose]) -> tuple[float, float, float]:
-    """Per-coordinate sample standard deviation (ddof=1) of repeated poses.
+def pose_stability_stats(positions: np.ndarray) -> tuple[float, float, float]:
+    """Per-coordinate sample standard deviation (ddof=1) of repeated
+    position measurements, given as an ``(n, 3)`` array, one row per sample.
 
     Coordinates whose samples are all identical report exactly 0 (no
     accumulated float dust).
     """
-    if len(samples) < 2:
+    arr = np.asarray(positions, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValidationError(f"positions must have shape (n, 3), got {arr.shape}")
+    if len(arr) < 2:
         raise InsufficientSamplesError("need at least 2 pose samples")
-    arr = np.stack([s.position for s in samples])
     sigma = arr.std(axis=0, ddof=1)
     constant = np.all(arr == arr[0], axis=0)
     sigma[constant] = 0.0

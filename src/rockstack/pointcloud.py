@@ -71,8 +71,15 @@ class Workspace:
             raise ValidationError("workspace min must be < max per axis")
 
     def contains(self, points) -> np.ndarray:
+        """Whether each point (last axis x, y, z) lies in the closed box;
+        a NaN coordinate is outside. Tests one column at a time, which
+        avoids the ``(n, 3)`` boolean temporaries of a whole-array test."""
         p = np.asarray(points, dtype=np.float64)
-        return np.all((p >= self.min_corner) & (p <= self.max_corner), axis=-1)
+        lo, hi = self.min_corner, self.max_corner
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        return (
+            (x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1]) & (z >= lo[2]) & (z <= hi[2])
+        )
 
 
 @dataclass(frozen=True)

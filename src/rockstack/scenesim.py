@@ -10,6 +10,7 @@ which stand in for segmentation damage under harsh exposure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -678,16 +679,27 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
 # rendering
 
 
-def _pixel_dirs(intr: CameraIntrinsics, pose: RigidTransform) -> np.ndarray:
-    """World-frame ray directions with unit z-component in the camera frame,
-    so the ray parameter equals depth along the optical axis."""
+@functools.lru_cache(maxsize=4)
+def _camera_frame_dirs(intr: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame ray directions ``((u - cx) / fx, (v - cy) / fy, 1)`` of
+    every pixel, row-major, shape ``(height * width, 3)``.
+
+    Cached per intrinsics and shared by every render through them, so the
+    array is read-only."""
     us = np.arange(intr.width, dtype=np.float64)
     vs = np.arange(intr.height, dtype=np.float64)
     uu, vv = np.meshgrid(us, vs)
     dirs_cam = np.stack(
         [(uu - intr.cx) / intr.fx, (vv - intr.cy) / intr.fy, np.ones_like(uu)], axis=-1
-    )
-    return dirs_cam.reshape(-1, 3) @ pose.rotation.T
+    ).reshape(-1, 3)
+    dirs_cam.flags.writeable = False
+    return dirs_cam
+
+
+def _pixel_dirs(intr: CameraIntrinsics, pose: RigidTransform) -> np.ndarray:
+    """World-frame ray directions with unit z-component in the camera frame,
+    so the ray parameter equals depth along the optical axis."""
+    return _camera_frame_dirs(intr) @ pose.rotation.T
 
 
 def _object_pixel_rows(
@@ -756,14 +768,36 @@ def apply_depth_noise(
     several windows in turn.
     """
     rng = np.random.default_rng(seed)
+    normal = uniform = None
+    if sensor.depth_sigma > 0:
+        normal = rng.normal(0.0, sensor.depth_sigma, size=depth.shape)
+    if sensor.dropout_rate > 0:
+        uniform = rng.random(depth.shape)
+    return _finish_depth_noise(depth, sensor, normal, uniform)
+
+
+def _finish_depth_noise(
+    depth: np.ndarray,
+    sensor: SensorModel,
+    normal: np.ndarray | None,
+    uniform: np.ndarray | None,
+) -> np.ndarray:
+    """The noise model of :func:`apply_depth_noise` applied to draws made
+    beforehand: ``normal`` holds the ``N(0, depth_sigma)`` draws (None when
+    ``depth_sigma`` is 0) and ``uniform`` the ``[0, 1)`` dropout draws (None
+    when ``dropout_rate`` is 0), each of ``depth``'s shape.
+
+    Misses (non-finite depth) and dropouts become 0, the rest is rounded
+    to 1 mm and clipped to the uint16 range. Elementwise, so a stack of
+    windows is finished in one call."""
     valid = np.isfinite(depth)
     noisy = np.where(valid, depth, 0.0)
     if sensor.depth_sigma > 0:
-        noisy = noisy + rng.normal(0.0, sensor.depth_sigma, size=depth.shape)
-    quant = np.clip(np.rint(noisy), 0, 65535).astype(np.uint16)
+        noisy = noisy + normal
+    quant = np.clip(np.rint(noisy, out=noisy), 0, 65535, out=noisy).astype(np.uint16)
     quant[~valid] = 0
     if sensor.dropout_rate > 0:
-        quant[rng.random(depth.shape) < sensor.dropout_rate] = 0
+        quant[uniform < sensor.dropout_rate] = 0
     return quant
 
 

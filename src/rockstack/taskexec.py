@@ -940,7 +940,7 @@ def run_assembly_task(
             scene.base_camera,
             surface_offset=PLUG_BALL_RADIUS,
         )
-    except TaskFailure:
+    except (MissingDepthError, OutOfBoundsError, BehindCameraError):
         return fail("detect_joint", t0, "joint-not-visible")
     plug_meas = plug_true.with_translation(plug_pos_meas)
     _phase(phases, "detect_joint", t0, clock, "ok")

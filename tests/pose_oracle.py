@@ -15,7 +15,6 @@ import numpy as np
 from rockstack.geometry import project_point
 from rockstack.harness import ExperimentConfig
 from rockstack.perception import (
-    WorkspacePose,
     detect_objects,
     mask_centroid,
     object_workspace_pose,
@@ -83,9 +82,7 @@ def oracle_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport
     for label, pts in sorted(positions.items()):
         if len(pts) < 2:
             continue
-        sx, sy, sz = pose_stability_stats(
-            [WorkspacePose(p, sample_index=i) for i, p in enumerate(pts)]
-        )
+        sx, sy, sz = pose_stability_stats(np.stack(pts))
         classes[label] = {
             "sigma_x_mm": sx,
             "sigma_y_mm": sy,

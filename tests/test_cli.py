@@ -127,6 +127,40 @@ class TestReportSummarize:
     def test_missing_dir_is_io_error(self):
         assert main(["report", "summarize", "--in", "/no/reports"]) == 2
 
+    @pytest.fixture
+    def pose_run(self, tmp_path, capsys):
+        out = tmp_path / "pose"
+        args = ["pose-bench", "--trials", "3", "--seed", "2", "--samples", "20", "--out", str(out)]
+        assert main(args) == 0
+        assert main(["report", "summarize", "--in", str(out), "--json"]) == 0
+        intact = capsys.readouterr().out
+        assert json.loads(intact) == json.loads((out / "summary.json").read_text())
+        return out
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("trial_0.json", "trial indices are not 0..1 (missing [0]"),
+            ("trial_1.json", "trial indices are not 0..1 (missing [1]"),
+            ("trial_2.json", "counts 3 trials, but 2 trial files exist"),
+        ],
+    )
+    def test_missing_trial_file_fails(self, pose_run, capsys, name, message):
+        (pose_run / name).unlink()
+        assert main(["report", "summarize", "--in", str(pose_run)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_summary_with_another_trial_count_fails(self, pose_run, capsys):
+        path = pose_run / "summary.json"
+        summary = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(summary, trials=4)))
+        assert main(["report", "summarize", "--in", str(pose_run)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "counts 4 trials, but 3 trial files exist" in captured.err
+
 
 class TestAssembleRun:
     def test_single_trial(self, tmp_path, capsys):

@@ -465,6 +465,20 @@ class TestPoseOracleAgreement:
         assert got == _pose_json(oracle_pose_stability_trial(cfg, 0))
         assert ("body_joint" in json.loads(got)["metrics"]["classes"]) is joint_kept
 
+    def test_no_object_in_view(self):
+        # a camera aimed past every object: no probe, no write window
+        camera = {
+            "position": [0.0, 500.0, 600.0],
+            "look_at": [3000.0, 5000.0, 800.0],
+            "intrinsics": {"fx": 300.0, "fy": 300.0, "cx": 160.0, "cy": 120.0, "width": 320, "height": 240},
+        }
+        sensor = {"depth_sigma": 2.0, "dropout_rate": 0.3}
+        cfg = _pose_cfg(sensor=sensor, scene={"base_camera": camera})
+        got = _pose_json(run_trial(cfg, 0))
+        assert got == _pose_json(oracle_pose_stability_trial(cfg, 0))
+        assert json.loads(got)["metrics"]["classes"] == {}
+        assert json.loads(got)["phases"][0]["outcome"] == "ok"
+
     def test_tilted_and_offset_camera(self):
         # a rotation without zero entries: the robot-frame transform must
         # round each point as the single-point path does

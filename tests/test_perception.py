@@ -19,6 +19,7 @@ from rockstack.errors import (
     MissingDepthError,
     NegativeHeightError,
     OutOfWorkspaceError,
+    ValidationError,
 )
 from rockstack.geometry import (
     CameraIntrinsics,
@@ -276,22 +277,43 @@ class TestEstimateHeight:
         assert h == pytest.approx(60.0, abs=2.0)
 
 
+def _stats_of_poses(samples: list[WorkspacePose]) -> tuple[float, float, float]:
+    """Reference: the statistics over a list of poses, stacked one by one."""
+    arr = np.stack([s.position for s in samples])
+    sigma = arr.std(axis=0, ddof=1)
+    sigma[np.all(arr == arr[0], axis=0)] = 0.0
+    return float(sigma[0]), float(sigma[1]), float(sigma[2])
+
+
 class TestPoseStabilityStats:
     def test_identical_samples_zero(self):
-        samples = [WorkspacePose((1.0, 2.0, 3.0), sample_index=i) for i in range(10)]
-        assert pose_stability_stats(samples) == (0.0, 0.0, 0.0)
+        assert pose_stability_stats(np.tile((1.0, 2.0, 3.0), (10, 1))) == (0.0, 0.0, 0.0)
 
     def test_alternating_closed_form(self):
-        samples = [
-            WorkspacePose(((-1.0) ** i, 0.0, 0.0), sample_index=i) for i in range(1000)
-        ]
-        sx, sy, sz = pose_stability_stats(samples)
+        positions = np.zeros((1000, 3))
+        positions[:, 0] = (-1.0) ** np.arange(1000)
+        sx, sy, sz = pose_stability_stats(positions)
         assert sx == pytest.approx(math.sqrt(1000.0 / 999.0), rel=1e-9)  # ~1.0005
         assert sy == 0.0 and sz == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 401, 2000])
+    def test_array_matches_the_pose_list(self, n):
+        rng = np.random.default_rng(n)
+        positions = rng.normal((100.0, -40.0, 250.0), 2.0, size=(n, 3))
+        positions[:, 1] = 0.1  # constant; float std leaves ~1e-17 for some n
+        poses = [WorkspacePose(p, sample_index=i) for i, p in enumerate(positions)]
+        got = pose_stability_stats(positions)
+        assert got == _stats_of_poses(poses)
+        assert got[1] == 0.0
+
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
-            pose_stability_stats([WorkspacePose((0.0, 0.0, 0.0))])
+            pose_stability_stats(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (2, 3, 1)])
+    def test_rejects_a_non_n_by_3_array(self, shape):
+        with pytest.raises(ValidationError):
+            pose_stability_stats(np.zeros(shape))
 
 
 class TestDetectionSerialization:

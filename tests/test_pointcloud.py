@@ -121,6 +121,33 @@ class TestCropWorkspace:
         twice = crop_workspace(once, ws)
         np.testing.assert_array_equal(once.points, twice.points)
 
+    def test_contains_matches_the_whole_array_test(self):
+        # points on, just inside and just outside each face, NaN rows, and
+        # a single point: the per-column test equals np.all over (n, 3)
+        lo, hi = np.array([-30.0, 5.0, -60.0]), np.array([40.0, 25.5, 400.0])
+        ws = Workspace(lo, hi)
+        center = (lo + hi) / 2
+        pts = [center]
+        for axis in range(3):
+            for face in (lo[axis], hi[axis]):
+                for offset in (0.0, -1e-9, 1e-9, -3.0, 3.0):
+                    p = center.copy()
+                    p[axis] = face + offset
+                    pts.append(p)
+        nan_rows = np.tile(center, (7, 1))
+        nan_rows[[0, 1, 2, 3, 4, 5], [0, 1, 2, 0, 1, 2]] = np.nan
+        nan_rows[6] = np.nan
+        rng = np.random.default_rng(5)
+        pts = np.vstack([pts, nan_rows, rng.uniform(-100, 450, (500, 3))])
+        expected = np.all((pts >= lo) & (pts <= hi), axis=-1)
+        got = ws.contains(pts)
+        assert got.dtype == bool and got.shape == (len(pts),)
+        np.testing.assert_array_equal(got, expected)
+        assert not ws.contains(nan_rows).any()
+        assert 0 < expected.sum() < len(pts)
+        for p in pts[:40]:
+            assert ws.contains(p) == np.all((p >= lo) & (p <= hi))
+
     def test_normals_follow_points(self):
         pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
         normals = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])

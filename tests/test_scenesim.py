@@ -37,6 +37,7 @@ from rockstack.scenesim import (
     scene_to_json_dict,
     superellipse_unit_area,
 )
+from rockstack.scenesim import _camera_frame_dirs, _finish_depth_noise, _pixel_dirs
 from rockstack.shapes import Superellipsoid
 
 
@@ -227,6 +228,63 @@ class TestRenderDepth:
             expect = np.where(np.isfinite(window), noisy, 0).astype(np.uint16)
             expect[ref.random(window.shape) < 0.2] = 0
             np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("sigma", [0.0, 3.0])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3, 1.0])
+    def test_batched_finish_matches_per_window_noise(self, sigma, dropout):
+        # the pose-bench layout: per sample, each window's draws from one
+        # stream side by side in a row, then one finishing pass over all rows
+        rng = np.random.default_rng(17)
+        windows = []
+        for h, w in ((5, 5), (7, 7), (3, 4), (0, 7), (1, 1), (7, 6)):
+            window = rng.uniform(-20.0, 70_000.0, (h, w))
+            specials = rng.random((h, w))
+            window[specials < 0.1] = np.inf
+            window[(specials >= 0.1) & (specials < 0.15)] = np.nan
+            window[(specials >= 0.15) & (specials < 0.2)] = -np.inf
+            window[(specials >= 0.2) & (specials < 0.3)] = rng.uniform(-4.0, 0.4)  # clips to 0
+            window[(specials >= 0.3) & (specials < 0.4)] = rng.uniform(65_534.6, 65_540.0)
+            windows.append(window)
+        sensor = SensorModel(depth_sigma=sigma, dropout_rate=dropout)
+        n_samples = 9
+        sizes = np.cumsum([0] + [win.size for win in windows])
+        normal = np.empty((n_samples, sizes[-1])) if sigma > 0 else None
+        uniform = np.empty((n_samples, sizes[-1])) if dropout > 0 else None
+        expected = []
+        for k in range(n_samples):
+            ref = np.random.default_rng(1000 + k)
+            expected.append(
+                np.concatenate([apply_depth_noise(win, sensor, ref).ravel() for win in windows])
+            )
+            draw = np.random.default_rng(1000 + k)
+            for a, b in zip(sizes[:-1], sizes[1:]):
+                if normal is not None:
+                    normal[k, a:b] = draw.normal(0.0, sigma, b - a)
+                if uniform is not None:
+                    uniform[k, a:b] = draw.random(b - a)
+        flat = np.concatenate([win.ravel() for win in windows])
+        clean = np.broadcast_to(flat, (n_samples, sizes[-1]))
+        got = _finish_depth_noise(clean, sensor, normal, uniform)
+        assert got.dtype == np.uint16
+        np.testing.assert_array_equal(got, np.stack(expected))
+        if dropout == 1.0:
+            assert not got.any()
+        else:
+            assert got.max() == 65535 and (got == 0).any()
+
+    def test_pixel_grid_is_cached_and_read_only(self):
+        intr = CameraIntrinsics(fx=270, fy=280, cx=150.5, cy=101, width=300, height=200)
+        pose = camera_pose_from_lookat((40.0, 300.0, 600.0), (0.0, 520.0, 0.0))
+        first, second = _pixel_dirs(intr, pose), _pixel_dirs(intr, pose)
+        assert first.tobytes() == second.tobytes()
+        uu, vv = np.meshgrid(np.arange(300.0), np.arange(200.0))
+        grid = np.stack([(uu - 150.5) / 270, (vv - 101) / 280, np.ones_like(uu)], axis=-1)
+        assert first.tobytes() == (grid.reshape(-1, 3) @ pose.rotation.T).tobytes()
+        cached = _camera_frame_dirs(intr)
+        assert cached is _camera_frame_dirs(intr)
+        assert cached.tobytes() == grid.reshape(-1, 3).tobytes()
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
 
     def test_noise_model_validation(self):
         with pytest.raises(ValidationError):

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from rockstack.errors import (
+    BehindCameraError,
     GraspMissError,
     MissingDepthError,
     MultiObjectError,
     NoContactError,
     NothingHeldError,
+    OutOfBoundsError,
     UnreachablePoseError,
     ValidationError,
 )
@@ -465,6 +467,31 @@ class TestRunAssemblyTask:
         report = run_trial(self._config("head"), 0)
         assert not report.success
         assert report.phases[0]["error_code"] == code
+
+    @pytest.mark.parametrize(
+        "error", [MissingDepthError, OutOfBoundsError, BehindCameraError, TypeError]
+    )
+    def test_only_perception_errors_fail_detect_joint(self, monkeypatch, error):
+        # the second depth read is the plug's, in detect_joint
+        import rockstack.taskexec as taskexec_mod
+
+        calls = []
+        measure = taskexec_mod._measure_point_via_depth
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error("injected")
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(taskexec_mod, "_measure_point_via_depth", second_call_fails)
+        report = run_trial(self._config("head"), 1)  # attaches when nothing is injected
+        assert len(calls) == 2 and not report.success
+        if error is TypeError:
+            assert report.phases[0]["error_code"] == "exception:TypeError"
+        else:
+            assert report.phases[-1]["phase"] == "detect_joint"
+            assert report.phases[-1]["error_code"] == "joint-not-visible"
 
     def test_determinism(self):
         cfg = self._config("leg")
