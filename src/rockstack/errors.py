@@ -51,10 +51,6 @@ class PlacementError(RockstackError):
     """Scene generator could not place objects under the clearance constraint."""
 
 
-class OutOfWorkspaceError(RockstackError):
-    """Computed pose falls outside the configured workspace box."""
-
-
 class NegativeHeightError(RockstackError):
     """Estimated object top lies below the support reference."""
 

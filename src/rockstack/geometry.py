@@ -38,7 +38,9 @@ def _tuple_value(value):
 
 
 class JsonFields:
-    """JSON codec for config dataclasses whose JSON keys are the field names.
+    """JSON codec for dataclasses whose JSON keys are the field names: the
+    config classes, and the trial and summary records (``TrialReport``
+    reads its own fields back).
 
     Tuple fields are written as (nested) lists and read back as tuples;
     fields with a float default are read through ``float``; a field with an
@@ -236,11 +238,15 @@ def rotation_angle(r: np.ndarray) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def camera_pose_from_lookat(eye, target, up_hint=(0.0, 1.0, 0.0)) -> RigidTransform:
+def camera_pose_from_lookat(eye, target) -> RigidTransform:
     """Camera-to-world pose for a camera at ``eye`` looking at ``target``.
 
-    Camera +z points at the target. For straight-down views (the common case
-    here) the image +x axis aligns with world +x.
+    Camera +z points at the target and image +x is world +y crossed with it.
+    Within about 2.6 degrees of the z axis image +x is world +x, so
+    straight-down views (the common case here) keep world +x; within about
+    2.6 degrees of the y axis, where that cross product vanishes, it is
+    world -x, the limit of the cross product for views tilted down onto
+    that axis. Both are made orthogonal to the optical axis.
     """
     eye = np.asarray(eye, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -249,14 +255,13 @@ def camera_pose_from_lookat(eye, target, up_hint=(0.0, 1.0, 0.0)) -> RigidTransf
     if n == 0:
         raise ValidationError("look-at target must differ from the eye position")
     fwd = fwd / n
-    up = np.asarray(up_hint, dtype=np.float64)
-    if abs(np.dot(fwd, (0.0, 0.0, 1.0))) > 0.999:
-        # world +x, made orthogonal to the forward axis
-        right = np.array([1.0, 0.0, 0.0]) - fwd[0] * fwd
-        right /= np.linalg.norm(right)
+    near_z = abs(np.dot(fwd, (0.0, 0.0, 1.0))) > 0.999
+    if near_z or abs(fwd[1]) > 0.999:
+        x = 1.0 if near_z else -1.0
+        right = np.array([x, 0.0, 0.0]) - x * fwd[0] * fwd
     else:
-        right = np.cross(up, fwd)
-        right /= np.linalg.norm(right)
+        right = np.cross((0.0, 1.0, 0.0), fwd)
+    right /= np.linalg.norm(right)
     down = np.cross(fwd, right)
     rot = np.column_stack([right, down, fwd])
     return RigidTransform(rot, eye)

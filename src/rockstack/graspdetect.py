@@ -65,6 +65,7 @@ from .pointcloud import (
 )
 
 _EPS = 1e-9
+_DOWN = np.array([0.0, 0.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,7 @@ class GraspCandidate:
 
     def to_json_dict(self) -> dict:
         return {
-            "rotation": [float(x) for x in self.pose.rotation.reshape(-1)],
-            "translation": [float(x) for x in self.pose.translation],
+            **self.pose.to_json_dict(),
             "grasp_width": float(self.grasp_width),
             "score": float(self.score),
             "closing_point_count": int(self.closing_point_count),
@@ -165,12 +165,8 @@ class GraspCandidate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GraspCandidate":
-        pose = RigidTransform(
-            np.asarray(data["rotation"], dtype=np.float64).reshape(3, 3),
-            np.asarray(data["translation"], dtype=np.float64),
-        )
         return cls(
-            pose=pose,
+            pose=RigidTransform.from_json_dict(data),
             grasp_width=float(data["grasp_width"]),
             score=float(data["score"]),
             closing_point_count=int(data["closing_point_count"]),
@@ -271,12 +267,16 @@ class CandidateSet:
         return (self[i] for i in range(len(self)))
 
     def select(self, cfg: GraspConfig) -> list[GraspCandidate]:
-        """``select_grasps(filter_by_approach(list(self), cfg), cfg)``,
-        building only the grasps it returns."""
+        """The grasps whose approach lies within ``cfg.cone_half_angle_deg``
+        of world -z (all of them when ``cfg.approach_filter`` is off), the
+        top ``cfg.num_selected`` by descending score, ties broken by
+        (seed, orientation) index. Only the grasps returned are built."""
         # every candidate shares the approach axis, so the cone keeps all or none
-        if not _approach_in_cone(self.rotations[0, :, 0], cfg):
-            return []
-        order = _ranking(self.score, self.seed_index, self.orientation_index)
+        if cfg.approach_filter:
+            cos_thresh = math.cos(math.radians(cfg.cone_half_angle_deg))
+            if float(self.rotations[0, :, 0] @ _DOWN) < cos_thresh - _EPS:
+                return []
+        order = np.lexsort((self.orientation_index, self.seed_index, -self.score))
         return [self[i] for i in order[: cfg.num_selected]]
 
 
@@ -490,36 +490,6 @@ def score_candidate(
     alignment = np.abs(cloud.normals[mask] @ grasp.closing_axis)
     antipodal = float(np.count_nonzero(alignment >= cos_thresh)) / count
     return antipodal * (count / expected_closing_points)
-
-
-_DOWN = np.array([0.0, 0.0, -1.0])
-
-
-def _approach_in_cone(approach: np.ndarray, cfg: GraspConfig) -> bool:
-    if not cfg.approach_filter:
-        return True
-    cos_thresh = math.cos(math.radians(cfg.cone_half_angle_deg))
-    return float(approach @ _DOWN) >= cos_thresh - _EPS
-
-
-def filter_by_approach(grasps: list[GraspCandidate], cfg: GraspConfig) -> list[GraspCandidate]:
-    """Keep candidates approaching within the cone about world -z; order kept."""
-    return [g for g in grasps if _approach_in_cone(g.approach, cfg)]
-
-
-def _ranking(score: np.ndarray, seed_index: np.ndarray, orientation_index: np.ndarray) -> np.ndarray:
-    """Indices by descending score, ties broken by (seed, orientation) index."""
-    return np.lexsort((orientation_index, seed_index, -score))
-
-
-def select_grasps(grasps: list[GraspCandidate], cfg: GraspConfig) -> list[GraspCandidate]:
-    """Top ``num_selected`` by score, ties broken by (seed, orientation) index."""
-    order = _ranking(
-        np.array([g.score for g in grasps], dtype=np.float64),
-        np.array([g.seed_index for g in grasps], dtype=np.int64),
-        np.array([g.orientation_index for g in grasps], dtype=np.int64),
-    )
-    return [grasps[i] for i in order[: cfg.num_selected]]
 
 
 def detect_grasps(

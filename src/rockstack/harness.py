@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import deproject_pixel, mask_centroid, project_point
+from .geometry import JsonFields, deproject_pixel, mask_centroid, project_point
 from .graspdetect import GraspConfig, HandGeometry, detect_grasps
 from .perception import (
     detections_from_masks,
@@ -30,7 +30,6 @@ from .perception import (
     pose_stability_stats,
     window_bounds,
 )
-from .pointcloud import Workspace, cloud_from_depth, fit_plane_ransac
 from .scenesim import (
     SceneSpec,
     SensorModel,
@@ -43,6 +42,7 @@ from .taskexec import (
     ExecParams,
     TrialReport,
     _derive_seed,
+    observe_object,
     run_assembly_task,
     run_stacking_task,
 )
@@ -145,8 +145,9 @@ DEFAULT_ASSEMBLY_CAMERA = {
 
 
 @dataclass
-class MetricsSummary:
-    """Aggregate metrics, a pure fold over the trial reports."""
+class MetricsSummary(JsonFields):
+    """Aggregate metrics, a pure fold over the trial reports; JSON keys are
+    the field names."""
 
     task: str
     trials: int
@@ -161,23 +162,6 @@ class MetricsSummary:
     sim_time_stats: dict = field(default_factory=dict)
     per_class: dict = field(default_factory=dict)
     reference_alignment_error_mm: float = REFERENCE_ALIGNMENT_MM
-
-    def to_json_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "trials": self.trials,
-            "success_rate": self.success_rate,
-            "size_sort_agreement": self.size_sort_agreement,
-            "height_rel_error_median": self.height_rel_error_median,
-            "mean_alignment_error_mm": self.mean_alignment_error_mm,
-            "grasp_success_rate": self.grasp_success_rate,
-            "joint_detection_rate": self.joint_detection_rate,
-            "attach_rate": self.attach_rate,
-            "pose_sigma_mm": self.pose_sigma_mm,
-            "sim_time_stats": self.sim_time_stats,
-            "per_class": self.per_class,
-            "reference_alignment_error_mm": self.reference_alignment_error_mm,
-        }
 
 
 def compute_metrics(reports: list[TrialReport]) -> MetricsSummary:
@@ -411,29 +395,18 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
 
 
 def _run_grasp_bench_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
-    """Detect grasps above the first rock of a seeded scene."""
-    scene = generate_scene(cfg.scene, seed)
-    rock = scene.rocks[0]
-    eye = np.array(
-        [rock.center_of_mass[0], rock.center_of_mass[1], cfg.exec_params.pregrasp_height]
-    )
-    from .geometry import camera_pose_from_lookat
-    from .scenesim import CameraSpec, render_depth
+    """Detect grasps on the first rock of a seeded scene.
 
-    cam = CameraSpec(
-        scene.hand_camera_intrinsics, camera_pose_from_lookat(eye, (eye[0], eye[1], 0.0))
+    The rock is observed by the wrist sweep the task runners use
+    (:func:`~rockstack.taskexec.observe_object`); detection runs once, with
+    no widened-cone retry, so the record measures the detector alone.
+    """
+    scene = generate_scene(cfg.scene, seed)
+    cloud, plane, ws, viewpoint = observe_object(
+        scene, scene.rocks[0].center_of_mass, cfg.sensor, cfg.exec_params, _derive_seed(seed, 10)
     )
-    depth = render_depth(scene, cam, cfg.sensor, _derive_seed(seed, 1))
-    cloud = cloud_from_depth(depth, cam.intrinsics, cam.pose, stride=1)
-    plane, _ = fit_plane_ransac(
-        cloud, iters=200, tol=4.0, seed=_derive_seed(seed, 2), max_points=2500
-    )
-    half = cfg.exec_params.crop_half_xy
-    ws = Workspace(
-        (eye[0] - half, eye[1] - half, -60.0), (eye[0] + half, eye[1] + half, 400.0)
-    )
-    grasp_cfg = replace(cfg.grasp, seed=_derive_seed(seed, 3))
-    grasps = detect_grasps(cloud, cfg.hand, grasp_cfg, plane, ws, viewpoint=eye)
+    grasp_cfg = replace(cfg.grasp, seed=_derive_seed(seed, 30))
+    grasps = detect_grasps(cloud, cfg.hand, grasp_cfg, plane, ws, viewpoint)
     report = TrialReport(
         task="grasp_bench",
         trial_seed=seed,

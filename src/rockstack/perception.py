@@ -19,7 +19,6 @@ from .errors import (
     InsufficientSamplesError,
     MissingDepthError,
     NegativeHeightError,
-    OutOfWorkspaceError,
     ValidationError,
 )
 from .geometry import (
@@ -31,10 +30,13 @@ from .geometry import (
     mask_bbox,
     mask_centroid,
 )
-from .pointcloud import Plane, Workspace
+from .pointcloud import Plane
 from .scenesim import CameraSpec, Scene, SensorModel, Terrain, degrade_mask, render_instance_masks
 
 logger = logging.getLogger(__name__)
+
+# share of a mask's highest z values whose median is the object top
+_TOP_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -58,35 +60,19 @@ class Detection:
         )
 
 
-@dataclass(frozen=True)
-class WorkspacePose:
-    """Object position in the robot frame, with measurement provenance."""
-
-    position: np.ndarray
-    camera_id: str = "base"
-    sample_index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "position", np.asarray(self.position, dtype=np.float64).reshape(3)
-        )
-
-
 def detect_objects(
     scene: Scene,
     camera: CameraSpec,
     sensor: SensorModel | None = None,
     seed: int = 0,
     labels: tuple | None = None,
-    extra_objects: list | None = None,
-    exclude_ids: set | None = None,
 ) -> list[Detection]:
     """Oracle detector: exact rendered masks, optionally sensor-degraded.
 
     Stands in for a trained segmentation network; emits the same records a
     live detector would.
     """
-    masks = render_instance_masks(scene, camera, extra_objects, exclude_ids)
+    masks = render_instance_masks(scene, camera)
     return detections_from_masks(masks, sensor, seed, labels)
 
 
@@ -182,22 +168,15 @@ def object_workspace_pose(
     depth: np.ndarray,
     intr: CameraIntrinsics,
     cam_to_robot: RigidTransform,
-    workspace: Workspace | None = None,
-    camera_id: str = "base",
-    sample_index: int = 0,
-) -> WorkspacePose:
-    """Mask centroid -> median window depth -> deproject -> robot frame."""
+) -> np.ndarray:
+    """Mask centroid -> median window depth -> deproject -> robot frame.
+
+    Returns the ``(3,)`` position in the robot frame, mm."""
     if mask_area(detection.mask) == 0:
         raise EmptyMaskError("cannot locate an empty detection")
     cu, cv = mask_centroid(detection.mask)
     d = median_window_depth(depth, cu, cv)
-    cam_pt = deproject_pixel(intr, cu, cv, d)
-    position = cam_to_robot.apply(cam_pt)
-    if workspace is not None and not bool(workspace.contains(position)):
-        raise OutOfWorkspaceError(
-            f"pose {np.round(position, 1)} outside workspace box"
-        )
-    return WorkspacePose(position=position, camera_id=camera_id, sample_index=sample_index)
+    return cam_to_robot.apply(deproject_pixel(intr, cu, cv, d))
 
 
 def estimate_height(
@@ -206,11 +185,10 @@ def estimate_height(
     intr: CameraIntrinsics,
     cam_to_robot: RigidTransform,
     support,
-    top_fraction: float = 0.05,
 ) -> float:
     """Object top minus the support surface under its centroid, mm.
 
-    The top is a robust maximum: the median of the highest ``top_fraction``
+    The top is a robust maximum: the median of the highest 5% (at least 5)
     of the mask's deprojected z values, which keeps depth speckle from
     inflating the estimate. ``support`` may be a Plane, a Terrain, or a
     plain z value.
@@ -225,7 +203,7 @@ def estimate_height(
         raise MissingDepthError("no valid depth under the detection mask")
     pts = deproject_pixel(intr, us[valid], vs[valid], ds[valid])
     z = cam_to_robot.apply(pts)[:, 2]
-    k = max(5, int(round(top_fraction * z.size)))
+    k = max(5, int(round(_TOP_FRACTION * z.size)))
     k = min(k, z.size)
     top = float(np.median(np.sort(z)[-k:]))
 

@@ -728,13 +728,11 @@ def render_scene_geometry(
     scene: Scene,
     camera: CameraSpec,
     extra_objects: list | None = None,
-    exclude_ids: set | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-pixel depth (mm, float, inf = miss) and owning instance ids.
 
     ``extra_objects`` lets callers inject transient geometry such as gripper
-    fingers (negative instance ids by convention); ``exclude_ids`` hides
-    scene objects from the render.
+    fingers (negative instance ids by convention).
     """
     intr = camera.intrinsics
     origin = camera.pose.translation
@@ -743,8 +741,6 @@ def render_scene_geometry(
     ids = np.where(np.isfinite(depth), TERRAIN_ID, MISS_ID).astype(np.int32)
     objects = scene.objects() + list(extra_objects or [])
     for obj in objects:
-        if exclude_ids and obj.instance_id in exclude_ids:
-            continue
         rows = _object_pixel_rows(obj, intr, camera.pose)
         if rows is None:
             continue
@@ -807,25 +803,18 @@ def render_depth(
     sensor: SensorModel,
     seed: int,
     extra_objects: list | None = None,
-    exclude_ids: set | None = None,
 ) -> np.ndarray:
     """Synthetic uint16 depth image in mm (0 = missing), seed-deterministic."""
-    depth, _ = render_scene_geometry(scene, camera, extra_objects, exclude_ids)
+    depth, _ = render_scene_geometry(scene, camera, extra_objects)
     return apply_depth_noise(depth, sensor, seed)
 
 
-def render_instance_masks(
-    scene: Scene,
-    camera: CameraSpec,
-    extra_objects: list | None = None,
-    exclude_ids: set | None = None,
-) -> list[InstanceMask]:
+def render_instance_masks(scene: Scene, camera: CameraSpec) -> list[InstanceMask]:
     """Oracle masks: a pixel belongs to the object nearest along its ray.
 
     Masks are mutually disjoint; fully occluded objects produce no mask.
-    Transient geometry (negative ids) occludes but is never listed.
     """
-    _, ids = render_scene_geometry(scene, camera, extra_objects, exclude_ids)
+    _, ids = render_scene_geometry(scene, camera)
     return instance_masks(scene, ids)
 
 

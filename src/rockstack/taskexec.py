@@ -447,8 +447,9 @@ def place_on_stack(
 
 
 @dataclass
-class TrialReport:
-    """Structured per-trial record; everything in it is seed-deterministic."""
+class TrialReport(JsonFields):
+    """Structured per-trial record; everything in it is seed-deterministic.
+    JSON keys are the field names."""
 
     task: str
     trial_seed: int
@@ -457,17 +458,6 @@ class TrialReport:
     rocks: list = field(default_factory=list)
     parts: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "trial_seed": self.trial_seed,
-            "success": self.success,
-            "phases": self.phases,
-            "rocks": self.rocks,
-            "parts": self.parts,
-            "metrics": self.metrics,
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrialReport":
@@ -512,6 +502,43 @@ def _phase(phases: list, name: str, clock_start: float, clock: _Clock, outcome: 
     )
 
 
+def observe_object(
+    scene: Scene,
+    xy: np.ndarray,
+    sensor: SensorModel,
+    params: ExecParams,
+    seed: int,
+) -> tuple[PointCloud, Plane, Workspace, tuple]:
+    """Eye-in-hand observation of the object at ``xy`` from two oblique wrist
+    poses.
+
+    A single straight-down view contains almost no side-wall points on squat
+    objects, which starves the antipodal score; sweeping the wrist camera
+    across the object (as an angled wrist mount does) fills the walls in.
+    Returns the merged cloud, its support-plane fit, the crop box around
+    the object and the viewpoint for orienting normals: the arguments
+    :func:`~rockstack.graspdetect.detect_grasps` takes after the hand and
+    config.
+    """
+    cx, cy = float(xy[0]), float(xy[1])
+    height = params.pregrasp_height - 20.0
+    pts = []
+    for i, dx in enumerate((-120.0, 120.0)):
+        cam = CameraSpec(
+            scene.hand_camera_intrinsics,
+            camera_pose_from_lookat((cx + dx, cy, height), (cx, cy, 0.0)),
+        )
+        depth = render_depth(scene, cam, sensor, _derive_seed(seed, 200 + i))
+        pts.append(cloud_from_depth(depth, cam.intrinsics, cam.pose, stride=1).points)
+    cloud = PointCloud(np.concatenate(pts), frame="robot")
+    plane, _ = fit_plane_ransac(
+        cloud, iters=200, tol=4.0, seed=_derive_seed(seed, 210), max_points=2500
+    )
+    half = params.crop_half_xy
+    ws = Workspace((cx - half, cy - half, -60.0), (cx + half, cy + half, 400.0))
+    return cloud, plane, ws, (cx, cy, params.pregrasp_height)
+
+
 def _observe_and_detect(
     scene: Scene,
     xy: np.ndarray,
@@ -522,33 +549,13 @@ def _observe_and_detect(
     observe_seed: int,
     grasp_seed: int,
 ) -> tuple[list[GraspCandidate], Plane]:
-    """Eye-in-hand observation of the object at ``xy`` from two oblique wrist
-    poses, then grasp detection in a box around it.
+    """:func:`observe_object`, then grasp detection in its crop box.
 
-    A single straight-down view contains almost no side-wall points on squat
-    objects, which starves the antipodal score; sweeping the wrist camera
-    across the object (as an angled wrist mount does) fills the walls in.
-    When no grasp passes the approach cone, detection runs once more with the
-    cone opened to 90 degrees. Returns the grasps and the local support-plane
-    fit.
+    When no grasp passes the approach cone, detection runs once more with
+    the cone opened to 90 degrees. Returns the grasps and the local
+    support-plane fit.
     """
-    cx, cy = float(xy[0]), float(xy[1])
-    height = params.pregrasp_height - 20.0
-    pts = []
-    for i, dx in enumerate((-120.0, 120.0)):
-        cam = CameraSpec(
-            scene.hand_camera_intrinsics,
-            camera_pose_from_lookat((cx + dx, cy, height), (cx, cy, 0.0)),
-        )
-        depth = render_depth(scene, cam, sensor, _derive_seed(observe_seed, 200 + i))
-        pts.append(cloud_from_depth(depth, cam.intrinsics, cam.pose, stride=1).points)
-    cloud = PointCloud(np.concatenate(pts), frame="robot")
-    plane, _ = fit_plane_ransac(
-        cloud, iters=200, tol=4.0, seed=_derive_seed(observe_seed, 210), max_points=2500
-    )
-    half = params.crop_half_xy
-    ws = Workspace((cx - half, cy - half, -60.0), (cx + half, cy + half, 400.0))
-    viewpoint = (cx, cy, params.pregrasp_height)
+    cloud, plane, ws, viewpoint = observe_object(scene, xy, sensor, params, observe_seed)
     cfg = replace(grasp_cfg, seed=grasp_seed)
     grasps = detect_grasps(cloud, hand, cfg, plane, ws, viewpoint)
     if not grasps:
@@ -642,7 +649,7 @@ def run_stacking_task(
         }
         try:
             t0 = clock.total
-            pose = object_workspace_pose(
+            position = object_workspace_pose(
                 det, depth_base, scene.base_camera.intrinsics, scene.base_camera.pose
             )
             support_ref = scene.terrain if params.support_from_terrain else plane
@@ -660,7 +667,7 @@ def run_stacking_task(
             # pre-grasp above the measured pose, then sweep the wrist camera
             t0 = clock.total
             pre = TOP_DOWN.with_translation(
-                (pose.position[0], pose.position[1], params.pregrasp_height)
+                (position[0], position[1], params.pregrasp_height)
             )
             clock.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
             arm = move_to(arm, pre, scene)
@@ -668,7 +675,7 @@ def run_stacking_task(
 
             grasps, local_plane = _observe_and_detect(
                 scene,
-                pose.position,
+                position,
                 hand,
                 grasp_cfg,
                 sensor,
@@ -856,7 +863,7 @@ def run_assembly_task(
         return fail("get_pose", t0, "pose-detect-fail")
     det = dets[0]
     try:
-        part_pose_meas = object_workspace_pose(
+        part_pos_meas = object_workspace_pose(
             det, depth_base, scene.base_camera.intrinsics, scene.base_camera.pose
         )
         socket_true = body.attachment_world(socket_name)
@@ -871,7 +878,7 @@ def run_assembly_task(
     # -- grasp
     t0 = clock.total
     pre = TOP_DOWN.with_translation(
-        (part_pose_meas.position[0], part_pose_meas.position[1], params.pregrasp_height)
+        (part_pos_meas[0], part_pos_meas[1], params.pregrasp_height)
     )
     clock.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
     try:
@@ -879,7 +886,7 @@ def run_assembly_task(
         clock.move(240.0)  # observation sweep
         grasps, _ = _observe_and_detect(
             scene,
-            part_pose_meas.position,
+            part_pos_meas,
             hand,
             grasp_cfg,
             sensor,

@@ -165,12 +165,18 @@ def reference_candidates(cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig
     return out
 
 
-def reference_select(grasps: list[GraspCandidate], cfg: GraspConfig) -> list[GraspCandidate]:
-    """Approach-cone filter, then the top ``num_selected`` by a Python sort."""
-    if cfg.approach_filter:
-        cos_thresh = math.cos(math.radians(cfg.cone_half_angle_deg))
-        down = np.array([0.0, 0.0, -1.0])
-        grasps = [g for g in grasps if float(g.approach @ down) >= cos_thresh - _EPS]
+def filter_by_approach(grasps: list[GraspCandidate], cfg: GraspConfig) -> list[GraspCandidate]:
+    """Keep candidates approaching within the cone about world -z; order kept."""
+    if not cfg.approach_filter:
+        return list(grasps)
+    cos_thresh = math.cos(math.radians(cfg.cone_half_angle_deg))
+    down = np.array([0.0, 0.0, -1.0])
+    return [g for g in grasps if float(g.approach @ down) >= cos_thresh - _EPS]
+
+
+def select_grasps(grasps: list[GraspCandidate], cfg: GraspConfig) -> list[GraspCandidate]:
+    """Top ``num_selected`` by a Python sort: descending score, ties broken
+    by (seed, orientation) index."""
     ranked = sorted(grasps, key=lambda g: (-g.score, g.seed_index, g.orientation_index))
     return ranked[: cfg.num_selected]
 
@@ -204,4 +210,4 @@ def reference_detect(
     work = preprocess(cloud, cfg, plane, workspace, viewpoint)
     if work is None:
         return []
-    return reference_select(reference_candidates(work, hand, cfg), cfg)
+    return select_grasps(filter_by_approach(reference_candidates(work, hand, cfg), cfg), cfg)

@@ -70,8 +70,7 @@ def oracle_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport
         for label, kind, u, v, win, payload in probes:
             try:
                 if kind == "detection":
-                    pose = object_workspace_pose(payload, depth_k, camera.intrinsics, camera.pose)
-                    pos = pose.position
+                    pos = object_workspace_pose(payload, depth_k, camera.intrinsics, camera.pose)
                 else:
                     pos = _measure_point_via_depth(payload, depth_k, camera, window=win)
             except Exception:

@@ -227,6 +227,20 @@ class TestLookAt:
             straight_down = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
             assert r.tobytes() == straight_down.tobytes()
 
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_level_views_along_y(self, direction):
+        """World +y crossed with a level optical axis along +-y vanishes; the
+        image x axis is then world -x, where the generic branch heads for
+        views tilted down onto that axis (3 degrees down takes that branch)."""
+        eye = np.array([0.0, 500.0, 600.0])
+        ahead = np.array([0.0, 4500.0 * direction, 0.0])
+        level = camera_pose_from_lookat(eye, eye + ahead).rotation
+        np.testing.assert_allclose(level.T @ level, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(level[:, 2], [0.0, direction, 0.0], atol=1e-15)
+        drop = np.array([0.0, 0.0, -4500.0 * math.tan(math.radians(3.0))])
+        tilted = camera_pose_from_lookat(eye, eye + ahead + drop).rotation
+        np.testing.assert_allclose(level, tilted, rtol=0.0, atol=0.06)
+
     def test_degenerate_lookat_rejected(self):
         with pytest.raises(ValidationError):
             camera_pose_from_lookat((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))

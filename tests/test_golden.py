@@ -59,7 +59,7 @@ GOLDEN = {
     "stack_sigma0": "790cb3490d9c09d1bece915cfecc1cc5a364115857c162d8dc73385dc8246e0f",
     "assemble_head": "6b0930068a1b3c20581858714db5070db310536616a668c508ff49a3a7631add",
     "assemble_leg": "de2e2c4f2fbdbb7f280ea95add7972185ce9c567541bbfe3ecc490d6cfd0bebc",
-    "grasp_bench": "133a6f833a3eca112a83f50f9392221ec2ca3f8e0933f254d82ad70dcb5d60e3",
+    "grasp_bench": "6a1db2fd44e162af05ae1b1f97a8942289eced9e22720217d87f86a280d5086f",
     "pose_stability": "dcd50043f2cc0dc14ba6d316fd1d279ed2664cf92f1d1ced6562b009ef51565f",
 }
 

@@ -19,18 +19,17 @@ from rockstack import graspdetect
 from rockstack.errors import EmptyCloudError
 from rockstack.geometry import RigidTransform
 from rockstack.graspdetect import (
+    CandidateSet,
     GraspCandidate,
     GraspConfig,
     HandGeometry,
     closing_region_mask,
     detect_grasps,
-    filter_by_approach,
     generate_candidates,
     load_grasps_json,
     sample_seeds,
     save_grasps_json,
     score_candidate,
-    select_grasps,
 )
 from rockstack.pointcloud import (
     Plane,
@@ -43,11 +42,13 @@ from rockstack.shapes import Superellipsoid
 
 from conftest import box_cloud
 from grasp_oracle import (
+    filter_by_approach,
     finger_volumes_mask,
     preprocess,
     reference_candidates,
     reference_detect,
     rock_scene_cloud,
+    select_grasps,
 )
 
 
@@ -229,77 +230,74 @@ class TestScoreCandidate:
         assert score == pytest.approx(expected)
 
 
-class TestFilters:
-    def _grasp_with_approach(self, approach) -> GraspCandidate:
-        approach = np.asarray(approach, dtype=float)
-        approach /= np.linalg.norm(approach)
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(approach @ ref) > 0.9:
-            ref = np.array([0.0, 1.0, 0.0])
-        closing = np.cross(approach, ref)
-        closing /= np.linalg.norm(closing)
-        pose = RigidTransform(
-            np.column_stack([approach, closing, np.cross(approach, closing)]), np.zeros(3)
-        )
-        return GraspCandidate(pose=pose, grasp_width=10.0, score=1.0, closing_point_count=20)
+def _candidate_set(scores, seed_index, orientation_index, approach=(0.0, 0.0, -1.0)) -> CandidateSet:
+    """Candidates at the origin; every orientation shares ``approach``."""
+    a = np.asarray(approach, dtype=float)
+    a /= np.linalg.norm(a)
+    ref = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    c = np.cross(a, ref)
+    c /= np.linalg.norm(c)
+    rotation = RigidTransform(np.column_stack([a, c, np.cross(a, c)]), np.zeros(3)).rotation
+    n = len(scores)
+    return CandidateSet(
+        rotations=np.repeat(rotation[None], max(orientation_index) + 1, axis=0),
+        origin=np.zeros((n, 3)),
+        grasp_width=np.full(n, 10.0),
+        score=np.asarray(scores, dtype=float),
+        closing_point_count=np.full(n, 20),
+        seed_index=np.asarray(seed_index),
+        orientation_index=np.asarray(orientation_index),
+    )
 
+
+def _keys(grasps) -> list[tuple]:
+    return [(g.score, g.seed_index, g.orientation_index) for g in grasps]
+
+
+class TestFilters:
     def test_straight_down_retained(self):
-        g = self._grasp_with_approach([0.0, 0.0, -1.0])
-        assert filter_by_approach([g], GraspConfig()) == [g]
+        assert len(_candidate_set([1.0], [0], [0]).select(GraspConfig())) == 1
 
     def test_straight_up_removed(self):
-        g = self._grasp_with_approach([0.0, 0.0, 1.0])
-        assert filter_by_approach([g], GraspConfig(cone_half_angle_deg=45.0)) == []
+        up = _candidate_set([1.0], [0], [0], approach=(0.0, 0.0, 1.0))
+        assert up.select(GraspConfig(cone_half_angle_deg=45.0)) == []
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
-        grasps = [self._grasp_with_approach(rng.normal(size=3)) for _ in range(200)]
         cfg = GraspConfig(cone_half_angle_deg=30.0)
-        got = filter_by_approach(grasps, cfg)
-        brute = [
-            g
-            for g in grasps
-            if math.degrees(math.acos(np.clip(g.approach @ [0, 0, -1], -1, 1))) <= 30.0 + 1e-9
-        ]
-        assert got == brute
+        for _ in range(200):
+            cands = _candidate_set([1.0], [0], [0], approach=rng.normal(size=3))
+            (g,) = list(cands)
+            angle = math.degrees(math.acos(np.clip(g.approach @ [0, 0, -1], -1, 1)))
+            assert len(cands.select(cfg)) == int(angle <= 30.0 + 1e-9)
+            assert _keys(cands.select(cfg)) == _keys(filter_by_approach([g], cfg))
 
     def test_disabled_filter_passes_all(self):
-        g = self._grasp_with_approach([0.0, 0.0, 1.0])
-        cfg = GraspConfig(approach_filter=False)
-        assert filter_by_approach([g], cfg) == [g]
+        up = _candidate_set([1.0], [0], [0], approach=(0.0, 0.0, 1.0))
+        assert len(up.select(GraspConfig(approach_filter=False))) == 1
 
 
 class TestSelection:
-    @staticmethod
-    def _fake(score, seed_index, orient) -> GraspCandidate:
-        return GraspCandidate(
-            pose=RigidTransform.identity(),
-            grasp_width=10.0,
-            score=score,
-            closing_point_count=20,
-            seed_index=seed_index,
-            orientation_index=orient,
-        )
-
     def test_fewer_than_limit_all_returned_sorted(self):
-        grasps = [self._fake(s, i, 0) for i, s in enumerate([0.2, 0.9, 0.5, 0.1, 0.7])]
-        out = select_grasps(grasps, GraspConfig(num_selected=20))
+        cands = _candidate_set([0.2, 0.9, 0.5, 0.1, 0.7], range(5), [0] * 5)
+        out = cands.select(GraspConfig(num_selected=20))
         assert [g.score for g in out] == [0.9, 0.7, 0.5, 0.2, 0.1]
 
     def test_tie_break_deterministic(self):
-        grasps = [self._fake(0.5, 2, 1), self._fake(0.5, 1, 3), self._fake(0.5, 1, 0)]
-        out = select_grasps(grasps, GraspConfig(num_selected=2))
+        cands = _candidate_set([0.5, 0.5, 0.5], [2, 1, 1], [1, 3, 0])
+        out = cands.select(GraspConfig(num_selected=2))
         assert [(g.seed_index, g.orientation_index) for g in out] == [(1, 0), (1, 3)]
 
     def test_matches_brute_force_sort(self):
         rng = np.random.default_rng(7)
-        grasps = [
-            self._fake(float(rng.random()), int(rng.integers(0, 50)), int(rng.integers(0, 5)))
-            for _ in range(200)
-        ]
-        out = select_grasps(grasps, GraspConfig(num_selected=20))
-        brute = sorted(grasps, key=lambda g: (-g.score, g.seed_index, g.orientation_index))[:20]
-        assert out == brute
+        cands = _candidate_set(
+            rng.random(200), rng.integers(0, 50, 200), rng.integers(0, 5, 200)
+        )
+        cfg = GraspConfig(num_selected=20)
+        out = cands.select(cfg)
+        brute = sorted(_keys(cands), key=lambda k: (-k[0], k[1], k[2]))[:20]
+        assert _keys(out) == brute
+        assert _keys(out) == _keys(select_grasps(filter_by_approach(list(cands), cfg), cfg))
         assert len(out) == 20
 
 

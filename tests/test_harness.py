@@ -25,8 +25,8 @@ from rockstack.harness import (
     run_trial,
     summary_to_csv,
 )
-from rockstack.scenesim import SceneSpec, SensorModel
-from rockstack.taskexec import ExecParams, TrialReport
+from rockstack.scenesim import SceneSpec, SensorModel, generate_scene
+from rockstack.taskexec import ExecParams, TrialReport, _derive_seed, observe_object
 
 from conftest import tree_hash
 from pose_oracle import oracle_pose_stability_trial
@@ -366,6 +366,16 @@ class TestRunExperiment:
         report = run_trial(cfg, 0)
         assert report.metrics["n_grasps"] >= 1
         assert report.success
+        # the rock is observed by the task runners' two-view wrist sweep
+        scene = generate_scene(cfg.scene, cfg.base_seed)
+        cloud, _, _, _ = observe_object(
+            scene,
+            scene.rocks[0].center_of_mass,
+            cfg.sensor,
+            cfg.exec_params,
+            _derive_seed(cfg.base_seed, 10),
+        )
+        assert report.metrics["cloud_points"] == len(cloud)
 
 
 def _pose_cfg(samples: int = 60, sensor: dict | None = None, scene: dict | None = None):

@@ -1,0 +1,94 @@
+"""Source-layout checks on ``src/rockstack``, read from the syntax tree alone.
+
+* Every imported name is used. A deletion that leaves an import behind
+  fails here.
+* A module imports no private (``_name``) name from another library module,
+  except the pairs in ``PRIVATE_IMPORTS``. Such an import ties a module to
+  another's internals; each listed pair is a known debt, and the list must
+  shrink as it is paid, so a pair that no longer occurs fails too.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rockstack"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# (importing module, private name) pairs that are allowed
+PRIVATE_IMPORTS = {
+    ("harness", "_finish_depth_noise"),
+    ("harness", "_derive_seed"),
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    return [(a.asname or a.name).split(".")[0] for a in node.names]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.extend(_bound_names(node))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return sorted(name for name in imported if name not in used)
+
+
+def private_imports(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").startswith("rockstack")
+        if internal:
+            found |= {(module, a.name) for a in node.names if a.name.startswith("_")}
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert unused_imports(_tree(path)) == []
+
+
+def test_private_imports_across_modules_are_listed():
+    found = set()
+    for path in MODULES:
+        found |= private_imports(path.stem, _tree(path))
+    assert sorted(found) == sorted(PRIVATE_IMPORTS)
+
+
+class TestTheChecks:
+    def test_unused_import_found(self):
+        tree = ast.parse(
+            "from __future__ import annotations\n"
+            "import numpy as np\nimport os.path\nfrom .a import b, c as d\n"
+            "__all__ = ['b']\nx = np.zeros(1)\n"
+        )
+        assert unused_imports(tree) == ["d", "os"]
+
+    def test_private_import_found(self):
+        tree = ast.parse(
+            "from .scenesim import _x, y\nfrom rockstack.a import _z\nfrom numpy import _w\n"
+            "def f():\n    from .b import _v\n"
+        )
+        assert private_imports("m", tree) == {("m", "_x"), ("m", "_z"), ("m", "_v")}

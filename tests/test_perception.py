@@ -18,7 +18,6 @@ from rockstack.errors import (
     InsufficientSamplesError,
     MissingDepthError,
     NegativeHeightError,
-    OutOfWorkspaceError,
     ValidationError,
 )
 from rockstack.geometry import (
@@ -31,7 +30,6 @@ from rockstack.geometry import (
 )
 from rockstack.perception import (
     Detection,
-    WorkspacePose,
     detect_objects,
     detection_from_json_dict,
     detection_to_json_dict,
@@ -43,7 +41,7 @@ from rockstack.perception import (
     sort_by_mask_area,
     window_bounds,
 )
-from rockstack.pointcloud import Plane, Workspace
+from rockstack.pointcloud import Plane
 from rockstack.scenesim import (
     CameraSpec,
     RockModel,
@@ -189,8 +187,8 @@ class TestObjectWorkspacePose:
         bm = np.zeros((480, 640), dtype=bool)
         bm[238:243, 318:323] = True  # centroid exactly at the principal point
         det = Detection.from_mask(InstanceMask(bm))
-        pose = object_workspace_pose(det, depth, intr, RigidTransform.identity())
-        np.testing.assert_allclose(pose.position, [0.0, 0.0, 500.0])
+        position = object_workspace_pose(det, depth, intr, RigidTransform.identity())
+        np.testing.assert_allclose(position, [0.0, 0.0, 500.0])
 
     def test_scene_truth_within_3mm(self):
         rock = RockModel(
@@ -201,7 +199,7 @@ class TestObjectWorkspacePose:
         scene = overhead_scene(rock)
         depth = render_depth(scene, scene.base_camera, SensorModel(), seed=0)
         det = detect_objects(scene, scene.base_camera)[0]
-        pose = object_workspace_pose(
+        position = object_workspace_pose(
             det, depth, scene.base_camera.intrinsics, scene.base_camera.pose
         )
         # oracle: centroid of the visible surface from the exact geometric render
@@ -212,7 +210,7 @@ class TestObjectWorkspacePose:
         )
         visible = scene.base_camera.pose.apply(cam_pts)
         top_centroid = visible.mean(axis=0)
-        assert np.linalg.norm(pose.position[:2] - top_centroid[:2]) < 3.0
+        assert np.linalg.norm(position[:2] - top_centroid[:2]) < 3.0
 
     def test_all_dropout_under_mask_raises(self):
         intr = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
@@ -222,16 +220,6 @@ class TestObjectWorkspacePose:
         det = Detection.from_mask(InstanceMask(bm))
         with pytest.raises(MissingDepthError):
             object_workspace_pose(det, depth, intr, RigidTransform.identity())
-
-    def test_out_of_workspace_rejected(self):
-        intr = CameraIntrinsics(fx=600, fy=600, cx=320, cy=240, width=640, height=480)
-        depth = np.full((480, 640), 900, dtype=np.uint16)
-        bm = np.zeros((480, 640), dtype=bool)
-        bm[230:250, 310:330] = True
-        det = Detection.from_mask(InstanceMask(bm))
-        ws = Workspace((-10, -10, 0), (10, 10, 100))
-        with pytest.raises(OutOfWorkspaceError):
-            object_workspace_pose(det, depth, intr, RigidTransform.identity(), workspace=ws)
 
 
 class TestEstimateHeight:
@@ -277,9 +265,9 @@ class TestEstimateHeight:
         assert h == pytest.approx(60.0, abs=2.0)
 
 
-def _stats_of_poses(samples: list[WorkspacePose]) -> tuple[float, float, float]:
-    """Reference: the statistics over a list of poses, stacked one by one."""
-    arr = np.stack([s.position for s in samples])
+def _stats_of_poses(samples: list[np.ndarray]) -> tuple[float, float, float]:
+    """Reference: the statistics over a list of positions, stacked one by one."""
+    arr = np.stack(samples)
     sigma = arr.std(axis=0, ddof=1)
     sigma[np.all(arr == arr[0], axis=0)] = 0.0
     return float(sigma[0]), float(sigma[1]), float(sigma[2])
@@ -301,9 +289,8 @@ class TestPoseStabilityStats:
         rng = np.random.default_rng(n)
         positions = rng.normal((100.0, -40.0, 250.0), 2.0, size=(n, 3))
         positions[:, 1] = 0.1  # constant; float std leaves ~1e-17 for some n
-        poses = [WorkspacePose(p, sample_index=i) for i, p in enumerate(positions)]
         got = pose_stability_stats(positions)
-        assert got == _stats_of_poses(poses)
+        assert got == _stats_of_poses(list(positions))
         assert got[1] == 0.0
 
     def test_insufficient_samples(self):
