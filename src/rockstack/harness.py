@@ -14,7 +14,9 @@ import csv
 import io
 import json
 import os
+import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,11 +33,13 @@ from .perception import (
     window_bounds,
 )
 from .scenesim import (
+    MISS_ID,
     SceneSpec,
     SensorModel,
     _finish_depth_noise,
     generate_scene,
     instance_masks,
+    object_pixels,
     render_scene_geometry,
 )
 from .taskexec import (
@@ -79,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError("trials: must be >= 1")
         if self.samples < 2:
             raise ConfigError("samples: must be >= 2")
+        if self.task == "grasp_bench" and self.scene.rock_count[0] < 1:
+            raise ConfigError("scene.rock_count: grasp_bench needs at least one rock per scene")
 
     def to_json_dict(self) -> dict:
         return {
@@ -287,9 +293,19 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     a write window two pixels wider than each probe's read window, drawing
     from ``_derive_seed(seed, 100_000 + k)``; that is distribution-identical
     to re-noising the full image. Only the noise changes from sample to
-    sample, so the scene is rendered once (the masks come from the same id
-    image as the depth) and the centroids, windows, in-image checks and
-    camera transform are computed once. The trial then runs in three steps:
+    sample, so the centroids, windows, in-image checks and camera transform
+    are computed once, and the scene is cast only where the trial reads it:
+
+    * the union of the objects' footprints
+      (:func:`~rockstack.scenesim.object_pixels`), which holds every pixel
+      that can take an object id, so the masks built from it equal those of
+      a whole-image render;
+    * then the write-window pixels outside that union, where only terrain
+      can be hit.
+
+    Both are cast by :func:`~rockstack.scenesim.render_scene_geometry`,
+    whose pixel subsets are bit-equal to the whole image. The trial then
+    runs in three steps:
 
     1. *Draw.* Per sample, for each write window in probe order, the
        ``normal`` and then (with dropout) the ``random`` draws of
@@ -311,7 +327,13 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     scene = generate_scene(cfg.scene, seed)
     camera = scene.base_camera
     intr = camera.intrinsics
-    depth_float, ids = render_scene_geometry(scene, camera)
+    shape = (intr.height, intr.width)
+    depth_float = np.full(shape, np.nan)  # set where cast
+    ids = np.full(shape, MISS_ID, dtype=np.int32)
+    footprints = object_pixels(scene, camera)
+    depth_float.flat[footprints], ids.flat[footprints] = render_scene_geometry(
+        scene, camera, pixels=footprints
+    )
     dets = detections_from_masks(
         instance_masks(scene, ids), labels=("rock", "head", "leg", "body")
     )
@@ -327,14 +349,23 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
         u, v, _ = project_point(intr, cam_pt)
         probes.append(("body_joint", float(u), float(v), 3))
 
-    shape = depth_float.shape
+    write_bounds = [window_bounds(u, v, size + 2, shape) for _, u, v, size in probes]
+    needed = np.zeros(shape, dtype=bool)
+    for v0, v1, u0, u1 in write_bounds:
+        needed[v0:v1, u0:u1] = True
+    needed.flat[footprints] = False
+    terrain_only = np.flatnonzero(needed)
+    if terrain_only.size:
+        depth_float.flat[terrain_only], _ = render_scene_geometry(
+            scene, camera, pixels=terrain_only
+        )
+
     column = np.empty(shape, dtype=np.intp)  # stack column last written at each pixel
     writes = []  # (first, end) stack columns of each write window, in probe order
     regions = [np.empty(0)]  # the clean write windows, flattened; never empty
     width = 0
     reads = []  # (label, u, v, read window bounds) for probes inside the image
-    for label, u, v, size in probes:
-        v0, v1, u0, u1 = window_bounds(u, v, size + 2, shape)
+    for (label, u, v, size), (v0, v1, u0, u1) in zip(probes, write_bounds):
         region = depth_float[v0:v1, u0:u1]
         writes.append((width, width + region.size))
         column[v0:v1, u0:u1] = np.arange(width, width + region.size).reshape(region.shape)
@@ -426,7 +457,8 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
     """Run trial ``index`` with seed ``base_seed + index``; never raises.
 
     Unexpected exceptions become failure reports so one poisoned trial
-    cannot abort the batch.
+    cannot abort the batch. The report records the exception's type; its
+    traceback goes to stderr.
     """
     seed = cfg.base_seed + index
     try:
@@ -446,6 +478,8 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
             return _run_grasp_bench_trial(cfg, seed)
         raise ConfigError(f"task: unknown task {cfg.task!r}")
     except Exception as exc:  # crash containment: record, don't abort
+        print(f"{cfg.task} trial {index} (seed {seed}) crashed:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         report = TrialReport(
             task=cfg.task,
             trial_seed=seed,

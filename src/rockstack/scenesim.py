@@ -130,6 +130,10 @@ class Terrain:
         Off the grid the height is ``height_at``'s edge clamp: linear along
         the unclamped axis, constant in the corner regions. A descending ray
         therefore always hits, on or off the grid.
+
+        Each ray's result depends on that ray alone, through elementwise
+        arithmetic only, so a cast of any subset of the rays, in any order,
+        gives each of them the same value bit for bit.
         """
         s = np.full(dirs.shape[0], np.inf)
         # Each cell's bilinear patch h00 + bx fx + by fy + twist fx fy, over a
@@ -143,8 +147,7 @@ class Terrain:
         twist = h[1:, 1:] - h[:-1, 1:] - by
         patches = np.stack([h00.ravel(), bx.ravel(), by.ravel(), twist.ravel()])
         z_range = (float(self.heights.min()), float(self.heights.max()))
-        # each ray's result depends on that ray alone; blocks keep the
-        # temporaries of a full image small
+        # blocks keep the temporaries of a full image small
         for i in range(0, dirs.shape[0], _RAY_BLOCK):
             s[i : i + _RAY_BLOCK] = self._cast_block(
                 origin, dirs[i : i + _RAY_BLOCK], patches, z_range
@@ -698,8 +701,11 @@ def _camera_frame_dirs(intr: CameraIntrinsics) -> np.ndarray:
 
 def _pixel_dirs(intr: CameraIntrinsics, pose: RigidTransform) -> np.ndarray:
     """World-frame ray directions with unit z-component in the camera frame,
-    so the ray parameter equals depth along the optical axis."""
-    return _camera_frame_dirs(intr) @ pose.rotation.T
+    so the ray parameter equals depth along the optical axis.
+
+    The transposed rotation is copied to C order first: OpenBLAS can take a
+    far slower path for the Fortran-ordered view, with bit-equal results."""
+    return _camera_frame_dirs(intr) @ np.ascontiguousarray(pose.rotation.T)
 
 
 def _object_pixel_rows(
@@ -724,32 +730,74 @@ def _object_pixel_rows(
     return (vv * intr.width + uu).ravel()
 
 
+def object_pixels(scene: Scene, camera: CameraSpec) -> np.ndarray:
+    """Sorted flat row-major indices of the pixels whose rays can hit a
+    scene object: the union of the objects' bounding-sphere footprints.
+
+    :func:`render_scene_geometry` gives every other pixel the terrain or
+    miss id, so rendering just these pixels yields every object id."""
+    intr = camera.intrinsics
+    inside = np.zeros(intr.width * intr.height, dtype=bool)
+    for obj in scene.objects():
+        rows = _object_pixel_rows(obj, intr, camera.pose)
+        if rows is not None:
+            inside[rows] = True
+    return np.flatnonzero(inside)
+
+
 def render_scene_geometry(
     scene: Scene,
     camera: CameraSpec,
     extra_objects: list | None = None,
+    pixels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-pixel depth (mm, float, inf = miss) and owning instance ids.
+    """Exact per-pixel depth (mm, float, inf = miss) and owning instance ids,
+    as ``(height, width)`` images.
 
     ``extra_objects`` lets callers inject transient geometry such as gripper
     fingers (negative instance ids by convention).
+
+    ``pixels``, distinct flat row-major pixel indices in any order, casts
+    only those pixels and returns flat ``(depth, ids)`` in their order. Each
+    value is bit-equal to the whole-image render at that pixel: the ray
+    directions are those of the whole image, indexed; the terrain cast is
+    per-ray independent; and an object whose footprint holds a cast pixel is
+    cast on its whole footprint, as in the whole-image render, of which only
+    the cast pixels are kept.
     """
     intr = camera.intrinsics
     origin = camera.pose.translation
+    n = intr.width * intr.height
     dirs = _pixel_dirs(intr, camera.pose)
-    depth = scene.terrain.raycast_world(origin, dirs)
+    slot = np.arange(n)  # output position of each pixel, -1 if not cast
+    if pixels is not None:
+        pixels = np.asarray(pixels, dtype=np.intp)
+        if pixels.ndim != 1 or (pixels.size and not 0 <= pixels.min() <= pixels.max() < n):
+            raise ValidationError(f"pixels must be a 1-d array of flat indices in [0, {n})")
+        slot = np.full(n, -1)
+        slot[pixels] = np.arange(pixels.size)
+        if not np.array_equal(slot[pixels], np.arange(pixels.size)):
+            raise ValidationError("pixels must be distinct")
+    depth = scene.terrain.raycast_world(origin, dirs if pixels is None else dirs[pixels])
     ids = np.where(np.isfinite(depth), TERRAIN_ID, MISS_ID).astype(np.int32)
     objects = scene.objects() + list(extra_objects or [])
     for obj in objects:
         rows = _object_pixel_rows(obj, intr, camera.pose)
         if rows is None:
             continue
-        s = obj.raycast_world(origin, dirs[rows])
-        closer = s < depth[rows]
+        at = slot[rows]
+        cast = at >= 0
+        if not np.any(cast):
+            continue
+        s = obj.raycast_world(origin, dirs[rows])[cast]
+        at = at[cast]
+        closer = s < depth[at]
         if np.any(closer):
-            sub = rows[closer]
+            sub = at[closer]
             depth[sub] = s[closer]
             ids[sub] = obj.instance_id
+    if pixels is not None:
+        return depth, ids
     h, w = intr.height, intr.width
     return depth.reshape(h, w), ids.reshape(h, w)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from rockstack.errors import ConfigError, ValidationError
@@ -25,7 +26,7 @@ from rockstack.harness import (
     run_trial,
     summary_to_csv,
 )
-from rockstack.scenesim import SceneSpec, SensorModel, generate_scene
+from rockstack.scenesim import SceneSpec, SensorModel, Terrain, generate_scene, object_pixels
 from rockstack.taskexec import ExecParams, TrialReport, _derive_seed, observe_object
 
 from conftest import tree_hash
@@ -185,6 +186,14 @@ class TestConfig:
         cfg = ExperimentConfig.from_json_dict(QUICK_STACK)
         back = ExperimentConfig.from_json_dict(cfg.to_json_dict())
         assert back.to_json_dict() == cfg.to_json_dict()
+
+    @pytest.mark.parametrize("rock_count", [[0, 0], [0, 2]])
+    def test_grasp_bench_needs_a_rock_in_every_scene(self, rock_count):
+        scene = {"rock_count": rock_count, "parts": ["body", "head"]}
+        with pytest.raises(ConfigError, match="rock_count"):
+            ExperimentConfig.from_json_dict({"task": "grasp_bench", "scene": scene})
+        # other tasks still take scenes without rocks
+        ExperimentConfig.from_json_dict({"task": "pose_stability", "scene": scene})
 
     def test_assembly_defaults_fill_scene(self):
         cfg = ExperimentConfig.from_json_dict({"task": "assemble"})
@@ -503,7 +512,7 @@ class TestPoseOracleAgreement:
             assert got == _pose_json(oracle_pose_stability_trial(cfg, seed))
             assert len(json.loads(got)["metrics"]["classes"]) >= 4
 
-    def test_unexpected_error_reaches_the_crash_record(self, monkeypatch):
+    def test_unexpected_error_reaches_the_crash_record(self, monkeypatch, capsys):
         import rockstack.harness as harness_mod
 
         def broken(windows):
@@ -512,7 +521,64 @@ class TestPoseOracleAgreement:
         monkeypatch.setattr(harness_mod, "median_window_depths", broken)
         report = run_trial(_pose_cfg(sensor={"depth_sigma": 2.0}), 0)
         assert report.success is False
-        assert report.phases[0]["error_code"] == "exception:TypeError"
+        assert report.phases == [
+            {"phase": "trial", "outcome": "failed", "error_code": "exception:TypeError", "sim_time_s": 0.0}
+        ]
+        assert report.metrics == {"sim_time_s": 0.0}
+        # the traceback goes to stderr, never into the record
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pose_stability trial 0 (seed 0) crashed:" in captured.err
+        assert "Traceback (most recent call last)" in captured.err
+        assert "in broken" in captured.err
+        assert captured.err.rstrip().endswith("TypeError: injected")
+
+    def test_window_pixels_outside_the_footprints(self, monkeypatch):
+        # Shrink the footprints to the pixels that render an object id, the
+        # least set that still yields the masks: the write windows then
+        # reach past it, and those pixels must be cast before the noise.
+        import rockstack.harness as harness_mod
+        from rockstack.scenesim import render_scene_geometry
+
+        def id_pixels(scene, camera):
+            _, ids = render_scene_geometry(scene, camera)
+            return np.flatnonzero(np.isin(ids, [o.instance_id for o in scene.objects()]))
+
+        casts = []
+
+        def render(scene, camera, pixels):
+            casts.append(len(pixels))
+            return render_scene_geometry(scene, camera, pixels=pixels)
+
+        monkeypatch.setattr(harness_mod, "object_pixels", id_pixels)
+        monkeypatch.setattr(harness_mod, "render_scene_geometry", render)
+        cfg = _pose_cfg(sensor={"depth_sigma": 2.0, "dropout_rate": 0.3})
+        for seed in range(2):
+            casts.clear()
+            got = _pose_json(run_trial(cfg, seed))
+            assert got == _pose_json(oracle_pose_stability_trial(cfg, seed))
+            assert len(casts) == 2 and casts[1] > 0
+
+    def test_casts_only_footprints_and_probe_windows(self, monkeypatch):
+        # A count of terrain rays, not a timing: the trial must not fall
+        # back to casting the whole image.
+        real = Terrain.raycast_world
+        rays = []
+
+        def counted(terrain, origin, dirs):
+            rays.append(len(dirs))
+            return real(terrain, origin, dirs)
+
+        monkeypatch.setattr(Terrain, "raycast_world", counted)
+        cfg = _pose_cfg(samples=20, sensor={"depth_sigma": 2.0})
+        report = run_trial(cfg, 1)
+        assert report.success
+        scene = generate_scene(cfg.scene, 1)
+        intr = scene.base_camera.intrinsics
+        # every probe writes at most a 7x7 window: one per object and the socket
+        windows = 49 * (len(scene.objects()) + 1)
+        assert sum(rays) <= object_pixels(scene, scene.base_camera).size + windows
+        assert sum(rays) < 0.1 * intr.width * intr.height
 
 
 class TestDumpJson:

@@ -37,8 +37,20 @@ from rockstack.scenesim import (
     scene_to_json_dict,
     superellipse_unit_area,
 )
-from rockstack.scenesim import _camera_frame_dirs, _finish_depth_noise, _pixel_dirs
+from rockstack.graspdetect import HandGeometry
+from rockstack.harness import ExperimentConfig
+from rockstack.scenesim import (
+    DEFAULT_BASE_CAMERA,
+    DEFAULT_HAND_INTRINSICS,
+    _camera_frame_dirs,
+    _finish_depth_noise,
+    _pixel_dirs,
+    object_pixels,
+)
 from rockstack.shapes import Superellipsoid
+from rockstack.taskexec import GRIPPER_ID, ArmState, ExecParams, gripper_geometry
+
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def flat_terrain(z: float = 0.0) -> Terrain:
@@ -273,24 +285,109 @@ class TestRenderDepth:
             assert got.max() == 65535 and (got == 0).any()
 
     def test_pixel_grid_is_cached_and_read_only(self):
-        intr = CameraIntrinsics(fx=270, fy=280, cx=150.5, cy=101, width=300, height=200)
         pose = camera_pose_from_lookat((40.0, 300.0, 600.0), (0.0, 520.0, 0.0))
-        first, second = _pixel_dirs(intr, pose), _pixel_dirs(intr, pose)
-        assert first.tobytes() == second.tobytes()
-        uu, vv = np.meshgrid(np.arange(300.0), np.arange(200.0))
-        grid = np.stack([(uu - 150.5) / 270, (vv - 101) / 280, np.ones_like(uu)], axis=-1)
-        assert first.tobytes() == (grid.reshape(-1, 3) @ pose.rotation.T).tobytes()
-        cached = _camera_frame_dirs(intr)
-        assert cached is _camera_frame_dirs(intr)
-        assert cached.tobytes() == grid.reshape(-1, 3).tobytes()
-        with pytest.raises(ValueError):
-            cached[0, 0] = 1.0
+        rng = np.random.default_rng(11)
+        for intr in (
+            CameraIntrinsics(fx=270, fy=280, cx=150.5, cy=101, width=300, height=200),
+            CameraIntrinsics.from_json_dict(DEFAULT_BASE_CAMERA["intrinsics"]),
+            CameraIntrinsics.from_json_dict(DEFAULT_HAND_INTRINSICS),
+        ):
+            first, second = _pixel_dirs(intr, pose), _pixel_dirs(intr, pose)
+            assert first.tobytes() == second.tobytes()
+            uu, vv = np.meshgrid(np.arange(float(intr.width)), np.arange(float(intr.height)))
+            grid = np.stack(
+                [(uu - intr.cx) / intr.fx, (vv - intr.cy) / intr.fy, np.ones_like(uu)], axis=-1
+            ).reshape(-1, 3)
+            assert first.tobytes() == (grid @ pose.rotation.T).tobytes()
+            # the product with the C-ordered rotation is bit-equal to the one
+            # with the Fortran-ordered transpose, on rotations without zero
+            # entries too
+            for _ in range(8):
+                q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+                q = q * np.sign(np.diag(r))
+                q *= np.sign(np.linalg.det(q))
+                generic = RigidTransform(q, (5.0, 480.0, 700.0))
+                assert np.all(generic.rotation != 0.0)
+                assert not generic.rotation.T.flags.c_contiguous
+                assert _pixel_dirs(intr, generic).tobytes() == (grid @ generic.rotation.T).tobytes()
+            cached = _camera_frame_dirs(intr)
+            assert cached is _camera_frame_dirs(intr)
+            assert cached.tobytes() == grid.tobytes()
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
 
     def test_noise_model_validation(self):
         with pytest.raises(ValidationError):
             SensorModel(depth_sigma=-1.0)
         with pytest.raises(ValidationError):
             SensorModel(dropout_rate=1.5)
+
+
+def _golden_scenes():
+    """(scene, extra objects) for scenes of the golden stack, pose and
+    assembly configs, each also with the gripper in view."""
+    hand = HandGeometry()
+    gripper = gripper_geometry(ArmState.home(ExecParams(), hand), hand)
+    gripper.pose = gripper.pose.with_translation((30.0, 470.0, 160.0))
+    cases = []
+    for name, seed in (("stack_nominal_0", 0), ("stack_nominal_12", 12), ("pose_stability", 0),
+                       ("assemble_head", 0), ("assemble_leg", 1)):
+        scene = generate_scene(ExperimentConfig.from_json_dict(GOLDEN_CONFIGS[name]).scene, seed)
+        cases += [
+            pytest.param(scene, None, id=f"{name}-{seed}"),
+            pytest.param(scene, [gripper], id=f"{name}-{seed}-gripper"),
+        ]
+    return cases
+
+
+class TestPixelSubsetRender:
+    """A render of a pixel subset equals the whole-image render at those
+    pixels, bit for bit."""
+
+    @pytest.mark.parametrize("scene, extra", _golden_scenes())
+    def test_subsets_match_the_whole_image(self, scene, extra):
+        cam = scene.base_camera
+        depth, ids = render_scene_geometry(scene, cam, extra)
+        n = depth.size
+        if extra is not None:
+            assert GRIPPER_ID in ids
+        footprints = object_pixels(scene, cam)
+        rng = np.random.default_rng(3)
+        subsets = [
+            np.empty(0, dtype=np.intp),
+            footprints,
+            rng.choice(n, size=1, replace=False),
+            rng.choice(n, size=997, replace=False),
+            rng.choice(footprints, size=footprints.size // 3, replace=False),
+            rng.permutation(n),
+        ]
+        for pixels in subsets:
+            d, i = render_scene_geometry(scene, cam, extra, pixels=pixels)
+            assert d.shape == i.shape == pixels.shape
+            np.testing.assert_array_equal(d.view(np.int64), depth.ravel()[pixels].view(np.int64))
+            np.testing.assert_array_equal(i, ids.ravel()[pixels])
+        # no scene object's id outside the footprints
+        outside = np.ones(n, dtype=bool)
+        outside[footprints] = False
+        scene_ids = [obj.instance_id for obj in scene.objects()]
+        assert footprints.size < n
+        assert not np.isin(ids.ravel()[outside], scene_ids).any()
+        assert np.isin(ids.ravel()[footprints], scene_ids).any()
+
+    def test_footprints_are_sorted_and_distinct(self):
+        scene = generate_scene(SceneSpec(rock_count=(4, 4)), seed=2)
+        footprints = object_pixels(scene, scene.base_camera)
+        assert footprints.size and np.all(np.diff(footprints) > 0)
+
+    @pytest.mark.parametrize(
+        "pixels",
+        [[3, 5, 3], [-1, 4], [0, 320 * 240], [[0, 1], [2, 3]]],
+        ids=["repeated", "negative", "past-the-end", "2-d"],
+    )
+    def test_bad_pixel_sets_rejected(self, pixels):
+        scene = single_rock_scene(Superellipsoid(20, 20, 15), (0.0, 500.0, 15.0))
+        with pytest.raises(ValidationError, match="pixels"):
+            render_scene_geometry(scene, scene.base_camera, pixels=np.array(pixels))
 
 
 class TestInstanceMasks:
