@@ -45,7 +45,7 @@ from .scenesim import (
 from .taskexec import (
     ExecParams,
     TrialReport,
-    _derive_seed,
+    derive_seed,
     observe_object,
     run_assembly_task,
     run_stacking_task,
@@ -291,7 +291,7 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     of every detection (5x5 median window) and, with a body in the scene,
     the projected socket (3x3 window). Sample k re-noises, in probe order,
     a write window two pixels wider than each probe's read window, drawing
-    from ``_derive_seed(seed, 100_000 + k)``; that is distribution-identical
+    from ``derive_seed(seed, 100_000 + k)``; that is distribution-identical
     to re-noising the full image. Only the noise changes from sample to
     sample, so the centroids, windows, in-image checks and camera transform
     are computed once, and the scene is cast only where the trial reads it:
@@ -379,7 +379,7 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     normal = np.empty((n_samples, width)) if sensor.depth_sigma > 0 else None
     uniform = np.empty((n_samples, width)) if sensor.dropout_rate > 0 else None
     for k in range(n_samples):
-        rng = np.random.default_rng(_derive_seed(seed, 100_000 + k))
+        rng = np.random.default_rng(derive_seed(seed, 100_000 + k))
         for a, b in writes:
             if normal is not None:
                 normal[k, a:b] = rng.normal(0.0, sensor.depth_sigma, b - a)
@@ -434,9 +434,9 @@ def _run_grasp_bench_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     """
     scene = generate_scene(cfg.scene, seed)
     cloud, plane, ws, viewpoint = observe_object(
-        scene, scene.rocks[0].center_of_mass, cfg.sensor, cfg.exec_params, _derive_seed(seed, 10)
+        scene, scene.rocks[0].center_of_mass, cfg.sensor, cfg.exec_params, derive_seed(seed, 10)
     )
-    grasp_cfg = replace(cfg.grasp, seed=_derive_seed(seed, 30))
+    grasp_cfg = replace(cfg.grasp, seed=derive_seed(seed, 30))
     grasps = detect_grasps(cloud, cfg.hand, grasp_cfg, plane, ws, viewpoint)
     report = TrialReport(
         task="grasp_bench",

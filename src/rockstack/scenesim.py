@@ -897,28 +897,35 @@ def degrade_mask(mask: InstanceMask, sensor: SensorModel, seed: int) -> Instance
     """Exposure-damage analog: erosion plus independent boundary-pixel flips.
 
     The result never grows beyond the original bounding box plus one pixel.
+    The morphology runs on that box padded by ``radius + 2`` pixels: no
+    erosion or dilation reaches further, and out-of-image pixels read as
+    unset either way, so the crop changes no pixel, and the row-major
+    boundary order (hence each flip's draw) is the same as on the full image.
     """
     bitmap = mask.bitmap
     if not np.any(bitmap):
         return mask
     radius = int(round(sensor.mask_erosion * 5.0))
-    eroded = ndimage.binary_erosion(bitmap, structure=_disk(radius)) if radius > 0 else bitmap.copy()
+    u0, v0, u1, v1 = mask_bbox(mask)
+    pad = radius + 2
+    r0, c0 = max(v0 - pad, 0), max(u0 - pad, 0)
+    window = np.s_[r0 : v1 + pad + 1, c0 : u1 + pad + 1]
+    crop = bitmap[window]
+    eroded = ndimage.binary_erosion(crop, structure=_disk(radius)) if radius > 0 else crop.copy()
     if sensor.boundary_flip_rate > 0:
-        u0, v0, u1, v1 = mask_bbox(mask)
-        allowed = np.zeros_like(bitmap)
-        allowed[max(v0 - 1, 0) : v1 + 2, max(u0 - 1, 0) : u1 + 2] = True
+        allowed = np.zeros_like(crop)
+        allowed[max(v0 - 1, 0) - r0 : v1 + 2 - r0, max(u0 - 1, 0) - c0 : u1 + 2 - c0] = True
         grown = ndimage.binary_dilation(eroded, structure=_disk(1))
         shrunk = ndimage.binary_erosion(eroded, structure=_disk(1))
         boundary = (grown & ~shrunk) & allowed
         rng = np.random.default_rng(seed)
         coords = np.argwhere(boundary)
         flips = rng.random(coords.shape[0]) < sensor.boundary_flip_rate
-        result = eroded.copy()
         fv, fu = coords[flips, 0], coords[flips, 1]
-        result[fv, fu] = ~result[fv, fu]
-        result &= allowed
-    else:
-        result = eroded
+        eroded[fv, fu] = ~eroded[fv, fu]
+        eroded &= allowed
+    result = np.zeros_like(bitmap)
+    result[window] = eroded
     return InstanceMask(
         bitmap=result,
         label=mask.label,

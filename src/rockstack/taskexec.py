@@ -23,6 +23,7 @@ from .errors import (
     GraspMissError,
     MissingDepthError,
     MultiObjectError,
+    NegativeHeightError,
     NoContactError,
     NothingHeldError,
     OutOfBoundsError,
@@ -472,7 +473,9 @@ class TrialReport(JsonFields):
         )
 
 
-def _derive_seed(seed: int, k: int) -> int:
+def derive_seed(seed: int, k: int) -> int:
+    """Seed of the trial's ``k``-th random stream (render, noise, RANSAC,
+    grasp, ...), so each stream is independent of how many draws others make."""
     return (seed * 1_000_003 + k) % (2**63)
 
 
@@ -528,11 +531,11 @@ def observe_object(
             scene.hand_camera_intrinsics,
             camera_pose_from_lookat((cx + dx, cy, height), (cx, cy, 0.0)),
         )
-        depth = render_depth(scene, cam, sensor, _derive_seed(seed, 200 + i))
+        depth = render_depth(scene, cam, sensor, derive_seed(seed, 200 + i))
         pts.append(cloud_from_depth(depth, cam.intrinsics, cam.pose, stride=1).points)
     cloud = PointCloud(np.concatenate(pts), frame="robot")
     plane, _ = fit_plane_ransac(
-        cloud, iters=200, tol=4.0, seed=_derive_seed(seed, 210), max_points=2500
+        cloud, iters=200, tol=4.0, seed=derive_seed(seed, 210), max_points=2500
     )
     half = params.crop_half_xy
     ws = Workspace((cx - half, cy - half, -60.0), (cx + half, cy + half, 400.0))
@@ -604,7 +607,7 @@ def run_stacking_task(
         depth_base, scene.base_camera.intrinsics, scene.base_camera.pose, stride=2
     )
     plane, _ = fit_plane_ransac(
-        base_cloud, iters=200, tol=4.0, seed=_derive_seed(seed, 3), max_points=2500
+        base_cloud, iters=200, tol=4.0, seed=derive_seed(seed, 3), max_points=2500
     )
     target = params.stack_target_xy
     stack = StackState(target_xy=target, base_z=plane.z_at(target[0], target[1]))
@@ -647,12 +650,12 @@ def run_stacking_task(
             "alignment_error_mm": None,
             "stable": None,
         }
+        t0 = clock.total
+        support_ref = scene.terrain if params.support_from_terrain else plane
         try:
-            t0 = clock.total
             position = object_workspace_pose(
                 det, depth_base, scene.base_camera.intrinsics, scene.base_camera.pose
             )
-            support_ref = scene.terrain if params.support_from_terrain else plane
             height_est = estimate_height(
                 det,
                 depth_base,
@@ -660,10 +663,19 @@ def run_stacking_task(
                 scene.base_camera.pose,
                 support_ref,
             )
-            entry["height_est_mm"] = height_est
+        except (EmptyMaskError, MissingDepthError, NegativeHeightError):
             clock.action()
-            _phase(phases, f"pose_rock_{sorted_index}", t0, clock, "ok")
+            entry["outcome"] = "failed"
+            entry["failure_code"] = "pose-detect-fail"
+            rocks_ok = False
+            _phase(phases, f"pose_rock_{sorted_index}", t0, clock, "failed", "pose-detect-fail")
+            rocks_report.append(entry)
+            continue
+        entry["height_est_mm"] = height_est
+        clock.action()
+        _phase(phases, f"pose_rock_{sorted_index}", t0, clock, "ok")
 
+        try:
             # pre-grasp above the measured pose, then sweep the wrist camera
             t0 = clock.total
             pre = TOP_DOWN.with_translation(
@@ -680,8 +692,8 @@ def run_stacking_task(
                 grasp_cfg,
                 sensor,
                 params,
-                observe_seed=_derive_seed(seed, 10 + sorted_index),
-                grasp_seed=_derive_seed(seed, 30 + sorted_index),
+                observe_seed=derive_seed(seed, 10 + sorted_index),
+                grasp_seed=derive_seed(seed, 30 + sorted_index),
             )
             clock.action()
             if not grasps:
@@ -765,9 +777,9 @@ def _observe_base(
     camera; the same seeds as ``render_depth`` and ``detect_objects``."""
     depth, ids = render_scene_geometry(scene, scene.base_camera)
     dets = detections_from_masks(
-        instance_masks(scene, ids), sensor, _derive_seed(seed, 2), labels=labels
+        instance_masks(scene, ids), sensor, derive_seed(seed, 2), labels=labels
     )
-    return apply_depth_noise(depth, sensor, _derive_seed(seed, 1)), dets
+    return apply_depth_noise(depth, sensor, derive_seed(seed, 1)), dets
 
 
 def _measure_point_via_depth(
@@ -891,8 +903,8 @@ def run_assembly_task(
             grasp_cfg,
             sensor,
             params,
-            observe_seed=_derive_seed(seed, 10),
-            grasp_seed=_derive_seed(seed, 12),
+            observe_seed=derive_seed(seed, 10),
+            grasp_seed=derive_seed(seed, 12),
         )
         clock.action()
         if not grasps:
@@ -938,7 +950,7 @@ def run_assembly_task(
     if not visible:
         return fail("detect_joint", t0, "joint-not-visible")
     depth_joint = render_depth(
-        scene, scene.base_camera, sensor, _derive_seed(seed, 20), extra_objects=[gripper]
+        scene, scene.base_camera, sensor, derive_seed(seed, 20), extra_objects=[gripper]
     )
     try:
         plug_pos_meas = _measure_point_via_depth(

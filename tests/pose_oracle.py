@@ -21,7 +21,7 @@ from rockstack.perception import (
     pose_stability_stats,
 )
 from rockstack.scenesim import SensorModel, apply_depth_noise, generate_scene, render_scene_geometry
-from rockstack.taskexec import TrialReport, _derive_seed, _measure_point_via_depth
+from rockstack.taskexec import TrialReport, derive_seed, _measure_point_via_depth
 
 
 def oracle_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
@@ -54,7 +54,7 @@ def oracle_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport
     positions: dict = {}
     n_samples = cfg.samples
     for k in range(n_samples):
-        rng = np.random.default_rng(_derive_seed(seed, 100_000 + k))
+        rng = np.random.default_rng(derive_seed(seed, 100_000 + k))
         depth_k = clean.copy()
         for (v0, v1, u0, u1) in windows:
             region = depth_float[v0:v1, u0:u1]

@@ -27,7 +27,7 @@ from rockstack.harness import (
     summary_to_csv,
 )
 from rockstack.scenesim import SceneSpec, SensorModel, Terrain, generate_scene, object_pixels
-from rockstack.taskexec import ExecParams, TrialReport, _derive_seed, observe_object
+from rockstack.taskexec import ExecParams, TrialReport, derive_seed, observe_object
 
 from conftest import tree_hash
 from pose_oracle import oracle_pose_stability_trial
@@ -382,7 +382,7 @@ class TestRunExperiment:
             scene.rocks[0].center_of_mass,
             cfg.sensor,
             cfg.exec_params,
-            _derive_seed(cfg.base_seed, 10),
+            derive_seed(cfg.base_seed, 10),
         )
         assert report.metrics["cloud_points"] == len(cloud)
 

@@ -21,7 +21,6 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # (importing module, private name) pairs that are allowed
 PRIVATE_IMPORTS = {
     ("harness", "_finish_depth_noise"),
-    ("harness", "_derive_seed"),
 }
 
 

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from render_oracle import (
+    first_crossing,
     plane_from_three,
     record_calls,
     superellipsoid_raycast,
     terrain_height_at,
 )
-from rockstack import pointcloud
+from rockstack import pointcloud, shapes
 from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
 from rockstack.harness import ExperimentConfig, run_trial
 from rockstack.pointcloud import PointCloud, _plane_from_three, fit_plane_ransac
@@ -225,6 +226,180 @@ class TestMarch:
             o = pose.inverse().apply(origins)
             d = dirs @ pose.rotation
             assert same_bits(shape.raycast(o, d), superellipsoid_raycast(shape, o, d))
+
+    @pytest.mark.parametrize("k", [1, 2, 12, 13, 24, 25, 36, 37, 47, 48])
+    def test_crossing_at_each_block_edge(self, k):
+        """A half-space x >= k - 0.5 on the bracket [0, 48], where sample i
+        sits at s = i exactly: the first inside sample of the ray from x = 0
+        is k, whichever block it falls in; rays from further back cross
+        later or not at all."""
+        n = 9
+        o = np.zeros((n, 3))
+        o[:, 0] = -np.arange(n, dtype=float)  # ray j reaches the plane j samples later
+        d = np.tile([1.0, 0.0, 0.0], (n, 1))
+        lo, hi = np.zeros(n), np.full(n, 48.0)
+        threshold = k - 0.5
+
+        def inside(oc, dc, s):
+            return oc[0] + s * dc[0] >= threshold
+
+        def gap(s, rows):
+            return threshold - (o[rows, 0] + s * d[rows, 0])
+
+        window = np.full(n, -np.inf), np.full(n, np.inf)
+        got = shapes._first_crossing(inside, o.T, d.T, lo, hi, *window)
+        want = first_crossing(gap, lo, hi, np.ones(n, dtype=bool))
+        # ray j first meets the plane at sample k + j; past 48 it misses
+        reach = k + np.arange(n) <= 48
+        assert np.array_equal(np.isfinite(got), reach)
+        np.testing.assert_allclose(got[reach], threshold + np.arange(n)[reach], atol=1e-6)
+        assert same_bits(got, want)
+
+    def test_window_inside_the_bracket(self):
+        """A slab body 20.2 <= x <= 30.7 whose window is the slab: samples
+        before and after it are skipped, and the bracket of a ray whose first
+        in-window sample is inside starts at the skipped sample before."""
+        o = np.zeros((5, 3))
+        o[:, 0] = [0.0, -3.0, 0.5, 5.0, 60.0]
+        d = np.tile([1.0, 0.0, 0.0], (5, 1))
+        lo, hi = np.zeros(5), np.full(5, 48.0)
+        body = (20.2, 30.7)
+
+        def inside(oc, dc, s):
+            x = oc[0] + s * dc[0]
+            return (x >= body[0]) & (x <= body[1])
+
+        def gap(s, rows):
+            x = o[rows, 0] + s * d[rows, 0]
+            return np.where((x >= body[0]) & (x <= body[1]), -1.0, 1.0)
+
+        w_lo, w_hi = body[0] - o[:, 0], body[1] - o[:, 0]
+        got = shapes._first_crossing(inside, o.T, d.T, lo, hi, w_lo, w_hi)
+        assert np.isfinite(got[:4]).all() and np.isinf(got[4])
+        assert same_bits(got, first_crossing(gap, lo, hi, np.ones(5, dtype=bool)))
+
+    def test_empty_window(self):
+        """Rays that cross the bounding sphere but miss the widened box, and
+        an explicitly empty window: nothing is evaluated, every ray misses."""
+        calls = []
+
+        def inside(oc, dc, s):
+            calls.append(s.size)
+            return np.ones(s.size, dtype=bool)
+
+        o = np.zeros((3, 3))
+        d = np.tile([1.0, 0.0, 0.0], (3, 1))
+        lo, hi = np.zeros(3), np.full(3, 48.0)
+        w_lo, w_hi = np.array([5.0, 49.0, -9.0]), np.array([4.0, 60.0, -1.0])
+        got = shapes._first_crossing(inside, o.T, d.T, lo, hi, w_lo, w_hi)
+        assert np.isinf(got).all() and calls == []
+
+        # lines in planes p . u = rho with the widened box's support
+        # h(u) < rho < r: they cross the sphere and miss the box
+        shape = SHAPES[0]
+        r = shape.bounding_radius
+        rng = np.random.default_rng(43)
+        u = random_unit(rng, 2000)
+        support = np.abs(u) @ widened_half(shape)
+        u, support = u[support < 0.95 * r][:200], support[support < 0.95 * r][:200]
+        rho = 0.5 * (support + r)
+        t = random_unit(rng, u.shape[0])
+        t -= np.sum(t * u, axis=1, keepdims=True) * u
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        o = rho[:, None] * u - 100.0 * t
+        assert u.shape[0] > 50
+        got = shape.raycast(o, t)
+        assert np.isinf(got).all()
+        assert same_bits(got, superellipsoid_raycast(shape, o, t))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"e{s.e1}-{s.e2}")
+    def test_first_inside_sample_at_block_edges(self, shape):
+        """Random rays into the bounding sphere, binned by the index of
+        their first inside sample on the sphere bracket: lines whose first
+        hit is at either side of each block edge agree with the reference,
+        alone and all together. A body centred in its sphere is rarely
+        first met past the middle of a chord; the later block edges are
+        covered by ``test_crossing_at_each_block_edge``."""
+        rng = np.random.default_rng(47)
+        r = shape.bounding_radius
+        d = random_unit(rng, 20000)
+        o = rng.uniform(-r, r, size=(20000, 3)) - rng.uniform(0.0, 2.5 * r, size=(20000, 1)) * d
+        b = 2.0 * np.sum(o * d, axis=1)
+        c = np.sum(o * o, axis=1) - r * r
+        disc = b * b - 4.0 * c
+        keep = disc > 0
+        o, d, b, disc = o[keep], d[keep], b[keep], disc[keep]
+        lo = np.maximum((-b - np.sqrt(disc)) / 2.0, 0.0)
+        hi = (-b + np.sqrt(disc)) / 2.0
+        s = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 49) / 48)
+        inside = shape.contains(o[:, None, :] + s[..., None] * d[:, None, :])
+        first = np.where(inside.any(axis=1), inside.argmax(axis=1) + 1, 0)
+        picked = []
+        for k in (1, 12, 13, 24, 25):
+            rows = np.flatnonzero(first == k)[:5]
+            assert rows.size > 0, k
+            assert same_bits(shape.raycast(o[rows], d[rows]), superellipsoid_raycast(shape, o[rows], d[rows]))
+            picked.append(rows)
+        picked = np.concatenate(picked + [np.flatnonzero(first == 0)[:20]])
+        assert same_bits(shape.raycast(o[picked], d[picked]), superellipsoid_raycast(shape, o[picked], d[picked]))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"e{s.e1}-{s.e2}")
+    def test_origins_inside_the_sphere(self, shape):
+        """Origins between the box and the bounding sphere and at the centre,
+        where the bracket starts at s = 0."""
+        rng = np.random.default_rng(53)
+        r = shape.bounding_radius
+        o = random_unit(rng, 3000) * r * rng.uniform(0.0, 1.0, size=(3000, 1)) ** (1 / 3)
+        o[:10] = 0.0
+        d = random_unit(rng, 3000)
+        assert (~(np.abs(o) <= widened_half(shape)).all(axis=1)).sum() > 500
+        got = shape.raycast(o, d)
+        assert np.isfinite(got).sum() > 100
+        assert same_bits(got, superellipsoid_raycast(shape, o, d))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"e{s.e1}-{s.e2}")
+    def test_one_zero_direction_component(self, shape):
+        """Oblique lines with exactly one zero (or negative zero) direction
+        component, through and beside the body."""
+        rng = np.random.default_rng(59)
+        half = widened_half(shape)
+        o_list, d_list = [], []
+        for axis in range(3):
+            for zero in (0.0, -0.0):
+                d = random_unit(rng, 300)
+                d[:, axis] = zero
+                d /= np.linalg.norm(d, axis=1, keepdims=True)
+                p = rng.uniform(-1.1, 1.1, size=(300, 3)) * half
+                o_list.append(p - 3.0 * np.linalg.norm(half) * d)
+                d_list.append(d)
+        o, d = np.concatenate(o_list), np.concatenate(d_list)
+        got = shape.raycast(o, d)
+        assert np.isfinite(got).sum() > 100
+        assert same_bits(got, superellipsoid_raycast(shape, o, d))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"e{s.e1}-{s.e2}")
+    def test_array_passes_per_cast(self, shape, monkeypatch):
+        # A count of gap evaluations, not a timing: at most one per march
+        # block and one per bisection step, whatever the number of samples
+        # each ray needs.
+        real = shapes._first_crossing
+        passes = []
+
+        def counted(inside, *args, **kwargs):
+            def counted_inside(o, d, s):
+                passes[-1] += 1
+                return inside(o, d, s)
+
+            passes.append(0)
+            return real(counted_inside, *args, **kwargs)
+
+        monkeypatch.setattr(shapes, "_first_crossing", counted)
+        intr = CameraIntrinsics(fx=120.0, fy=120.0, cx=40.0, cy=30.0, width=80, height=60)
+        cam = camera_pose_from_lookat((70.0, -20.0, 190.0), (0.0, 0.0, 0.0))
+        o = np.broadcast_to(cam.translation, (intr.width * intr.height, 3))
+        got = shape.raycast(o, _pixel_dirs(intr, cam))
+        assert np.isfinite(got).sum() > 100
+        assert passes == [passes[0]] and 24 < passes[0] <= 4 + 24
 
 
 class TestTerrain:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from rockstack.errors import PlacementError, ValidationError
 from rockstack.geometry import CameraIntrinsics, InstanceMask, RigidTransform, camera_pose_from_lookat, mask_area
@@ -43,6 +44,7 @@ from rockstack.scenesim import (
     DEFAULT_BASE_CAMERA,
     DEFAULT_HAND_INTRINSICS,
     _camera_frame_dirs,
+    _disk,
     _finish_depth_noise,
     _pixel_dirs,
     object_pixels,
@@ -449,6 +451,54 @@ class TestInstanceMasks:
         assert np.percentile(np.abs(g - 1.0), 99) < 0.2
 
 
+def full_image_degrade_mask(mask: InstanceMask, sensor: SensorModel, seed: int) -> InstanceMask:
+    """``degrade_mask`` as it was before it cropped: every morphology pass
+    over the whole image."""
+    bitmap = mask.bitmap
+    if not np.any(bitmap):
+        return mask
+    radius = int(round(sensor.mask_erosion * 5.0))
+    eroded = ndimage.binary_erosion(bitmap, structure=_disk(radius)) if radius > 0 else bitmap.copy()
+    if sensor.boundary_flip_rate > 0:
+        vs, us = np.nonzero(bitmap)
+        u0, v0, u1, v1 = us.min(), vs.min(), us.max(), vs.max()
+        allowed = np.zeros_like(bitmap)
+        allowed[max(v0 - 1, 0) : v1 + 2, max(u0 - 1, 0) : u1 + 2] = True
+        grown = ndimage.binary_dilation(eroded, structure=_disk(1))
+        shrunk = ndimage.binary_erosion(eroded, structure=_disk(1))
+        boundary = (grown & ~shrunk) & allowed
+        rng = np.random.default_rng(seed)
+        coords = np.argwhere(boundary)
+        flips = rng.random(coords.shape[0]) < sensor.boundary_flip_rate
+        result = eroded.copy()
+        fv, fu = coords[flips, 0], coords[flips, 1]
+        result[fv, fu] = ~result[fv, fu]
+        result &= allowed
+    else:
+        result = eroded
+    return InstanceMask(bitmap=result, label=mask.label, confidence=mask.confidence,
+                        instance_id=mask.instance_id)
+
+
+def edge_masks(h: int = 60, w: int = 80) -> list[InstanceMask]:
+    """Blobs centred on every image corner and edge and inside it, thin
+    lines along the borders, a single pixel and the whole image."""
+    rng = np.random.default_rng(41)
+    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    bitmaps = []
+    for cv in (0, h // 2, h - 1):
+        for cu in (0, w // 2, w - 1):
+            for r in (2, 9):
+                noise = rng.uniform(0.7, 1.3, size=(h, w))
+                bitmaps.append((xx - cu) ** 2 + (yy - cv) ** 2 <= (r * noise) ** 2)
+    for line in (np.s_[0, 5:70], np.s_[h - 1, :], np.s_[3:50, 0], np.s_[:, w - 1], np.s_[20, 30]):
+        bm = np.zeros((h, w), dtype=bool)
+        bm[line] = True
+        bitmaps.append(bm)
+    bitmaps.append(np.ones((h, w), dtype=bool))
+    return [InstanceMask(bm) for bm in bitmaps]
+
+
 class TestDegradeMask:
     @staticmethod
     def disk_mask(radius_px: int, size: int = 64) -> InstanceMask:
@@ -491,6 +541,21 @@ class TestDegradeMask:
         vs, us = np.nonzero(out.bitmap)
         assert us.min() >= u0 - 1 and us.max() <= u1 + 1
         assert vs.min() >= v0 - 1 and vs.max() <= v1 + 1
+
+    @pytest.mark.parametrize("erosion", [0.0, 0.1, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("flip_rate", [0.0, 0.02, 0.3])
+    def test_crop_matches_full_image_oracle(self, erosion, flip_rate):
+        sensor = SensorModel(mask_erosion=erosion, boundary_flip_rate=flip_rate)
+        masks = edge_masks()
+        for seed in (2, 9):
+            scene = generate_scene(SceneSpec(rock_count=(3, 3)), seed)
+            _, ids = render_scene_geometry(scene, scene.base_camera)
+            masks += instance_masks(scene, ids)
+        for k, mask in enumerate(masks):
+            got = degrade_mask(mask, sensor, seed=k)
+            want = full_image_degrade_mask(mask, sensor, seed=k)
+            assert got.bitmap.dtype == want.bitmap.dtype
+            np.testing.assert_array_equal(got.bitmap, want.bitmap)
 
     def test_flip_determinism(self):
         m = self.disk_mask(15)

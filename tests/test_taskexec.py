@@ -16,9 +16,11 @@ import pytest
 
 from rockstack.errors import (
     BehindCameraError,
+    EmptyMaskError,
     GraspMissError,
     MissingDepthError,
     MultiObjectError,
+    NegativeHeightError,
     NoContactError,
     NothingHeldError,
     OutOfBoundsError,
@@ -27,7 +29,7 @@ from rockstack.errors import (
 )
 from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
 from rockstack.graspdetect import GraspCandidate, GraspConfig, HandGeometry
-from rockstack.harness import ExperimentConfig, run_trial
+from rockstack.harness import ExperimentConfig, compute_metrics, run_trial
 from rockstack.perception import detect_objects
 from rockstack.scenesim import (
     CameraSpec,
@@ -49,10 +51,10 @@ from rockstack.taskexec import (
     StackState,
     TrialReport,
     _cast_vertical,
-    _derive_seed,
     _observe_base,
     _vertical_surface_z,
     check_stack_stability,
+    derive_seed,
     execute_grasp,
     gripper_geometry,
     move_to,
@@ -382,6 +384,53 @@ class TestRunStackingTask:
             assert order == sorted(order)
 
 
+    @pytest.mark.parametrize(
+        "error", [MissingDepthError, EmptyMaskError, NegativeHeightError, TypeError]
+    )
+    def test_perception_errors_fail_one_rock(self, monkeypatch, error):
+        import rockstack.taskexec as taskexec_mod
+
+        calls = []
+        estimate = taskexec_mod.estimate_height
+
+        def first_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise error("injected")
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(taskexec_mod, "estimate_height", first_call_fails)
+        cfg = ExperimentConfig.from_json_dict({"task": "stack", "scene": {"rock_count": [3, 3]}})
+        report = run_trial(cfg, 0)
+        assert not report.success
+        if error is TypeError:
+            assert report.phases[0]["error_code"] == "exception:TypeError"
+            return
+        # the first rock fails its pose read; the others still run
+        assert len(calls) == 3
+        assert report.rocks[0]["outcome"] == "failed"
+        assert report.rocks[0]["failure_code"] == "pose-detect-fail"
+        assert report.rocks[0]["height_est_mm"] is None
+        phases = [(p["phase"], p["outcome"], p["error_code"]) for p in report.phases]
+        assert [p for p in phases if p[0].endswith("_rock_0")] == [
+            ("pose_rock_0", "failed", "pose-detect-fail")
+        ]
+        assert ("pose_rock_1", "ok", None) in phases and ("pose_rock_2", "ok", None) in phases
+
+    def test_dropout_sensor_records_rocks_not_a_crash(self):
+        # 99% dropout leaves most masks without depth; every trial of this
+        # config used to end as exception:MissingDepthError
+        cfg = ExperimentConfig.from_json_dict(
+            {"task": "stack", "base_seed": 500, "sensor": {"depth_sigma": 2.0, "dropout_rate": 0.99}}
+        )
+        report = run_trial(cfg, 1)
+        assert not any(p["error_code"].startswith("exception:") for p in report.phases if p["error_code"])
+        assert len(report.rocks) == 3
+        assert [r["failure_code"] for r in report.rocks] == ["pose-detect-fail"] * 3
+        # no rock reached a grasp, so there is no grasp rate to report
+        assert compute_metrics([report]).grasp_success_rate is None
+
+
 class TestObserveBase:
     def test_one_render_gives_the_depth_and_detections_of_two(self, monkeypatch):
         import rockstack.taskexec as taskexec_mod
@@ -398,8 +447,8 @@ class TestObserveBase:
         depth, dets = _observe_base(scene, sensor, 11, ("head",))
         assert len(calls) == 1
         cam = scene.base_camera
-        np.testing.assert_array_equal(depth, render_depth(scene, cam, sensor, _derive_seed(11, 1)))
-        expected = detect_objects(scene, cam, sensor, _derive_seed(11, 2), labels=("head",))
+        np.testing.assert_array_equal(depth, render_depth(scene, cam, sensor, derive_seed(11, 1)))
+        expected = detect_objects(scene, cam, sensor, derive_seed(11, 2), labels=("head",))
         assert [d.instance_id for d in dets] == [d.instance_id for d in expected] != []
         for got, want in zip(dets, expected):
             np.testing.assert_array_equal(got.mask.bitmap, want.mask.bitmap)
