@@ -45,7 +45,8 @@ def _load_config(path: str | None, task: str) -> ExperimentConfig:
         raise FileNotFoundError(f"config file not found: {file}")
     with open(file, "r", encoding="utf-8") as f:
         data = json.load(f)
-    data["task"] = task
+    if isinstance(data, dict):  # from_json_dict rejects any other root
+        data["task"] = task
     return ExperimentConfig.from_json_dict(data)
 
 

@@ -13,7 +13,6 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -232,12 +231,6 @@ class RigidTransform:
         return cls(r, t)
 
 
-def rotation_angle(r: np.ndarray) -> float:
-    """Magnitude of the rotation encoded by a 3x3 rotation matrix, radians."""
-    c = (np.trace(r) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def camera_pose_from_lookat(eye, target) -> RigidTransform:
     """Camera-to-world pose for a camera at ``eye`` looking at ``target``.
 
@@ -368,12 +361,3 @@ def write_mask_pbm(path, mask: InstanceMask) -> None:
         f.write(f"P4\n{w} {h}\n".encode("ascii"))
         f.write(packed.tobytes())
 
-
-def load_intrinsics_json(path) -> CameraIntrinsics:
-    with open(path, "r", encoding="utf-8") as f:
-        return CameraIntrinsics.from_json_dict(json.load(f))
-
-
-def load_extrinsic_json(path) -> RigidTransform:
-    with open(path, "r", encoding="utf-8") as f:
-        return RigidTransform.from_json_dict(json.load(f))

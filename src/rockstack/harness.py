@@ -36,7 +36,7 @@ from .scenesim import (
     MISS_ID,
     SceneSpec,
     SensorModel,
-    _finish_depth_noise,
+    finish_depth_noise,
     generate_scene,
     instance_masks,
     object_pixels,
@@ -56,6 +56,23 @@ TASKS = ("stack", "assemble", "pose_stability", "grasp_bench")
 
 # hardware baseline the simulated alignment metric is reported alongside
 REFERENCE_ALIGNMENT_MM = 25.0
+
+
+# JSON key -> (ExperimentConfig field, section class)
+_SECTIONS = {
+    "scene": ("scene", SceneSpec),
+    "sensor": ("sensor", SensorModel),
+    "hand": ("hand", HandGeometry),
+    "grasp": ("grasp", GraspConfig),
+    "exec": ("exec_params", ExecParams),
+}
+
+
+def _json_object(name: str, value) -> dict:
+    """``value``, which must be a JSON object; else ConfigError names ``name``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -102,6 +119,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
+        _json_object("config", data)
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
@@ -110,7 +128,8 @@ class ExperimentConfig:
             if key in data:
                 kwargs[key] = data[key]
         task = kwargs.get("task", "stack")
-        scene_data = dict(data.get("scene", {}))
+        payloads = {key: _json_object(key, data.get(key, {})) for key in _SECTIONS}
+        scene_data = payloads["scene"] = dict(payloads["scene"])
         if task == "assemble":
             if "parts" not in scene_data:
                 scene_data.setdefault("rock_count", [0, 0])
@@ -120,27 +139,12 @@ class ExperimentConfig:
         if task == "pose_stability" and "parts" not in scene_data:
             scene_data.setdefault("rock_count", [1, 1])
             scene_data["parts"] = ["body", "head", "leg"]
-        sections = (
-            ("scene", SceneSpec, scene_data),
-            ("sensor", SensorModel, data.get("sensor", {})),
-            ("hand", HandGeometry, data.get("hand", {})),
-            ("grasp", GraspConfig, data.get("grasp", {})),
-        )
-        for name, factory, payload in sections:
+        for key, (name, factory) in _SECTIONS.items():
             try:
-                kwargs[name] = factory.from_json_dict(payload)
+                kwargs[name] = factory.from_json_dict(payloads[key])
             except (ValueError, TypeError, KeyError) as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
-        try:
-            kwargs["exec_params"] = ExecParams.from_json_dict(data.get("exec", {}))
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"exec: {exc}") from exc
+                raise ConfigError(f"{key}: {exc}") from exc
         return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
 
 
 DEFAULT_ASSEMBLY_CAMERA = {
@@ -386,7 +390,7 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
             if uniform is not None:
                 uniform[k, a:b] = rng.random(b - a)
     clean = np.broadcast_to(np.concatenate(regions), (n_samples, width))
-    noisy = _finish_depth_noise(clean, sensor, normal, uniform)
+    noisy = finish_depth_noise(clean, sensor, normal, uniform)
 
     by_label: dict = {}  # label -> [(positions (n, 3), kept (n,))] in probe order
     for label, u, v, (v0, v1, u0, u1) in reads:

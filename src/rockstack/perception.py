@@ -1,5 +1,5 @@
 """Detection-to-workspace-pose pipeline: size sorting by mask area, pixel
-deprojection of mask centroids, and two-camera height estimation.
+deprojection of mask centroids, and height estimation from one depth image.
 
 The detector here is an oracle over rendered instance masks, but everything
 downstream consumes plain :class:`Detection` records, so a live segmentation
@@ -207,9 +207,7 @@ def estimate_height(
     k = min(k, z.size)
     top = float(np.median(np.sort(z)[-k:]))
 
-    cu, cv = mask_centroid(detection.mask)
-    d = median_window_depth(depth, cu, cv)
-    center = cam_to_robot.apply(deproject_pixel(intr, cu, cv, d))
+    center = object_workspace_pose(detection, depth, intr, cam_to_robot)
     if isinstance(support, Plane):
         support_z = support.z_at(center[0], center[1])
     elif isinstance(support, Terrain):
@@ -240,62 +238,3 @@ def pose_stability_stats(positions: np.ndarray) -> tuple[float, float, float]:
     constant = np.all(arr == arr[0], axis=0)
     sigma[constant] = 0.0
     return float(sigma[0]), float(sigma[1]), float(sigma[2])
-
-
-# ---------------------------------------------------------------------------
-# detection serialization (run-length encoded masks)
-
-
-def _rle_encode(bitmap: np.ndarray) -> list[int]:
-    """Run lengths of the flattened mask, alternating 0-runs and 1-runs,
-    starting with a (possibly zero-length) 0-run."""
-    flat = bitmap.ravel().astype(np.int8)
-    changes = np.nonzero(np.diff(flat))[0] + 1
-    bounds = np.concatenate([[0], changes, [flat.size]])
-    runs = np.diff(bounds).tolist()
-    if flat.size and flat[0] == 1:
-        runs = [0] + runs
-    return [int(r) for r in runs]
-
-
-def _rle_decode(runs: list[int], shape: tuple[int, int]) -> np.ndarray:
-    flat = np.zeros(shape[0] * shape[1], dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    return flat.reshape(shape)
-
-
-def detection_to_json_dict(det: Detection) -> dict:
-    return {
-        "label": det.label,
-        "confidence": float(det.confidence),
-        "bbox": [int(b) for b in det.bbox],
-        "mask": {
-            "size": [det.mask.height, det.mask.width],
-            "counts": _rle_encode(det.mask.bitmap),
-        },
-        "instance_id": int(det.instance_id),
-    }
-
-
-def detection_from_json_dict(data: dict) -> Detection:
-    shape = tuple(data["mask"]["size"])
-    bitmap = _rle_decode(data["mask"]["counts"], shape)
-    mask = InstanceMask(
-        bitmap=bitmap,
-        label=data["label"],
-        confidence=float(data["confidence"]),
-        instance_id=int(data.get("instance_id", -1)),
-    )
-    return Detection(
-        label=data["label"],
-        mask=mask,
-        bbox=tuple(int(b) for b in data["bbox"]),
-        confidence=float(data["confidence"]),
-        instance_id=int(data.get("instance_id", -1)),
-    )

@@ -497,6 +497,11 @@ class SceneSpec(JsonFields):
             raise ValidationError("rock_semi_axis range must be positive and ordered")
         if self.rock_count[0] == 0 and not self.parts:
             raise ValidationError("scene must contain at least one object")
+        # parsed again by generate_scene; checked here so a bad camera fails at load
+        if self.base_camera is not None:
+            CameraSpec.from_json_dict(self.base_camera)
+        if self.hand_camera_intrinsics is not None:
+            CameraIntrinsics.from_json_dict(self.hand_camera_intrinsics)
 
 
 DEFAULT_BASE_CAMERA = {
@@ -817,10 +822,10 @@ def apply_depth_noise(
         normal = rng.normal(0.0, sensor.depth_sigma, size=depth.shape)
     if sensor.dropout_rate > 0:
         uniform = rng.random(depth.shape)
-    return _finish_depth_noise(depth, sensor, normal, uniform)
+    return finish_depth_noise(depth, sensor, normal, uniform)
 
 
-def _finish_depth_noise(
+def finish_depth_noise(
     depth: np.ndarray,
     sensor: SensorModel,
     normal: np.ndarray | None,

@@ -422,9 +422,6 @@ class Cylinder:
         return center, math.sqrt((self.length / 2.0) ** 2 + self.radius**2)
 
 
-Primitive = Box | Sphere | Cylinder
-
-
 def union_bounding(primitives) -> tuple[np.ndarray, float]:
     """Center and radius of a sphere enclosing all primitives."""
     centers = []

@@ -289,7 +289,6 @@ class StackState:
     base_z: float
     placed: list = field(default_factory=list)
     top_z: float = 0.0
-    alignment_errors: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.placed:
@@ -395,7 +394,7 @@ def place_on_stack(
     The gripper centers itself on the target; any offset between the grasp
     point and the rock's center of mass therefore lands on the stack as
     alignment error. Returns the freed arm, the updated stack, and a
-    placement record (outcome, alignment error, release height).
+    placement record (outcome, alignment error, travel).
     """
     if arm.attached_id is None:
         raise NothingHeldError("place_on_stack requires a held rock")
@@ -426,7 +425,6 @@ def place_on_stack(
         stack.placed.append(rock.instance_id)
         top_pts = _object_surface_points(rock)
         stack.top_z = float(np.max(top_pts[:, 2]))
-        stack.alignment_errors.append(alignment)
     else:
         # topple removes only the top rock: park it beside the stack
         park_xy = target + np.array([stack.top_z - stack.base_z + 120.0, 0.0])
@@ -437,7 +435,6 @@ def place_on_stack(
     record = {
         "outcome": outcome,
         "alignment_error_mm": alignment,
-        "release_bottom_z_mm": float(bottom_target),
         "travel_mm": travel,
     }
     return arm, stack, record
@@ -633,7 +630,13 @@ def run_stacking_task(
     volume_rank = sorted(det_ids, key=lambda k: -true_volumes[k])
 
     all_scene_detected = len(det_ids) == len(scene.rocks)
-    rocks_ok = True
+
+    def fail(entry: dict, stem: str, t0: float, code: str, phase_code: str | None = None) -> None:
+        entry["outcome"] = "failed"
+        entry["failure_code"] = code
+        phase = f"{stem}_rock_{entry['sorted_index']}"
+        _phase(phases, phase, t0, clock, "failed", phase_code or code)
+
     for sorted_index, det in enumerate(ordered):
         rock = id_to_rock[det.instance_id]
         entry = {
@@ -650,6 +653,7 @@ def run_stacking_task(
             "alignment_error_mm": None,
             "stable": None,
         }
+        rocks_report.append(entry)
         t0 = clock.total
         support_ref = scene.terrain if params.support_from_terrain else plane
         try:
@@ -665,11 +669,7 @@ def run_stacking_task(
             )
         except (EmptyMaskError, MissingDepthError, NegativeHeightError):
             clock.action()
-            entry["outcome"] = "failed"
-            entry["failure_code"] = "pose-detect-fail"
-            rocks_ok = False
-            _phase(phases, f"pose_rock_{sorted_index}", t0, clock, "failed", "pose-detect-fail")
-            rocks_report.append(entry)
+            fail(entry, "pose", t0, "pose-detect-fail")
             continue
         entry["height_est_mm"] = height_est
         clock.action()
@@ -697,11 +697,7 @@ def run_stacking_task(
             )
             clock.action()
             if not grasps:
-                entry["outcome"] = "failed"
-                entry["failure_code"] = "grasp-fail"
-                rocks_ok = False
-                _phase(phases, f"grasp_rock_{sorted_index}", t0, clock, "failed", "empty-grasp-list")
-                rocks_report.append(entry)
+                fail(entry, "grasp", t0, "grasp-fail", "empty-grasp-list")
                 continue
             best = grasps[0]
             entry["grasp_score"] = float(best.score)
@@ -737,27 +733,19 @@ def run_stacking_task(
             entry["alignment_error_mm"] = placement["alignment_error_mm"]
             entry["stable"] = placement["outcome"] == "stable"
             if wrong_object:
-                entry["outcome"] = "failed"
-                entry["failure_code"] = "wrong-object"
-                rocks_ok = False
-                _phase(phases, f"place_rock_{sorted_index}", t0, clock, "failed", "wrong-object")
+                fail(entry, "place", t0, "wrong-object")
             elif placement["outcome"] == "stable":
                 entry["outcome"] = "placed"
                 _phase(phases, f"place_rock_{sorted_index}", t0, clock, "ok")
             else:
-                entry["outcome"] = "failed"
-                entry["failure_code"] = "toppled"
-                rocks_ok = False
-                _phase(phases, f"place_rock_{sorted_index}", t0, clock, "failed", "toppled")
+                fail(entry, "place", t0, "toppled")
         except TaskFailure as exc:
-            entry["outcome"] = "failed"
-            entry["failure_code"] = exc.code
-            rocks_ok = False
-            _phase(phases, f"abort_rock_{sorted_index}", t0, clock, "failed", exc.code)
+            fail(entry, "abort", t0, exc.code)
             # free the arm for the next rock
             arm = replace(arm, attached_id=None, attached_rel=None, opening=arm.max_aperture)
-        rocks_report.append(entry)
 
+    # every entry ends as "placed" or "failed"
+    rocks_ok = all(r["outcome"] == "placed" for r in rocks_report)
     success = rocks_ok and all_scene_detected and len(stack.placed) == len(scene.rocks)
     report = TrialReport("stack", seed, success, phases, rocks_report)
     report.metrics = {

@@ -6,12 +6,6 @@ from ``np.cross``: the kernels as they were before they learned to skip
 work whose result is already known. The library kernels must reproduce
 them bit for bit, and ``Terrain.height_at`` must reproduce
 :func:`terrain_height_at`.
-
-:func:`terrain_raycast` records the fixed-point terrain cast the exact cell
-walk replaced. It returned inf where 8 iterations left a residual above
-0.05 mm, which left holes in steep or oblique views, and could settle on a
-hit behind the first one. Tests no longer compare against it; the exact
-cast is checked against ``terrain_oracle.py``.
 """
 
 from __future__ import annotations
@@ -106,30 +100,6 @@ def terrain_height_at(terrain, x, y):
         + h10 * (1 - fx) * fy
         + h11 * fx * fy
     )
-
-
-def terrain_raycast(terrain, origin, dirs):
-    """``Terrain.raycast_world`` with all 8 iterations on every ray."""
-    dz = dirs[:, 2]
-    descending = dz < -1e-9
-    s = np.full(dirs.shape[0], np.inf)
-    if not np.any(descending):
-        return s
-    d = dirs[descending]
-    oz = origin[2]
-    est = np.full(d.shape[0], (np.mean(terrain.heights) - oz)) / d[:, 2]
-    for _ in range(8):
-        x = origin[0] + est * d[:, 0]
-        y = origin[1] + est * d[:, 1]
-        h = terrain_height_at(terrain, x, y)
-        est = (h - oz) / d[:, 2]
-    x = origin[0] + est * d[:, 0]
-    y = origin[1] + est * d[:, 1]
-    resid = np.abs(oz + est * d[:, 2] - terrain_height_at(terrain, x, y))
-    good = (resid < 0.05) & (est > 0)
-    s_sub = np.where(good, est, np.inf)
-    s[descending] = s_sub
-    return s
 
 
 def plane_from_three(points):

@@ -11,12 +11,10 @@ Run just this module with:  pytest tests/test_acceptance.py -v -s
 
 from __future__ import annotations
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from rockstack.geometry import (
     CameraIntrinsics,
@@ -24,7 +22,6 @@ from rockstack.geometry import (
     camera_pose_from_lookat,
     deproject_pixel,
     project_point,
-    rotation_angle,
 )
 from rockstack.graspdetect import GraspConfig, HandGeometry, detect_grasps
 from rockstack.harness import (

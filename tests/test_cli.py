@@ -65,6 +65,13 @@ class TestStackRun:
         code = main(["stack", "run", "--trials", "1", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_non_object_config_is_failure(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        code = main(["stack", "run", "--trials", "1", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == "error: config: expected a JSON object, got list"
+
 
 class TestGraspDetect:
     def test_detect_on_box_cloud(self, tmp_path, capsys):

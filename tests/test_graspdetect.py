@@ -31,13 +31,7 @@ from rockstack.graspdetect import (
     save_grasps_json,
     score_candidate,
 )
-from rockstack.pointcloud import (
-    Plane,
-    PointCloud,
-    Workspace,
-    estimate_normals,
-    fit_plane_ransac,
-)
+from rockstack.pointcloud import Plane, PointCloud, estimate_normals
 from rockstack.shapes import Superellipsoid
 
 from conftest import box_cloud

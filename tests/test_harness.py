@@ -169,9 +169,14 @@ class TestConfig:
             ("base_seed", True),
         ]
         bad += [(name, {"no_such_field": 1}) for name in ("scene", "sensor", "hand", "grasp", "exec")]
+        bad += [(name, [1]) for name in ("scene", "sensor", "hand", "grasp", "exec")]
+        bad += [("scene", {"base_camera": {"position": [0, 0, 1]}})]
+        bad += [("scene", {"hand_camera_intrinsics": {"fx": 130.0}})]
         for name, payload in bad:
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig.from_json_dict({"task": "stack", name: payload})
+        with pytest.raises(ConfigError, match="config: expected a JSON object"):
+            ExperimentConfig.from_json_dict([1, 2])
 
     @pytest.mark.parametrize("section", NON_DEFAULT_SECTIONS, ids=lambda s: type(s).__name__)
     def test_section_round_trip_covers_every_field(self, section):

@@ -1,11 +1,11 @@
-"""Source-layout checks on ``src/rockstack``, read from the syntax tree alone.
+"""Source-layout checks on ``src/rockstack`` and ``tests``, read from the
+syntax tree alone.
 
-* Every imported name is used. A deletion that leaves an import behind
-  fails here.
-* A module imports no private (``_name``) name from another library module,
-  except the pairs in ``PRIVATE_IMPORTS``. Such an import ties a module to
-  another's internals; each listed pair is a known debt, and the list must
-  shrink as it is paid, so a pair that no longer occurs fails too.
+* Every imported name is used, in the library and in the tests. A deletion
+  that leaves an import behind fails here.
+* A library module imports no private (``_name``) name from another library
+  module; such an import ties a module to another's internals. Tests may
+  import private names to check them.
 """
 
 from __future__ import annotations
@@ -15,13 +15,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rockstack"
-MODULES = sorted(PACKAGE.glob("*.py"))
-
-# (importing module, private name) pairs that are allowed
-PRIVATE_IMPORTS = {
-    ("harness", "_finish_depth_noise"),
-}
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "rockstack").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -64,16 +60,16 @@ def private_imports(module: str, tree: ast.Module) -> set[tuple[str, str]]:
     return found
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
 
 
-def test_private_imports_across_modules_are_listed():
+def test_no_private_imports_across_modules():
     found = set()
     for path in MODULES:
         found |= private_imports(path.stem, _tree(path))
-    assert sorted(found) == sorted(PRIVATE_IMPORTS)
+    assert sorted(found) == []
 
 
 class TestTheChecks:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from rockstack.errors import (
-    EmptyMaskError,
     InsufficientSamplesError,
     MissingDepthError,
     NegativeHeightError,
@@ -31,8 +30,6 @@ from rockstack.geometry import (
 from rockstack.perception import (
     Detection,
     detect_objects,
-    detection_from_json_dict,
-    detection_to_json_dict,
     estimate_height,
     median_window_depth,
     median_window_depths,
@@ -304,16 +301,6 @@ class TestPoseStabilityStats:
 
 
 class TestDetectionSerialization:
-    def test_rle_round_trip(self):
-        rng = np.random.default_rng(1)
-        bm = rng.random((37, 53)) < 0.4
-        det = Detection.from_mask(InstanceMask(bm, label="rock", confidence=0.75))
-        back = detection_from_json_dict(detection_to_json_dict(det))
-        np.testing.assert_array_equal(back.mask.bitmap, bm)
-        assert back.label == "rock"
-        assert back.confidence == 0.75
-        assert back.bbox == det.bbox
-
     def test_oracle_detections_have_tight_bbox(self):
         rock = RockModel(
             shape=Superellipsoid(22.0, 18.0, 15.0),

@@ -45,8 +45,8 @@ from rockstack.scenesim import (
     DEFAULT_HAND_INTRINSICS,
     _camera_frame_dirs,
     _disk,
-    _finish_depth_noise,
     _pixel_dirs,
+    finish_depth_noise,
     object_pixels,
 )
 from rockstack.shapes import Superellipsoid
@@ -278,7 +278,7 @@ class TestRenderDepth:
                     uniform[k, a:b] = draw.random(b - a)
         flat = np.concatenate([win.ravel() for win in windows])
         clean = np.broadcast_to(flat, (n_samples, sizes[-1]))
-        got = _finish_depth_noise(clean, sensor, normal, uniform)
+        got = finish_depth_noise(clean, sensor, normal, uniform)
         assert got.dtype == np.uint16
         np.testing.assert_array_equal(got, np.stack(expected))
         if dropout == 1.0:

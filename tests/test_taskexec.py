@@ -39,8 +39,6 @@ from rockstack.scenesim import (
     SensorModel,
     Terrain,
     generate_scene,
-    make_body,
-    make_head,
     render_depth,
 )
 from rockstack.shapes import Superellipsoid
@@ -416,6 +414,112 @@ class TestRunStackingTask:
             ("pose_rock_0", "failed", "pose-detect-fail")
         ]
         assert ("pose_rock_1", "ok", None) in phases and ("pose_rock_2", "ok", None) in phases
+
+    @staticmethod
+    def _two_rock_run(monkeypatch, name, wrap):
+        """Stack the two-rock scene of seed 5 (both placed when nothing is
+        patched) with ``taskexec.<name>`` replaced by ``wrap(real)``; returns
+        the report and each rock's (phase, outcome, error_code) tuples."""
+        import rockstack.taskexec as taskexec_mod
+
+        monkeypatch.setattr(taskexec_mod, name, wrap(getattr(taskexec_mod, name)))
+        scene = generate_scene(replace(EASY_SCENE, rock_count=(2, 2)), seed=5)
+        report = run_stacking_task(
+            scene, HandGeometry(), GraspConfig(), SensorModel(), ExecParams(), seed=5
+        )
+        phases = [(p["phase"], p["outcome"], p["error_code"]) for p in report.phases]
+        per_rock = [[p for p in phases if p[0].endswith(f"_rock_{i}")] for i in range(2)]
+        assert not report.success
+        assert len(report.rocks) == 2
+        return report, per_rock
+
+    def test_wrong_object_record(self, monkeypatch):
+        calls = []
+
+        def wrap(real):
+            def grasp_the_other(arm, scene, *args, **kwargs):
+                calls.append(args)
+                arm, travel = real(arm, scene, *args, **kwargs)
+                if len(calls) == 1:
+                    other = [r.instance_id for r in scene.rocks if r.instance_id != arm.attached_id]
+                    arm = replace(arm, attached_id=other[0])
+                return arm, travel
+
+            return grasp_the_other
+
+        report, per_rock = self._two_rock_run(monkeypatch, "execute_grasp", wrap)
+        rock = report.rocks[0]
+        assert rock["outcome"] == "failed"
+        assert rock["failure_code"] == "wrong-object"
+        assert rock["grasped_instance_id"] != rock["instance_id"]
+        assert isinstance(rock["stable"], bool)
+        assert isinstance(rock["alignment_error_mm"], float)
+        assert isinstance(rock["grasp_score"], float)
+        assert per_rock[0] == [
+            ("pose_rock_0", "ok", None),
+            ("grasp_rock_0", "ok", None),
+            ("place_rock_0", "failed", "wrong-object"),
+        ]
+
+    def test_toppled_record(self, monkeypatch):
+        report, per_rock = self._two_rock_run(
+            monkeypatch, "check_stack_stability", lambda real: lambda top, support: "toppled"
+        )
+        assert report.rocks[0]["outcome"] == "placed"
+        rock = report.rocks[1]
+        assert rock["outcome"] == "failed"
+        assert rock["failure_code"] == "toppled"
+        assert rock["stable"] is False
+        assert rock["grasped_instance_id"] == rock["instance_id"]
+        assert isinstance(rock["alignment_error_mm"], float)
+        assert report.metrics["stacked_count"] == 1
+        assert per_rock[1] == [
+            ("pose_rock_1", "ok", None),
+            ("grasp_rock_1", "ok", None),
+            ("place_rock_1", "failed", "toppled"),
+        ]
+
+    def test_empty_grasp_list_record(self, monkeypatch):
+        def wrap(real):
+            def no_grasps(*args, **kwargs):
+                _, plane = real(*args, **kwargs)
+                return [], plane
+
+            return no_grasps
+
+        report, per_rock = self._two_rock_run(monkeypatch, "_observe_and_detect", wrap)
+        for i, rock in enumerate(report.rocks):
+            assert rock["outcome"] == "failed"
+            assert rock["failure_code"] == "grasp-fail"
+            assert rock["grasp_score"] is None and "grasped_instance_id" not in rock
+            assert per_rock[i] == [
+                (f"pose_rock_{i}", "ok", None),
+                (f"grasp_rock_{i}", "failed", "empty-grasp-list"),
+            ]
+
+    def test_task_failure_aborts_the_rock(self, monkeypatch):
+        calls = []
+
+        def wrap(real):
+            def first_grasp_misses(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == 1:
+                    raise GraspMissError("injected")
+                return real(*args, **kwargs)
+
+            return first_grasp_misses
+
+        report, per_rock = self._two_rock_run(monkeypatch, "execute_grasp", wrap)
+        rock = report.rocks[0]
+        assert rock["outcome"] == "failed"
+        assert rock["failure_code"] == "grasp-miss"
+        assert isinstance(rock["grasp_score"], float)
+        assert "grasped_instance_id" not in rock
+        assert rock["stable"] is None and rock["alignment_error_mm"] is None
+        assert per_rock[0] == [("pose_rock_0", "ok", None), ("abort_rock_0", "failed", "grasp-miss")]
+        # the arm was freed: the next rock is grasped and placed
+        assert report.rocks[1]["outcome"] == "placed"
+        assert per_rock[1][-1] == ("place_rock_1", "ok", None)
 
     def test_dropout_sensor_records_rocks_not_a_crash(self):
         # 99% dropout leaves most masks without depth; every trial of this
