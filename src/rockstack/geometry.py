@@ -36,17 +36,52 @@ def _tuple_value(value):
     return tuple(_tuple_value(v) for v in value) if isinstance(value, (list, tuple)) else value
 
 
+def json_int(key: str, value) -> int:
+    """``value`` if it is a JSON integer (not a bool); else ConfigError names ``key``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+def json_float(key: str, value) -> float:
+    """``value`` as a float if it is a JSON number (not a bool or a string);
+    else ConfigError names ``key``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
+def json_keys(data, keys: tuple) -> None:
+    """ConfigError unless ``data`` is a JSON object with exactly ``keys``; it
+    names the first missing, else the first unknown, key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"expected a JSON object, got {type(data).__name__}")
+    missing = [k for k in keys if k not in data]
+    unknown = [k for k in data if k not in keys]
+    if missing or unknown:
+        raise ConfigError(f"missing key {missing[0]!r}" if missing else f"{unknown[0]}: unknown key")
+
+
+def json_nested(key: str, parse, value):
+    """``parse(value)``; its error on a bad value is raised again as a
+    ConfigError prefixed with ``key``, so nested errors read as a path."""
+    try:
+        return parse(value)
+    except (ValueError, TypeError, LookupError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 class JsonFields:
     """JSON codec for dataclasses whose JSON keys are the field names: the
     config classes, and the trial and summary records (``TrialReport``
     reads its own fields back).
 
-    Tuple fields are written as (nested) lists and read back as tuples;
-    fields with a float default are read through ``float``; a field with an
-    int default takes only an int (not a bool), else ``ConfigError`` names
-    the field; other values pass through. An unknown key raises
-    ``TypeError`` from the constructor, and ``__post_init__`` validates the
-    result.
+    Tuple fields are written as (nested) lists and read back as tuples. A
+    field with a float default takes only a JSON number and one with an int
+    default only an integer (neither takes a bool or a string), else
+    ``ConfigError`` names the field; other values pass through. An unknown
+    key raises ``TypeError`` from the constructor, and ``__post_init__``
+    validates the result.
     """
 
     def to_json_dict(self) -> dict:
@@ -61,10 +96,9 @@ class JsonFields:
             if isinstance(default, tuple):
                 value = _tuple_value(value)
             elif isinstance(default, float):
-                value = float(value)
+                value = json_float(key, value)
             elif isinstance(default, int) and not isinstance(default, bool):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(f"{key}: expected an integer, got {value!r}")
+                value = json_int(key, value)
             kwargs[key] = value
         return cls(**kwargs)
 
@@ -100,13 +134,14 @@ class CameraIntrinsics:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CameraIntrinsics":
+        json_keys(data, ("fx", "fy", "cx", "cy", "width", "height"))
         return cls(
-            fx=float(data["fx"]),
-            fy=float(data["fy"]),
-            cx=float(data["cx"]),
-            cy=float(data["cy"]),
-            width=int(data["width"]),
-            height=int(data["height"]),
+            fx=json_float("fx", data["fx"]),
+            fy=json_float("fy", data["fy"]),
+            cx=json_float("cx", data["cx"]),
+            cy=json_float("cy", data["cy"]),
+            width=json_int("width", data["width"]),
+            height=json_int("height", data["height"]),
         )
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import JsonFields, deproject_pixel, mask_centroid, project_point
+from .geometry import JsonFields, deproject_pixel, json_nested, mask_centroid, project_point
 from .graspdetect import GraspConfig, HandGeometry, detect_grasps
 from .perception import (
     detections_from_masks,
@@ -44,6 +44,7 @@ from .scenesim import (
 )
 from .taskexec import (
     ExecParams,
+    TrialLog,
     TrialReport,
     derive_seed,
     observe_object,
@@ -66,6 +67,7 @@ _SECTIONS = {
     "grasp": ("grasp", GraspConfig),
     "exec": ("exec_params", ExecParams),
 }
+_TOP_LEVEL_KEYS = ("schema_version", "task", "trials", "base_seed", "samples", *_SECTIONS)
 
 
 def _json_object(name: str, value) -> dict:
@@ -120,6 +122,9 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         _json_object("config", data)
+        for key in data:
+            if key not in _TOP_LEVEL_KEYS:
+                raise ConfigError(f"{key}: unknown config key")
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
@@ -140,10 +145,7 @@ class ExperimentConfig:
             scene_data.setdefault("rock_count", [1, 1])
             scene_data["parts"] = ["body", "head", "leg"]
         for key, (name, factory) in _SECTIONS.items():
-            try:
-                kwargs[name] = factory.from_json_dict(payloads[key])
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
+            kwargs[name] = json_nested(key, factory.from_json_dict, payloads[key])
         return cls(**kwargs)
 
 
@@ -182,7 +184,7 @@ def compute_metrics(reports: list[TrialReport]) -> MetricsSummary:
     n = len(reports)
     summary = MetricsSummary(task=task, trials=n)
     summary.success_rate = sum(1 for r in reports if r.success) / n
-    sim_times = [float(r.metrics.get("sim_time_s", 0.0)) for r in reports]
+    sim_times = [r.sim_time_s for r in reports]
     summary.sim_time_stats = {
         "total_s": round(sum(sim_times), 6),
         "mean_s": round(sum(sim_times) / n, 6),
@@ -419,14 +421,9 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
             "sigma_z_mm": sz,
             "samples": len(pts),
         }
-    report = TrialReport(
-        task="pose_stability",
-        trial_seed=seed,
-        success=bool(classes),
-        phases=[{"phase": "pose_bench", "outcome": "ok", "error_code": None, "sim_time_s": 0.0}],
-    )
-    report.metrics = {"classes": classes, "sim_time_s": 0.0}
-    return report
+    trial = TrialLog("pose_stability", seed)
+    trial.phase("pose_bench")
+    return trial.report(bool(classes), {"classes": classes})
 
 
 def _run_grasp_bench_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
@@ -442,19 +439,14 @@ def _run_grasp_bench_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     )
     grasp_cfg = replace(cfg.grasp, seed=derive_seed(seed, 30))
     grasps = detect_grasps(cloud, cfg.hand, grasp_cfg, plane, ws, viewpoint)
-    report = TrialReport(
-        task="grasp_bench",
-        trial_seed=seed,
-        success=len(grasps) > 0,
-        phases=[{"phase": "detect", "outcome": "ok", "error_code": None, "sim_time_s": 0.0}],
-    )
-    report.metrics = {
+    trial = TrialLog("grasp_bench", seed)
+    trial.phase("detect")
+    metrics = {
         "n_grasps": len(grasps),
         "grasps": [g.to_json_dict() for g in grasps],
         "cloud_points": len(cloud),
-        "sim_time_s": 0.0,
     }
-    return report
+    return trial.report(len(grasps) > 0, metrics)
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
@@ -484,21 +476,9 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
     except Exception as exc:  # crash containment: record, don't abort
         print(f"{cfg.task} trial {index} (seed {seed}) crashed:", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
-        report = TrialReport(
-            task=cfg.task,
-            trial_seed=seed,
-            success=False,
-            phases=[
-                {
-                    "phase": "trial",
-                    "outcome": "failed",
-                    "error_code": f"exception:{type(exc).__name__}",
-                    "sim_time_s": 0.0,
-                }
-            ],
-        )
-        report.metrics = {"sim_time_s": 0.0}
-        return report
+        trial = TrialLog(cfg.task, seed)
+        trial.phase("trial", f"exception:{type(exc).__name__}")
+        return trial.report(False)
 
 
 def _trial_worker(cfg_json: dict, index: int) -> dict:

@@ -21,7 +21,7 @@ from .errors import (
     TooFewPointsError,
     ValidationError,
 )
-from .geometry import CameraIntrinsics, RigidTransform
+from .geometry import CameraIntrinsics, RigidTransform, deproject_pixel
 
 NORMAL_UNIT_TOL = 1e-6
 
@@ -129,12 +129,7 @@ def cloud_from_depth(
     valid = dd > 0
     if not np.any(valid):
         raise EmptyCloudError("depth image has no valid pixels")
-    u = uu[valid].astype(np.float64)
-    v = vv[valid].astype(np.float64)
-    d = dd[valid]
-    x = (u - intr.cx) * d / intr.fx
-    y = (v - intr.cy) * d / intr.fy
-    cam_pts = np.stack([x, y, d], axis=-1)
+    cam_pts = deproject_pixel(intr, uu[valid], vv[valid], dd[valid])
     return PointCloud(cam_to_robot.apply(cam_pts), frame="robot")
 
 

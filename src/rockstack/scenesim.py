@@ -24,6 +24,8 @@ from .geometry import (
     JsonFields,
     RigidTransform,
     camera_pose_from_lookat,
+    json_keys,
+    json_nested,
     mask_bbox,
 )
 from .shapes import (
@@ -280,9 +282,13 @@ class CameraSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CameraSpec":
-        intr = CameraIntrinsics.from_json_dict(data["intrinsics"])
-        if "pose" in data:
-            pose = RigidTransform.from_json_dict(data["pose"])
+        """``intrinsics`` plus either ``pose`` or ``position`` and
+        ``look_at``; ``ConfigError`` names a missing or unknown key."""
+        has_pose = isinstance(data, dict) and "pose" in data
+        json_keys(data, ("intrinsics", "pose") if has_pose else ("intrinsics", "position", "look_at"))
+        intr = json_nested("intrinsics", CameraIntrinsics.from_json_dict, data["intrinsics"])
+        if has_pose:
+            pose = json_nested("pose", RigidTransform.from_json_dict, data["pose"])
         else:
             pose = camera_pose_from_lookat(data["position"], data["look_at"])
         return cls(intr, pose)
@@ -499,9 +505,11 @@ class SceneSpec(JsonFields):
             raise ValidationError("scene must contain at least one object")
         # parsed again by generate_scene; checked here so a bad camera fails at load
         if self.base_camera is not None:
-            CameraSpec.from_json_dict(self.base_camera)
+            json_nested("base_camera", CameraSpec.from_json_dict, self.base_camera)
         if self.hand_camera_intrinsics is not None:
-            CameraIntrinsics.from_json_dict(self.hand_camera_intrinsics)
+            json_nested(
+                "hand_camera_intrinsics", CameraIntrinsics.from_json_dict, self.hand_camera_intrinsics
+            )
 
 
 DEFAULT_BASE_CAMERA = {

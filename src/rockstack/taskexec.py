@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -469,6 +470,10 @@ class TrialReport(JsonFields):
             metrics=dict(data.get("metrics", {})),
         )
 
+    @property
+    def sim_time_s(self) -> float:  # 0 for a record written without it
+        return float(self.metrics.get("sim_time_s", 0.0))
+
 
 def derive_seed(seed: int, k: int) -> int:
     """Seed of the trial's ``k``-th random stream (render, noise, RANSAC,
@@ -476,30 +481,44 @@ def derive_seed(seed: int, k: int) -> int:
     return (seed * 1_000_003 + k) % (2**63)
 
 
-class _Clock:
-    """Deterministic simulated time: travel at nominal speed plus fixed
-    per-action costs."""
+class TrialLog:
+    """A trial's phases and deterministic simulated time: arm travel at the
+    nominal speed plus a fixed cost per action (``params`` may be ``None``
+    for a trial that neither moves nor acts). Each phase runs from the
+    previous :meth:`phase` call, or from the trial start, to its own."""
 
-    def __init__(self, params: ExecParams):
-        self.params = params
-        self.total = 0.0
+    def __init__(self, task: str, seed: int, params: ExecParams | None = None):
+        self.task, self.seed, self.params = task, seed, params
+        self.phases: list = []
+        self._time = self._phase_start = 0.0
 
     def move(self, dist_mm: float) -> None:
-        self.total += dist_mm / self.params.arm_speed
+        self._time += dist_mm / self.params.arm_speed
 
     def action(self) -> None:
-        self.total += self.params.action_time
+        self._time += self.params.action_time
+
+    def phase(self, name: str, error_code: str | None = None) -> None:
+        """Close phase ``name``: failed with ``error_code``, else ok."""
+        outcome = "ok" if error_code is None else "failed"
+        sim_time = round(self._time - self._phase_start, 6)
+        self.phases.append(
+            {"phase": name, "outcome": outcome, "error_code": error_code, "sim_time_s": sim_time}
+        )
+        self._phase_start = self._time
+
+    def report(self, success: bool, metrics: dict | None = None, **records) -> TrialReport:
+        """The trial's report; ``metrics`` gains the total ``sim_time_s``, and
+        ``records`` are its ``rocks`` or ``parts``."""
+        metrics = dict(metrics or {}, sim_time_s=round(self._time, 6))
+        return TrialReport(self.task, self.seed, success, self.phases, metrics=metrics, **records)
 
 
-def _phase(phases: list, name: str, clock_start: float, clock: _Clock, outcome: str, error_code=None):
-    phases.append(
-        {
-            "phase": name,
-            "outcome": outcome,
-            "error_code": error_code,
-            "sim_time_s": round(clock.total - clock_start, 6),
-        }
-    )
+def _fail(trial: TrialLog, entry: dict, phase: str, code: str, phase_code: str | None = None) -> None:
+    """Mark ``entry`` failed with ``code``; close ``phase`` with ``phase_code`` or ``code``."""
+    entry["outcome"] = "failed"
+    entry["failure_code"] = code
+    trial.phase(phase, phase_code or code)
 
 
 def observe_object(
@@ -539,7 +558,9 @@ def observe_object(
     return cloud, plane, ws, (cx, cy, params.pregrasp_height)
 
 
-def _observe_and_detect(
+def _approach_and_detect(
+    trial: TrialLog,
+    arm: ArmState,
     scene: Scene,
     xy: np.ndarray,
     hand: HandGeometry,
@@ -548,20 +569,26 @@ def _observe_and_detect(
     params: ExecParams,
     observe_seed: int,
     grasp_seed: int,
-) -> tuple[list[GraspCandidate], Plane]:
-    """:func:`observe_object`, then grasp detection in its crop box.
+) -> tuple[ArmState, list[GraspCandidate], Plane]:
+    """Move to the pre-grasp pose above ``xy``, sweep the wrist camera
+    (:func:`observe_object`) and detect grasps in its crop box.
 
     When no grasp passes the approach cone, detection runs once more with
-    the cone opened to 90 degrees. Returns the grasps and the local
-    support-plane fit.
+    the cone opened to 90 degrees. Returns the moved arm, the grasps and
+    the local support-plane fit.
     """
+    pre = TOP_DOWN.with_translation((xy[0], xy[1], params.pregrasp_height))
+    trial.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
+    arm = move_to(arm, pre, scene)
+    trial.move(240.0)  # observation sweep
     cloud, plane, ws, viewpoint = observe_object(scene, xy, sensor, params, observe_seed)
     cfg = replace(grasp_cfg, seed=grasp_seed)
     grasps = detect_grasps(cloud, hand, cfg, plane, ws, viewpoint)
     if not grasps:
         wide = replace(cfg, cone_half_angle_deg=90.0)
         grasps = detect_grasps(cloud, hand, wide, plane, ws, viewpoint)
-    return grasps, plane
+    trial.action()
+    return arm, grasps, plane
 
 
 def _rock_true_height(rock: RockModel, terrain: Terrain) -> float:
@@ -585,19 +612,17 @@ def run_stacking_task(
     """
     if len(scene.rocks) < 2:
         raise ValidationError("stacking needs at least 2 rocks in the scene")
-    clock = _Clock(params)
-    phases: list = []
+    trial = TrialLog("stack", seed, params)
     rocks_report: list = []
     arm = ArmState.home(params, hand)
 
     # -- detect (eye on base)
-    t0 = clock.total
     depth_base, dets = _observe_base(scene, sensor, seed, ("rock",))
-    clock.action()
+    trial.action()
     if not dets:
-        _phase(phases, "detect", t0, clock, "failed", "no-detections")
-        return TrialReport("stack", seed, False, phases, rocks_report)
-    _phase(phases, "detect", t0, clock, "ok")
+        trial.phase("detect", "no-detections")
+        return trial.report(False)
+    trial.phase("detect")
 
     # -- support plane from the base cloud
     base_cloud = cloud_from_depth(
@@ -610,9 +635,8 @@ def run_stacking_task(
     stack = StackState(target_xy=target, base_z=plane.z_at(target[0], target[1]))
 
     # -- sort by mask area, largest first
-    t0 = clock.total
     ordered = sort_by_mask_area(dets)
-    _phase(phases, "sort", t0, clock, "ok")
+    trial.phase("sort")
 
     id_to_rock = {r.instance_id: r for r in scene.rocks}
     true_sections = {
@@ -620,22 +644,11 @@ def run_stacking_task(
     }
     true_volumes = {r.instance_id: r.true_volume for r in scene.rocks}
     det_ids = [d.instance_id for d in ordered]
-    pairs_total = 0
-    pairs_correct = 0
-    for i in range(len(det_ids)):
-        for j in range(i + 1, len(det_ids)):
-            pairs_total += 1
-            if true_sections[det_ids[i]] >= true_sections[det_ids[j]]:
-                pairs_correct += 1
+    pairs = list(combinations(det_ids, 2))
+    pairs_correct = sum(true_sections[a] >= true_sections[b] for a, b in pairs)
     volume_rank = sorted(det_ids, key=lambda k: -true_volumes[k])
 
     all_scene_detected = len(det_ids) == len(scene.rocks)
-
-    def fail(entry: dict, stem: str, t0: float, code: str, phase_code: str | None = None) -> None:
-        entry["outcome"] = "failed"
-        entry["failure_code"] = code
-        phase = f"{stem}_rock_{entry['sorted_index']}"
-        _phase(phases, phase, t0, clock, "failed", phase_code or code)
 
     for sorted_index, det in enumerate(ordered):
         rock = id_to_rock[det.instance_id]
@@ -654,7 +667,6 @@ def run_stacking_task(
             "stable": None,
         }
         rocks_report.append(entry)
-        t0 = clock.total
         support_ref = scene.terrain if params.support_from_terrain else plane
         try:
             position = object_workspace_pose(
@@ -668,36 +680,20 @@ def run_stacking_task(
                 support_ref,
             )
         except (EmptyMaskError, MissingDepthError, NegativeHeightError):
-            clock.action()
-            fail(entry, "pose", t0, "pose-detect-fail")
+            trial.action()
+            _fail(trial, entry, f"pose_rock_{sorted_index}", "pose-detect-fail")
             continue
         entry["height_est_mm"] = height_est
-        clock.action()
-        _phase(phases, f"pose_rock_{sorted_index}", t0, clock, "ok")
+        trial.action()
+        trial.phase(f"pose_rock_{sorted_index}")
 
         try:
-            # pre-grasp above the measured pose, then sweep the wrist camera
-            t0 = clock.total
-            pre = TOP_DOWN.with_translation(
-                (position[0], position[1], params.pregrasp_height)
+            seeds = derive_seed(seed, 10 + sorted_index), derive_seed(seed, 30 + sorted_index)
+            arm, grasps, local_plane = _approach_and_detect(
+                trial, arm, scene, position, hand, grasp_cfg, sensor, params, *seeds
             )
-            clock.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
-            arm = move_to(arm, pre, scene)
-            clock.move(240.0)  # observation sweep
-
-            grasps, local_plane = _observe_and_detect(
-                scene,
-                position,
-                hand,
-                grasp_cfg,
-                sensor,
-                params,
-                observe_seed=derive_seed(seed, 10 + sorted_index),
-                grasp_seed=derive_seed(seed, 30 + sorted_index),
-            )
-            clock.action()
             if not grasps:
-                fail(entry, "grasp", t0, "grasp-fail", "empty-grasp-list")
+                _fail(trial, entry, f"grasp_rock_{sorted_index}", "grasp-fail", "empty-grasp-list")
                 continue
             best = grasps[0]
             entry["grasp_score"] = float(best.score)
@@ -714,48 +710,45 @@ def run_stacking_task(
                 pregrasp_offset=params.pregrasp_offset,
                 support_z=pick_support,
             )
-            clock.move(travel)
-            clock.action()
+            trial.move(travel)
+            trial.action()
             entry["grasped_instance_id"] = arm.attached_id
             wrong_object = arm.attached_id != det.instance_id
-            _phase(phases, f"grasp_rock_{sorted_index}", t0, clock, "ok")
+            trial.phase(f"grasp_rock_{sorted_index}")
 
             # lift and place
-            t0 = clock.total
             lift = arm.pose.with_translation(
                 (arm.pose.translation[0], arm.pose.translation[1], params.transport_height)
             )
-            clock.move(float(np.linalg.norm(lift.translation - arm.pose.translation)))
+            trial.move(float(np.linalg.norm(lift.translation - arm.pose.translation)))
             arm = move_to(arm, lift, scene)
             arm, stack, placement = place_on_stack(arm, scene, stack, height_est, params)
-            clock.move(placement["travel_mm"])
-            clock.action()
+            trial.move(placement["travel_mm"])
+            trial.action()
             entry["alignment_error_mm"] = placement["alignment_error_mm"]
             entry["stable"] = placement["outcome"] == "stable"
             if wrong_object:
-                fail(entry, "place", t0, "wrong-object")
+                _fail(trial, entry, f"place_rock_{sorted_index}", "wrong-object")
             elif placement["outcome"] == "stable":
                 entry["outcome"] = "placed"
-                _phase(phases, f"place_rock_{sorted_index}", t0, clock, "ok")
+                trial.phase(f"place_rock_{sorted_index}")
             else:
-                fail(entry, "place", t0, "toppled")
+                _fail(trial, entry, f"place_rock_{sorted_index}", "toppled")
         except TaskFailure as exc:
-            fail(entry, "abort", t0, exc.code)
+            _fail(trial, entry, f"abort_rock_{sorted_index}", exc.code)
             # free the arm for the next rock
             arm = replace(arm, attached_id=None, attached_rel=None, opening=arm.max_aperture)
 
     # every entry ends as "placed" or "failed"
     rocks_ok = all(r["outcome"] == "placed" for r in rocks_report)
     success = rocks_ok and all_scene_detected and len(stack.placed) == len(scene.rocks)
-    report = TrialReport("stack", seed, success, phases, rocks_report)
-    report.metrics = {
+    metrics = {
         "stacked_count": len(stack.placed),
         "rock_count": len(scene.rocks),
-        "sort_pairs_total": pairs_total,
+        "sort_pairs_total": len(pairs),
         "sort_pairs_correct": pairs_correct,
-        "sim_time_s": round(clock.total, 6),
     }
-    return report
+    return trial.report(success, metrics, rocks=rocks_report)
 
 
 def _observe_base(
@@ -832,9 +825,7 @@ def run_assembly_task(
     # legs mate the camera-facing side socket; heads mate the top socket
     socket_name = "socket_top" if part.part_class == "head" else "socket_right"
 
-    clock = _Clock(params)
-    phases: list = []
-    parts_report: list = []
+    trial = TrialLog("assemble", seed, params)
     arm = ArmState.home(params, hand)
     entry = {
         "part_class": part.part_class,
@@ -846,21 +837,15 @@ def run_assembly_task(
         "attach_rot_error_deg": None,
     }
 
-    def fail(phase_name: str, t0: float, code: str) -> TrialReport:
-        _phase(phases, phase_name, t0, clock, "failed", code)
-        entry["outcome"] = "failed"
-        entry["failure_code"] = code
-        parts_report.append(entry)
-        rep = TrialReport("assemble", seed, False, phases, parts=parts_report)
-        rep.metrics = {"sim_time_s": round(clock.total, 6)}
-        return rep
+    def failed(phase: str, code: str) -> TrialReport:
+        _fail(trial, entry, phase, code)
+        return trial.report(False, parts=[entry])
 
     # -- get_pose
-    t0 = clock.total
     depth_base, dets = _observe_base(scene, sensor, seed, (part.part_class,))
-    clock.action()
+    trial.action()
     if not dets:
-        return fail("get_pose", t0, "pose-detect-fail")
+        return failed("get_pose", "pose-detect-fail")
     det = dets[0]
     try:
         part_pos_meas = object_workspace_pose(
@@ -871,32 +856,18 @@ def run_assembly_task(
             socket_true.translation, depth_base, scene.base_camera
         )
     except (EmptyMaskError, MissingDepthError, OutOfBoundsError, BehindCameraError):
-        return fail("get_pose", t0, "pose-detect-fail")
+        return failed("get_pose", "pose-detect-fail")
     socket_meas = socket_true.with_translation(socket_pos_meas)
-    _phase(phases, "get_pose", t0, clock, "ok")
+    trial.phase("get_pose")
 
     # -- grasp
-    t0 = clock.total
-    pre = TOP_DOWN.with_translation(
-        (part_pos_meas[0], part_pos_meas[1], params.pregrasp_height)
-    )
-    clock.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
     try:
-        arm = move_to(arm, pre, scene)
-        clock.move(240.0)  # observation sweep
-        grasps, _ = _observe_and_detect(
-            scene,
-            part_pos_meas,
-            hand,
-            grasp_cfg,
-            sensor,
-            params,
-            observe_seed=derive_seed(seed, 10),
-            grasp_seed=derive_seed(seed, 12),
+        seeds = derive_seed(seed, 10), derive_seed(seed, 12)
+        arm, grasps, _ = _approach_and_detect(
+            trial, arm, scene, part_pos_meas, hand, grasp_cfg, sensor, params, *seeds
         )
-        clock.action()
         if not grasps:
-            return fail("grasp", t0, "grasp-fail")
+            return failed("grasp", "grasp-fail")
         best = grasps[0]
         entry["grasp_score"] = float(best.score)
         arm, travel = execute_grasp(
@@ -908,17 +879,16 @@ def run_assembly_task(
             pregrasp_offset=params.pregrasp_offset,
         )
         if arm.attached_id != part.instance_id:
-            return fail("grasp", t0, "grasp-fail")
-        clock.move(travel)
-        clock.action()
+            return failed("grasp", "grasp-fail")
+        trial.move(travel)
+        trial.action()
     except TaskFailure as exc:
-        return fail("grasp", t0, exc.code)
-    _phase(phases, "grasp", t0, clock, "ok")
+        return failed("grasp", exc.code)
+    trial.phase("grasp")
 
     # -- pre_assembly
-    t0 = clock.total
     pre_asm = arm.pose.with_translation(params.pre_assembly_position)
-    clock.move(float(np.linalg.norm(pre_asm.translation - arm.pose.translation)))
+    trial.move(float(np.linalg.norm(pre_asm.translation - arm.pose.translation)))
     try:
         lift = arm.pose.with_translation(
             (arm.pose.translation[0], arm.pose.translation[1], params.transport_height)
@@ -926,17 +896,16 @@ def run_assembly_task(
         arm = move_to(arm, lift, scene)
         arm = move_to(arm, pre_asm, scene)
     except TaskFailure as exc:
-        return fail("pre_assembly", t0, exc.code)
-    _phase(phases, "pre_assembly", t0, clock, "ok")
+        return failed("pre_assembly", exc.code)
+    trial.phase("pre_assembly")
 
     # -- detect_joint (plug visibility + measurement through the base camera)
-    t0 = clock.total
     gripper = gripper_geometry(arm, hand)
     plug_true = part.attachment_world("plug")
     visible = _point_visible(scene, scene.base_camera, plug_true.translation, [gripper])
-    clock.action()
+    trial.action()
     if not visible:
-        return fail("detect_joint", t0, "joint-not-visible")
+        return failed("detect_joint", "joint-not-visible")
     depth_joint = render_depth(
         scene, scene.base_camera, sensor, derive_seed(seed, 20), extra_objects=[gripper]
     )
@@ -948,24 +917,22 @@ def run_assembly_task(
             surface_offset=PLUG_BALL_RADIUS,
         )
     except (MissingDepthError, OutOfBoundsError, BehindCameraError):
-        return fail("detect_joint", t0, "joint-not-visible")
+        return failed("detect_joint", "joint-not-visible")
     plug_meas = plug_true.with_translation(plug_pos_meas)
-    _phase(phases, "detect_joint", t0, clock, "ok")
+    trial.phase("detect_joint")
 
     # -- displace: move so the measured plug mates the measured socket
-    t0 = clock.total
     target_plug = socket_meas.compose(PLUG_MATE_FLIP)
     displacement = target_plug.compose(plug_meas.inverse())
     new_arm_pose = displacement.compose(arm.pose)
-    clock.move(float(np.linalg.norm(new_arm_pose.translation - arm.pose.translation)))
+    trial.move(float(np.linalg.norm(new_arm_pose.translation - arm.pose.translation)))
     try:
         arm = move_to(arm, new_arm_pose, scene)
     except TaskFailure as exc:
-        return fail("displace", t0, exc.code)
-    _phase(phases, "displace", t0, clock, "ok")
+        return failed("displace", exc.code)
+    trial.phase("displace")
 
     # -- attach: true plug frame must meet the true socket frame
-    t0 = clock.total
     plug_final = part.attachment_world("plug")
     socket_mate = body.attachment_world(socket_name).compose(PLUG_MATE_FLIP)
     pos_error = float(np.linalg.norm(plug_final.translation - socket_mate.translation))
@@ -976,19 +943,10 @@ def run_assembly_task(
     # raw frames let an external reader re-verify the check independently
     entry["plug_frame"] = plug_final.to_json_dict()
     entry["socket_frame"] = body.attachment_world(socket_name).to_json_dict()
-    clock.action()
-    if pos_error <= params.attach_tol_mm and rot_error_deg <= params.attach_tol_deg:
-        part.pose = socket_mate.compose(part.attachments["plug"].inverse())
-        arm = replace(arm, attached_id=None, attached_rel=None, opening=arm.max_aperture)
-        entry["outcome"] = "attached"
-        _phase(phases, "attach", t0, clock, "ok")
-        parts_report.append(entry)
-        rep = TrialReport("assemble", seed, True, phases, parts=parts_report)
-    else:
-        entry["outcome"] = "failed"
-        entry["failure_code"] = "attach-misaligned"
-        _phase(phases, "attach", t0, clock, "failed", "attach-misaligned")
-        parts_report.append(entry)
-        rep = TrialReport("assemble", seed, False, phases, parts=parts_report)
-    rep.metrics = {"sim_time_s": round(clock.total, 6)}
-    return rep
+    trial.action()
+    if not (pos_error <= params.attach_tol_mm and rot_error_deg <= params.attach_tol_deg):
+        return failed("attach", "attach-misaligned")
+    part.pose = socket_mate.compose(part.attachments["plug"].inverse())
+    entry["outcome"] = "attached"
+    trial.phase("attach")
+    return trial.report(True, parts=[entry])

@@ -15,6 +15,7 @@ import pytest
 
 from rockstack.errors import (
     BehindCameraError,
+    ConfigError,
     EmptyMaskError,
     MissingDepthError,
     OutOfBoundsError,
@@ -316,3 +317,27 @@ class TestFileFormats:
         back = RigidTransform.from_json_dict(json.loads(json.dumps(t.to_json_dict())))
         np.testing.assert_allclose(back.rotation, t.rotation)
         np.testing.assert_allclose(back.translation, t.translation)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"width": 320.5}, "width: expected an integer, got 320.5"),
+            ({"height": 240.0}, "height: expected an integer, got 240.0"),
+            ({"width": True}, "width: expected an integer, got True"),
+            ({"fx": "600"}, "fx: expected a number, got '600'"),
+            ({"cy": None}, "cy: expected a number, got None"),
+            ({"skew": 0.0}, "skew: unknown key"),
+        ],
+    )
+    def test_intrinsics_json_errors_name_the_key(self, intr, change, message):
+        with pytest.raises(ConfigError) as info:
+            CameraIntrinsics.from_json_dict(dict(intr.to_json_dict(), **change))
+        assert str(info.value) == message
+
+    def test_json_errors_name_the_missing_key(self, intr):
+        data = intr.to_json_dict()
+        del data["cx"]
+        with pytest.raises(ConfigError, match="missing key 'cx'"):
+            CameraIntrinsics.from_json_dict(data)
+        with pytest.raises(ConfigError, match="expected a JSON object, got list"):
+            CameraIntrinsics.from_json_dict([600.0])

@@ -26,7 +26,15 @@ from rockstack.harness import (
     run_trial,
     summary_to_csv,
 )
-from rockstack.scenesim import SceneSpec, SensorModel, Terrain, generate_scene, object_pixels
+from rockstack.scenesim import (
+    DEFAULT_BASE_CAMERA,
+    DEFAULT_HAND_INTRINSICS,
+    SceneSpec,
+    SensorModel,
+    Terrain,
+    generate_scene,
+    object_pixels,
+)
 from rockstack.taskexec import ExecParams, TrialReport, derive_seed, observe_object
 
 from conftest import tree_hash
@@ -172,11 +180,50 @@ class TestConfig:
         bad += [(name, [1]) for name in ("scene", "sensor", "hand", "grasp", "exec")]
         bad += [("scene", {"base_camera": {"position": [0, 0, 1]}})]
         bad += [("scene", {"hand_camera_intrinsics": {"fx": 130.0}})]
+        bad += [("sensor", {"depth_sigma": "2.5"}), ("sensor", {"dropout_rate": True})]
+        bad += [("sensr", {"depth_sigma": 2.0}), ("trails", 5)]
         for name, payload in bad:
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig.from_json_dict({"task": "stack", name: payload})
         with pytest.raises(ConfigError, match="config: expected a JSON object"):
             ExperimentConfig.from_json_dict([1, 2])
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"sensor": {"depth_sigma": "2.5"}}, "sensor: depth_sigma: expected a number, got '2.5'"),
+            ({"sensor": {"dropout_rate": True}}, "sensor: dropout_rate: expected a number, got True"),
+            ({"sensr": {"depth_sigma": 2.0}, "trails": 5}, "sensr: unknown config key"),
+            (
+                {"scene": {"base_camera": {"position": [0, 0, 1]}}},
+                "scene: base_camera: missing key 'intrinsics'",
+            ),
+            (
+                {"scene": {"base_camera": dict(DEFAULT_BASE_CAMERA, fov=60)}},
+                "scene: base_camera: fov: unknown key",
+            ),
+            (
+                {"scene": {"base_camera": {**DEFAULT_BASE_CAMERA, "intrinsics": {"fx": 270.0}}}},
+                "scene: base_camera: intrinsics: missing key 'fy'",
+            ),
+            (
+                {"scene": {"base_camera": {"intrinsics": DEFAULT_HAND_INTRINSICS, "pose": {}}}},
+                "scene: base_camera: pose: 'rotation'",
+            ),
+            (
+                {"scene": {"hand_camera_intrinsics": dict(DEFAULT_HAND_INTRINSICS, width=320.5)}},
+                "scene: hand_camera_intrinsics: width: expected an integer, got 320.5",
+            ),
+            (
+                {"scene": {"hand_camera_intrinsics": dict(DEFAULT_HAND_INTRINSICS, fx=-1.0)}},
+                "scene: hand_camera_intrinsics: focal lengths must be positive, got fx=-1.0 fy=130.0",
+            ),
+        ],
+    )
+    def test_error_message_is_the_field_path(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_json_dict(dict(data, task="stack"))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("section", NON_DEFAULT_SECTIONS, ids=lambda s: type(s).__name__)
     def test_section_round_trip_covers_every_field(self, section):

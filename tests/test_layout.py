@@ -6,6 +6,9 @@ syntax tree alone.
 * A library module imports no private (``_name``) name from another library
   module; such an import ties a module to another's internals. Tests may
   import private names to check them.
+* Every module-level private function, class or constant in the library is
+  referenced in its own module outside its own definition, so a helper
+  left without callers by a refactor fails here.
 """
 
 from __future__ import annotations
@@ -60,6 +63,32 @@ def private_imports(module: str, tree: ast.Module) -> set[tuple[str, str]]:
     return found
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unreferenced_private_names(tree: ast.Module) -> list[str]:
+    """Module-level ``_name`` definitions that no other top-level statement
+    of the module loads (a recursive call does not count)."""
+    found = []
+    for node in tree.body:
+        for name in _defined_names(node):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            used = any(
+                isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                for other in tree.body
+                if other is not node
+                for n in ast.walk(other)
+            )
+            if not used:
+                found.append(name)
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -70,6 +99,11 @@ def test_no_private_imports_across_modules():
     for path in MODULES:
         found |= private_imports(path.stem, _tree(path))
     assert sorted(found) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unreferenced_private_names(path):
+    assert unreferenced_private_names(_tree(path)) == []
 
 
 class TestTheChecks:
@@ -87,3 +121,13 @@ class TestTheChecks:
             "def f():\n    from .b import _v\n"
         )
         assert private_imports("m", tree) == {("m", "_x"), ("m", "_z"), ("m", "_v")}
+
+    def test_unreferenced_private_name_found(self):
+        tree = ast.parse(
+            "_USED = 1\n_UNUSED: int = 2\n__version__ = '1'\npublic = 3\n"
+            "def _self_only(n):\n    return _self_only(n - 1) if n else _USED\n"
+            "class _Dead:\n    pass\n"
+            "def _live():\n    return 0\n"
+            "def f():\n    return _live()\n"
+        )
+        assert unreferenced_private_names(tree) == ["_Dead", "_UNUSED", "_self_only"]

@@ -47,6 +47,7 @@ from rockstack.taskexec import (
     ArmState,
     ExecParams,
     StackState,
+    TrialLog,
     TrialReport,
     _cast_vertical,
     _observe_base,
@@ -482,12 +483,12 @@ class TestRunStackingTask:
     def test_empty_grasp_list_record(self, monkeypatch):
         def wrap(real):
             def no_grasps(*args, **kwargs):
-                _, plane = real(*args, **kwargs)
-                return [], plane
+                real(*args, **kwargs)
+                return []
 
             return no_grasps
 
-        report, per_rock = self._two_rock_run(monkeypatch, "_observe_and_detect", wrap)
+        report, per_rock = self._two_rock_run(monkeypatch, "detect_grasps", wrap)
         for i, rock in enumerate(report.rocks):
             assert rock["outcome"] == "failed"
             assert rock["failure_code"] == "grasp-fail"
@@ -496,6 +497,26 @@ class TestRunStackingTask:
                 (f"pose_rock_{i}", "ok", None),
                 (f"grasp_rock_{i}", "failed", "empty-grasp-list"),
             ]
+
+    def test_no_detections_record(self, monkeypatch):
+        import rockstack.taskexec as taskexec_mod
+
+        monkeypatch.setattr(taskexec_mod, "detections_from_masks", lambda *args, **kwargs: [])
+        scene = generate_scene(replace(EASY_SCENE, rock_count=(2, 2)), seed=5)
+        params = ExecParams()
+        report = run_stacking_task(
+            scene, HandGeometry(), GraspConfig(), SensorModel(), params, seed=5
+        )
+        assert not report.success and report.rocks == []
+        assert report.phases == [
+            {
+                "phase": "detect",
+                "outcome": "failed",
+                "error_code": "no-detections",
+                "sim_time_s": params.action_time,
+            }
+        ]
+        assert report.metrics == {"sim_time_s": params.action_time}
 
     def test_task_failure_aborts_the_rock(self, monkeypatch):
         calls = []
@@ -684,3 +705,39 @@ class TestGripperGeometry:
         fingers = local[(local[:, 0] > 1.0) & (np.abs(local[:, 1]) > 19.0)]
         assert fingers.size > 0
         assert np.min(np.abs(fingers[:, 1])) >= 20.0 - 1e-6
+
+
+class TestTrialLog:
+    def test_phases_run_from_the_previous_phase(self):
+        params = ExecParams(arm_speed=100.0, action_time=0.5)
+        trial = TrialLog("stack", 4, params)
+        trial.move(150.0)
+        trial.phase("first")
+        trial.phase("empty")
+        trial.action()
+        trial.move(50.0)
+        trial.phase("second", "grasp-fail")
+        report = trial.report(False, {"rock_count": 2}, rocks=[{"outcome": "failed"}])
+        assert report.phases == [
+            {"phase": "first", "outcome": "ok", "error_code": None, "sim_time_s": 1.5},
+            {"phase": "empty", "outcome": "ok", "error_code": None, "sim_time_s": 0.0},
+            {"phase": "second", "outcome": "failed", "error_code": "grasp-fail", "sim_time_s": 1.0},
+        ]
+        assert list(report.metrics.items()) == [("rock_count", 2), ("sim_time_s", 2.5)]
+        assert (report.task, report.trial_seed, report.success) == ("stack", 4, False)
+        assert report.rocks == [{"outcome": "failed"}] and report.parts == []
+        assert report.sim_time_s == 2.5
+
+    def test_timeless_trial(self):
+        trial = TrialLog("pose_stability", 9)
+        trial.phase("pose_bench")
+        report = trial.report(True)
+        assert report.phases[0]["sim_time_s"] == 0.0
+        assert report.metrics == {"sim_time_s": 0.0}
+
+    @pytest.mark.parametrize("task, seed", [("stack", 3), ("assemble", 0), ("assemble", 1)])
+    def test_phase_times_add_up_to_the_trial_time(self, task, seed):
+        report = run_trial(ExperimentConfig.from_json_dict({"task": task}), seed)
+        assert len(report.phases) > 1
+        total = sum(p["sim_time_s"] for p in report.phases)
+        assert total == pytest.approx(report.sim_time_s, abs=1e-5)
