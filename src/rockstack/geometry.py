@@ -13,6 +13,7 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -44,11 +45,28 @@ def json_int(key: str, value) -> int:
 
 
 def json_float(key: str, value) -> float:
-    """``value`` as a float if it is a JSON number (not a bool or a string);
-    else ConfigError names ``key``."""
+    """``value`` as a float if it is a finite JSON number (not a bool, a
+    string, NaN or an infinity); else ConfigError names ``key``."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def json_array(key: str, value, like: tuple) -> tuple:
+    """``value`` as a tuple if it is a JSON array nested like ``like``, with
+    the same lengths, whose leaves are numbers of ``like``'s kinds (an
+    integer where ``like`` has one); else ConfigError names ``key``."""
+
+    def shaped(v, d):
+        if not isinstance(d, tuple):
+            return json_int(key, v) if isinstance(d, int) else json_float(key, v)
+        if not isinstance(v, (list, tuple)) or len(v) != len(d):
+            raise ConfigError(f"{key}: expected an array shaped like {_json_value(like)}, got {value!r}")
+        return tuple(shaped(vi, di) for vi, di in zip(v, d))
+
+    return shaped(value, like)
 
 
 def json_keys(data, keys: tuple) -> None:
@@ -77,11 +95,12 @@ class JsonFields:
     reads its own fields back).
 
     Tuple fields are written as (nested) lists and read back as tuples. A
-    field with a float default takes only a JSON number and one with an int
-    default only an integer (neither takes a bool or a string), else
-    ``ConfigError`` names the field; other values pass through. An unknown
-    key raises ``TypeError`` from the constructor, and ``__post_init__``
-    validates the result.
+    field with a float default takes only a finite JSON number and one with
+    an int default only an integer (neither takes a bool or a string); one
+    with a non-empty tuple default takes only an array of the default's
+    shape (:func:`json_array`). Else ``ConfigError`` names the field; other
+    values pass through. An unknown key raises ``TypeError`` from the
+    constructor, and ``__post_init__`` validates the result.
     """
 
     def to_json_dict(self) -> dict:
@@ -93,7 +112,9 @@ class JsonFields:
         kwargs = {}
         for key, value in data.items():
             default = defaults.get(key)
-            if isinstance(default, tuple):
+            if isinstance(default, tuple) and default:
+                value = json_array(key, value, default)
+            elif isinstance(default, tuple):
                 value = _tuple_value(value)
             elif isinstance(default, float):
                 value = json_float(key, value)

@@ -430,8 +430,8 @@ def _run_grasp_bench_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     """Detect grasps on the first rock of a seeded scene.
 
     The rock is observed by the wrist sweep the task runners use
-    (:func:`~rockstack.taskexec.observe_object`); detection runs once, with
-    no widened-cone retry, so the record measures the detector alone.
+    (:func:`~rockstack.taskexec.observe_object`), and detection runs once
+    with the configured cone, as in the task runners.
     """
     scene = generate_scene(cfg.scene, seed)
     cloud, plane, ws, viewpoint = observe_object(

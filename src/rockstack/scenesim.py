@@ -28,15 +28,7 @@ from .geometry import (
     json_nested,
     mask_bbox,
 )
-from .shapes import (
-    Box,
-    Cylinder,
-    Sphere,
-    Superellipsoid,
-    union_bounding,
-    union_contains,
-    union_raycast,
-)
+from .shapes import Box, Cylinder, Sphere, Superellipsoid, Union
 
 TERRAIN_ID = -1
 MISS_ID = -2
@@ -294,8 +286,27 @@ class CameraSpec:
         return cls(intr, pose)
 
 
+class Body:
+    """A ``shape`` in its local frame placed at ``pose`` (local to world):
+    the world-frame queries that rocks, robot parts and the gripper share."""
+
+    def raycast_world(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        inv = self.pose.inverse()
+        o_local = np.broadcast_to(inv.apply(origin), dirs.shape)
+        d_local = dirs @ self.pose.rotation
+        return self.shape.raycast(o_local, d_local)
+
+    def contains_world(self, pts: np.ndarray) -> np.ndarray:
+        return self.shape.contains(self.pose.inverse().apply(pts))
+
+    def surface_points_world(self, *args, **kwargs) -> np.ndarray:
+        """``shape.surface_points(*args, **kwargs)`` in the world frame; with
+        no arguments, at the shape's default density."""
+        return self.pose.apply(self.shape.surface_points(*args, **kwargs))
+
+
 @dataclass
-class RockModel:
+class RockModel(Body):
     """Posed superellipsoid rock; center of mass at the pose translation."""
 
     shape: Superellipsoid
@@ -316,18 +327,6 @@ class RockModel:
     def bounding(self) -> tuple[np.ndarray, float]:
         return self.pose.translation, self.shape.bounding_radius
 
-    def raycast_world(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        inv = self.pose.inverse()
-        o_local = np.broadcast_to(inv.apply(origin), dirs.shape)
-        d_local = dirs @ self.pose.rotation
-        return self.shape.raycast(o_local, d_local)
-
-    def contains_world(self, pts: np.ndarray) -> np.ndarray:
-        return self.shape.contains(self.pose.inverse().apply(pts))
-
-    def surface_points_world(self, n_eta: int = 24, n_omega: int = 48) -> np.ndarray:
-        return self.pose.apply(self.shape.surface_points(n_eta, n_omega))
-
     def max_cross_section_area(self) -> float:
         """Largest horizontal cross-section area, mm^2 (yaw-only poses).
 
@@ -338,24 +337,15 @@ class RockModel:
 
 
 @dataclass
-class RobotPartModel:
-    """Union of primitives with named attachment frames (plugs/sockets)."""
+class RobotPartModel(Body):
+    """A union of primitives with named attachment frames (plugs/sockets):
+    a :data:`PARTS` part built by :func:`make_part`, or the gripper."""
 
     part_class: str
-    primitives: tuple
+    shape: Union
     attachments: dict
     pose: RigidTransform
     instance_id: int
-
-    PART_CLASSES = ("head", "body", "leg", "joint", "body_joint", "foot")
-
-    def __post_init__(self):
-        if self.part_class not in self.PART_CLASSES:
-            raise ValidationError(f"unknown part class {self.part_class!r}")
-        if self.part_class in ("head", "leg") and not any(
-            name.startswith("plug") for name in self.attachments
-        ):
-            raise ValidationError(f"{self.part_class} must declare a plug attachment")
 
     @property
     def label(self) -> str:
@@ -363,21 +353,8 @@ class RobotPartModel:
 
     @property
     def bounding(self) -> tuple[np.ndarray, float]:
-        center_local, radius = union_bounding(self.primitives)
+        center_local, radius = self.shape.bounding
         return self.pose.apply(center_local), radius
-
-    def raycast_world(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        inv = self.pose.inverse()
-        o_local = np.broadcast_to(inv.apply(origin), dirs.shape)
-        d_local = dirs @ self.pose.rotation
-        return union_raycast(self.primitives, o_local, d_local)
-
-    def contains_world(self, pts: np.ndarray) -> np.ndarray:
-        return union_contains(self.primitives, self.pose.inverse().apply(pts))
-
-    def surface_points_world(self, spacing: float = 3.0) -> np.ndarray:
-        pts = np.concatenate([p.surface_points(spacing) for p in self.primitives])
-        return self.pose.apply(pts)
 
     def attachment_world(self, name: str) -> RigidTransform:
         return self.pose.compose(self.attachments[name])
@@ -388,71 +365,53 @@ class RobotPartModel:
 # adding this radius along the sight ray
 PLUG_BALL_RADIUS = 4.5
 
-
-def make_head(instance_id: int, pose: RigidTransform | None = None) -> RobotPartModel:
-    """Spherical head on a neck with a downward ball-end plug (z outward).
-
-    The ball protrudes well below the sphere so an oblique camera can sight
-    it under the head.
-    """
-    prims = (
-        Sphere(center=(0.0, 0.0, 30.0), radius=20.0),
-        Cylinder(base=(0.0, 0.0, 4.0), axis=(0.0, 0.0, 1.0), length=8.0, radius=3.0),
-        Sphere(center=(0.0, 0.0, PLUG_BALL_RADIUS), radius=PLUG_BALL_RADIUS),
-    )
-    plug = RigidTransform(
-        RigidTransform.rotation_x(math.pi).rotation, (0.0, 0.0, PLUG_BALL_RADIUS)
-    )
-    return RobotPartModel(
-        part_class="head",
-        primitives=prims,
-        attachments={"plug": plug},
-        pose=pose if pose is not None else RigidTransform.identity(),
-        instance_id=instance_id,
-    )
-
-
-def make_leg(instance_id: int, pose: RigidTransform | None = None) -> RobotPartModel:
-    """Leg = joint peg plus foot box; ball-end plug on the peg, z outward."""
-    prims = (
-        Box(center=(25.0, 0.0, 8.0), half_extents=(25.0, 8.0, 8.0)),
-        Cylinder(base=(0.0, 0.0, 8.0), axis=(-1.0, 0.0, 0.0), length=8.0, radius=5.0),
-        Sphere(center=(-12.0, 0.0, 8.0), radius=PLUG_BALL_RADIUS),
-    )
-    plug = RigidTransform(
-        RigidTransform.rotation_y(-math.pi / 2).rotation, (-12.0, 0.0, 8.0)
-    )
-    return RobotPartModel(
-        part_class="leg",
-        primitives=prims,
-        attachments={"plug": plug},
-        pose=pose if pose is not None else RigidTransform.identity(),
-        instance_id=instance_id,
-    )
-
-
-def make_body(instance_id: int, pose: RigidTransform | None = None) -> RobotPartModel:
-    """Main body box with a top head socket and two side leg sockets."""
-    prims = (Box(center=(0.0, 0.0, 18.0), half_extents=(45.0, 30.0, 18.0)),)
-    sockets = {
-        "socket_top": RigidTransform(np.eye(3), (0.0, 0.0, 36.0)),
-        "socket_left": RigidTransform(
-            RigidTransform.rotation_x(-math.pi / 2).rotation, (0.0, 30.0, 18.0)
+# part class -> (primitives, attachment frames), both in the part's frame.
+# A plug's z points out of its part, a socket's out of the body.
+PARTS = {
+    # spherical head on a neck with a downward ball-end plug; the ball
+    # protrudes well below the sphere so an oblique camera can sight it
+    # under the head
+    "head": (
+        (
+            Sphere(center=(0.0, 0.0, 30.0), radius=20.0),
+            Cylinder(base=(0.0, 0.0, 4.0), axis=(0.0, 0.0, 1.0), length=8.0, radius=3.0),
+            Sphere(center=(0.0, 0.0, PLUG_BALL_RADIUS), radius=PLUG_BALL_RADIUS),
         ),
-        "socket_right": RigidTransform(
-            RigidTransform.rotation_x(math.pi / 2).rotation, (0.0, -30.0, 18.0)
+        {"plug": RigidTransform.rotation_x(math.pi, (0.0, 0.0, PLUG_BALL_RADIUS))},
+    ),
+    # joint peg plus foot box, with the ball-end plug on the peg
+    "leg": (
+        (
+            Box(center=(25.0, 0.0, 8.0), half_extents=(25.0, 8.0, 8.0)),
+            Cylinder(base=(0.0, 0.0, 8.0), axis=(-1.0, 0.0, 0.0), length=8.0, radius=5.0),
+            Sphere(center=(-12.0, 0.0, 8.0), radius=PLUG_BALL_RADIUS),
         ),
-    }
+        {"plug": RigidTransform.rotation_y(-math.pi / 2, (-12.0, 0.0, 8.0))},
+    ),
+    # main body box with a top head socket and two side leg sockets
+    "body": (
+        (Box(center=(0.0, 0.0, 18.0), half_extents=(45.0, 30.0, 18.0)),),
+        {
+            "socket_top": RigidTransform.from_translation((0.0, 0.0, 36.0)),
+            "socket_left": RigidTransform.rotation_x(-math.pi / 2, (0.0, 30.0, 18.0)),
+            "socket_right": RigidTransform.rotation_x(math.pi / 2, (0.0, -30.0, 18.0)),
+        },
+    ),
+}
+
+
+def make_part(part_class: str, instance_id: int, pose: RigidTransform | None = None) -> RobotPartModel:
+    """The :data:`PARTS` entry ``part_class`` at ``pose`` (identity by default)."""
+    if part_class not in PARTS:
+        raise ValidationError(f"unknown part class {part_class!r}")
+    primitives, attachments = PARTS[part_class]
     return RobotPartModel(
-        part_class="body",
-        primitives=prims,
-        attachments=sockets,
-        pose=pose if pose is not None else RigidTransform.identity(),
-        instance_id=instance_id,
+        part_class,
+        Union(primitives),
+        dict(attachments),
+        pose if pose is not None else RigidTransform.identity(),
+        instance_id,
     )
-
-
-_PART_FACTORIES = {"head": make_head, "leg": make_leg, "body": make_body}
 
 
 @dataclass
@@ -503,6 +462,9 @@ class SceneSpec(JsonFields):
             raise ValidationError("rock_semi_axis range must be positive and ordered")
         if self.rock_count[0] == 0 and not self.parts:
             raise ValidationError("scene must contain at least one object")
+        for part_class in self.parts:
+            if part_class not in PARTS:
+                raise ValidationError(f"unknown part class {part_class!r}")
         # parsed again by generate_scene; checked here so a bad camera fails at load
         if self.base_camera is not None:
             json_nested("base_camera", CameraSpec.from_json_dict, self.base_camera)
@@ -558,7 +520,7 @@ def _settle_rock(rock: RockModel, terrain: Terrain) -> None:
 
 
 def _settle_part(part: RobotPartModel, terrain: Terrain) -> None:
-    pts = part.surface_points_world(spacing=2.0)
+    pts = part.surface_points_world(2.0)
     gaps = pts[:, 2] - terrain.height_at(pts[:, 0], pts[:, 1])
     drop = float(np.min(gaps))
     part.pose = part.pose.with_translation(part.pose.translation - np.array([0.0, 0.0, drop]))
@@ -660,9 +622,6 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     parts: list[RobotPartModel] = []
     next_id = count
     for part_class in spec.parts:
-        factory = _PART_FACTORIES.get(part_class)
-        if factory is None:
-            raise ValidationError(f"unknown part class in scene spec: {part_class!r}")
         if part_class == "body":
             xy = np.asarray(spec.body_position, dtype=np.float64)
             pose = RigidTransform.from_translation((xy[0], xy[1], 80.0))
@@ -670,7 +629,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
             xy = _place_xy(spec, rng, 45.0, placed_xy, placed_r, f"part {part_class!r}")
             yaw = rng.uniform(0.0, 2.0 * math.pi)
             pose = RigidTransform.rotation_z(yaw, (xy[0], xy[1], 80.0))
-        part = factory(next_id, pose)
+        part = make_part(part_class, next_id, pose)
         _settle_part(part, terrain)
         parts.append(part)
         placed_xy.append(np.asarray(part.pose.translation[:2]))
@@ -1003,12 +962,10 @@ def scene_from_json_dict(data: dict) -> Scene:
         )
         for r in data["rocks"]
     ]
-    parts = []
-    for p in data["parts"]:
-        part = _PART_FACTORIES[p["part_class"]](
-            int(p["instance_id"]), RigidTransform.from_json_dict(p["pose"])
-        )
-        parts.append(part)
+    parts = [
+        make_part(p["part_class"], int(p["instance_id"]), RigidTransform.from_json_dict(p["pose"]))
+        for p in data["parts"]
+    ]
     return Scene(
         terrain=terrain,
         rocks=rocks,

@@ -1,9 +1,10 @@
 """Implicit-surface geometry for simulated objects.
 
 Rocks are superellipsoids: smoothly irregular, analytically testable for
-inside/outside, with a closed-form volume. Robot parts are unions of boxes,
-spheres and cylinders. Every shape supports vectorized ray casting in its
-local frame, parametrized so the caller's ray parameter is preserved
+inside/outside, with a closed-form volume. Robot parts and the gripper are
+each a :class:`Union` of boxes, spheres and cylinders. Every shape supports
+vectorized ray casting, inside tests and surface sampling in its local
+frame; a cast is parametrized so the caller's ray parameter is preserved
 (``p(s) = origin + s * direction``; directions need not be unit length).
 
 A superellipsoid cast marches 48 samples along each ray's bounding-sphere
@@ -184,7 +185,7 @@ class Superellipsoid:
         half = self.az * np.maximum(1.0 - g, 0.0) ** (self.e1 / 2.0)
         return np.where(g < 1.0, half, np.nan)
 
-    def surface_points(self, n_eta: int = 24, n_omega: int = 48) -> np.ndarray:
+    def surface_points(self, n_eta: int = 32, n_omega: int = 64) -> np.ndarray:
         """Deterministic parametric surface grid, shape (n_eta * n_omega, 3)."""
         eta = np.linspace(-math.pi / 2, math.pi / 2, n_eta)
         omega = np.linspace(-math.pi, math.pi, n_omega, endpoint=False)
@@ -422,22 +423,6 @@ class Cylinder:
         return center, math.sqrt((self.length / 2.0) ** 2 + self.radius**2)
 
 
-def union_bounding(primitives) -> tuple[np.ndarray, float]:
-    """Center and radius of a sphere enclosing all primitives."""
-    centers = []
-    radii = []
-    for prim in primitives:
-        c, r = prim.bounding
-        centers.append(c)
-        radii.append(r)
-    centers = np.asarray(centers)
-    mid = centers.mean(axis=0)
-    reach = max(
-        float(np.linalg.norm(c - mid)) + r for c, r in zip(centers, radii)
-    )
-    return mid, reach
-
-
 def union_raycast(primitives, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Nearest hit over a union of primitives."""
     best = None
@@ -447,9 +432,31 @@ def union_raycast(primitives, origins: np.ndarray, dirs: np.ndarray) -> np.ndarr
     return best
 
 
-def union_contains(primitives, pts: np.ndarray) -> np.ndarray:
-    mask = None
-    for prim in primitives:
-        m = prim.contains(pts)
-        mask = m if mask is None else (mask | m)
-    return mask
+@dataclass(frozen=True)
+class Union:
+    """Union of boxes, spheres and cylinders in one local frame: the shape
+    of a robot part or of the gripper."""
+
+    primitives: tuple
+
+    def raycast(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        return union_raycast(self.primitives, origins, dirs)
+
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        mask = None
+        for prim in self.primitives:
+            m = prim.contains(pts)
+            mask = m if mask is None else (mask | m)
+        return mask
+
+    @property
+    def bounding(self) -> tuple[np.ndarray, float]:
+        """Center and radius of a sphere enclosing all primitives."""
+        centers, radii = zip(*(prim.bounding for prim in self.primitives))
+        centers = np.asarray(centers)
+        mid = centers.mean(axis=0)
+        reach = max(float(np.linalg.norm(c - mid)) + r for c, r in zip(centers, radii))
+        return mid, reach
+
+    def surface_points(self, spacing: float = 2.5) -> np.ndarray:
+        return np.concatenate([prim.surface_points(spacing) for prim in self.primitives])

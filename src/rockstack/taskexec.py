@@ -20,6 +20,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     BehindCameraError,
+    ConfigError,
     EmptyMaskError,
     GraspMissError,
     MissingDepthError,
@@ -68,7 +69,7 @@ from .scenesim import (
     render_depth,
     render_scene_geometry,
 )
-from .shapes import Box
+from .shapes import Box, Union
 
 GRIPPER_ID = -10
 
@@ -103,6 +104,19 @@ class ExecParams(JsonFields):
     pre_assembly_position: tuple = (0.0, 430.0, 240.0)
     crop_half_xy: float = 70.0
     support_from_terrain: bool = True
+
+    def __post_init__(self):
+        for name in ("arm_speed", "crop_half_xy"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)!r}")
+        for name in ("action_time", "attach_tol_mm", "attach_tol_deg"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
+        if not all(lo < hi for lo, hi in zip(self.reach_min, self.reach_max)):
+            raise ConfigError(
+                f"reach_min: must be below reach_max on every axis, got "
+                f"{list(self.reach_min)} and {list(self.reach_max)}"
+            )
 
     @property
     def reach(self) -> Workspace:
@@ -166,19 +180,7 @@ def gripper_geometry(arm: ArmState, hand: HandGeometry) -> RobotPartModel:
             half_extents=(hand.finger_depth / 2.0, hand.finger_width / 2.0, hand.hand_height / 2.0),
         ),
     )
-    return RobotPartModel(
-        part_class="joint",
-        primitives=prims,
-        attachments={},
-        pose=arm.pose,
-        instance_id=GRIPPER_ID,
-    )
-
-
-def _object_surface_points(obj) -> np.ndarray:
-    if isinstance(obj, RockModel):
-        return obj.surface_points_world(n_eta=32, n_omega=64)
-    return obj.surface_points_world(spacing=2.5)
+    return RobotPartModel("gripper", Union(prims), {}, arm.pose, GRIPPER_ID)
 
 
 def _grasp_collides(
@@ -239,7 +241,7 @@ def execute_grasp(
 
     counts: list[tuple[int, int, np.ndarray]] = []
     for obj in scene.objects():
-        pts = _object_surface_points(obj)
+        pts = obj.surface_points_world()
         if _grasp_collides(pts, grasp, hand):
             raise GraspMissError(
                 f"hand would collide with object {obj.instance_id} before closing"
@@ -330,7 +332,7 @@ def _cast_vertical(obj, xys: np.ndarray, from_above: bool) -> np.ndarray:
 
 def settle_object(obj, terrain: Terrain, supports: list | None = None) -> None:
     """Drop the object along -z to first contact with terrain or supports."""
-    pts = _object_surface_points(obj)
+    pts = obj.surface_points_world()
     support_z = terrain.height_at(pts[:, 0], pts[:, 1])
     for sup in supports or []:
         top = _vertical_surface_z(sup, pts[:, :2], from_above=True)
@@ -424,7 +426,7 @@ def place_on_stack(
             outcome = "toppled"  # landed beside the stack entirely
     if outcome == "stable":
         stack.placed.append(rock.instance_id)
-        top_pts = _object_surface_points(rock)
+        top_pts = rock.surface_points_world()
         stack.top_z = float(np.max(top_pts[:, 2]))
     else:
         # topple removes only the top rock: park it beside the stack
@@ -571,11 +573,8 @@ def _approach_and_detect(
     grasp_seed: int,
 ) -> tuple[ArmState, list[GraspCandidate], Plane]:
     """Move to the pre-grasp pose above ``xy``, sweep the wrist camera
-    (:func:`observe_object`) and detect grasps in its crop box.
-
-    When no grasp passes the approach cone, detection runs once more with
-    the cone opened to 90 degrees. Returns the moved arm, the grasps and
-    the local support-plane fit.
+    (:func:`observe_object`) and detect grasps in its crop box. Returns the
+    moved arm, the grasps and the local support-plane fit.
     """
     pre = TOP_DOWN.with_translation((xy[0], xy[1], params.pregrasp_height))
     trial.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
@@ -584,15 +583,12 @@ def _approach_and_detect(
     cloud, plane, ws, viewpoint = observe_object(scene, xy, sensor, params, observe_seed)
     cfg = replace(grasp_cfg, seed=grasp_seed)
     grasps = detect_grasps(cloud, hand, cfg, plane, ws, viewpoint)
-    if not grasps:
-        wide = replace(cfg, cone_half_angle_deg=90.0)
-        grasps = detect_grasps(cloud, hand, wide, plane, ws, viewpoint)
     trial.action()
     return arm, grasps, plane
 
 
 def _rock_true_height(rock: RockModel, terrain: Terrain) -> float:
-    pts = _object_surface_points(rock)
+    pts = rock.surface_points_world()
     top = float(np.max(pts[:, 2]))
     return top - float(terrain.height_at(rock.center_of_mass[0], rock.center_of_mass[1]))
 

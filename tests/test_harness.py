@@ -182,6 +182,12 @@ class TestConfig:
         bad += [("scene", {"hand_camera_intrinsics": {"fx": 130.0}})]
         bad += [("sensor", {"depth_sigma": "2.5"}), ("sensor", {"dropout_rate": True})]
         bad += [("sensr", {"depth_sigma": 2.0}), ("trails", 5)]
+        bad += [("scene", {"rock_count": [0, 0], "parts": ["body", cls]}) for cls in ("wheel", "joint")]
+        bad += [("sensor", {"depth_sigma": float("nan")}), ("scene", {"terrain_pitch": float("inf")})]
+        bad += [("scene", {"terrain_amplitude": -float("inf")}), ("hand", {"max_aperture": 10**400})]
+        bad += [("scene", {"region": 5}), ("scene", {"region": [1, 2]}), ("scene", {"rock_count": [2]})]
+        bad += [("scene", {"rock_count": [1.0, 2]}), ("exec", {"reach_min": [0.0, 0.0]})]
+        bad += [("exec", {"stack_target_xy": [250.0, float("nan")]}), ("grasp", {"hand_axis": "z"})]
         for name, payload in bad:
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig.from_json_dict({"task": "stack", name: payload})
@@ -218,12 +224,43 @@ class TestConfig:
                 {"scene": {"hand_camera_intrinsics": dict(DEFAULT_HAND_INTRINSICS, fx=-1.0)}},
                 "scene: hand_camera_intrinsics: focal lengths must be positive, got fx=-1.0 fy=130.0",
             ),
+            (
+                {"scene": {"rock_count": [0, 0], "parts": ["body", "wheel"]}},
+                "scene: unknown part class 'wheel'",
+            ),
+            ({"sensor": {"depth_sigma": float("nan")}}, "sensor: depth_sigma: expected a finite number, got nan"),
+            (
+                {"scene": {"region": [1, 2]}},
+                "scene: region: expected an array shaped like [[-150.0, 120.0], [390.0, 610.0]], got [1, 2]",
+            ),
+            ({"scene": {"rock_count": [2, 3.5]}}, "scene: rock_count: expected an integer, got 3.5"),
+            ({"exec": {"arm_speed": 0}}, "exec: arm_speed: must be > 0, got 0.0"),
+            ({"exec": {"arm_speed": -200.0}}, "exec: arm_speed: must be > 0, got -200.0"),
+            ({"exec": {"action_time": -0.5}}, "exec: action_time: must be >= 0, got -0.5"),
+            ({"exec": {"crop_half_xy": -5.0}}, "exec: crop_half_xy: must be > 0, got -5.0"),
+            ({"exec": {"attach_tol_mm": -1.0}}, "exec: attach_tol_mm: must be >= 0, got -1.0"),
+            ({"exec": {"attach_tol_deg": -0.1}}, "exec: attach_tol_deg: must be >= 0, got -0.1"),
+            (
+                {"exec": {"reach_min": [500, 0, 0]}},
+                "exec: reach_min: must be below reach_max on every axis, "
+                "got [500.0, 0.0, 0.0] and [450.0, 830.0, 950.0]",
+            ),
+            (
+                {"exec": {"reach_max": [450.0, 830.0, -30.0]}},
+                "exec: reach_min: must be below reach_max on every axis, "
+                "got [-450.0, 30.0, -20.0] and [450.0, 830.0, -30.0]",
+            ),
         ],
     )
     def test_error_message_is_the_field_path(self, data, message):
         with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_json_dict(dict(data, task="stack"))
         assert str(info.value) == message
+
+    def test_exec_range_edges_load(self):
+        edges = {"action_time": 0.0, "attach_tol_mm": 0.0, "attach_tol_deg": 0.0, "arm_speed": 1e-3}
+        cfg = ExperimentConfig.from_json_dict({"task": "stack", "exec": edges})
+        assert cfg.exec_params == ExecParams(**edges)
 
     @pytest.mark.parametrize("section", NON_DEFAULT_SECTIONS, ids=lambda s: type(s).__name__)
     def test_section_round_trip_covers_every_field(self, section):

@@ -28,9 +28,7 @@ from rockstack.scenesim import (
     degrade_mask,
     generate_scene,
     instance_masks,
-    make_body,
-    make_head,
-    make_leg,
+    make_part,
     render_depth,
     render_instance_masks,
     render_scene_geometry,
@@ -567,18 +565,18 @@ class TestDegradeMask:
 
 class TestParts:
     def test_head_has_plug_below_sphere(self):
-        head = make_head(0)
+        head = make_part("head", 0)
         plug = head.attachments["plug"]
         np.testing.assert_allclose(plug.rotation[:, 2], [0.0, 0.0, -1.0], atol=1e-12)
         assert plug.translation[2] < 10.0
 
     def test_leg_plug_points_outward(self):
-        leg = make_leg(0)
+        leg = make_part("leg", 0)
         plug = leg.attachments["plug"]
         np.testing.assert_allclose(plug.rotation[:, 2], [-1.0, 0.0, 0.0], atol=1e-12)
 
     def test_body_socket_frames(self):
-        body = make_body(0)
+        body = make_part("body", 0)
         assert set(body.attachments) == {"socket_top", "socket_left", "socket_right"}
         np.testing.assert_allclose(
             body.attachments["socket_top"].rotation[:, 2], [0.0, 0.0, 1.0], atol=1e-12
@@ -588,17 +586,11 @@ class TestParts:
         )
 
     def test_part_class_validation(self):
-        with pytest.raises(ValidationError):
-            make_head(0).__class__(
-                part_class="wheel",
-                primitives=(),
-                attachments={},
-                pose=RigidTransform.identity(),
-                instance_id=0,
-            )
+        with pytest.raises(ValidationError, match="unknown part class 'wheel'"):
+            make_part("wheel", 0)
 
     def test_attachment_world_follows_pose(self):
-        head = make_head(0, RigidTransform.rotation_z(math.pi / 2, (10.0, 20.0, 30.0)))
+        head = make_part("head", 0, RigidTransform.rotation_z(math.pi / 2, (10.0, 20.0, 30.0)))
         plug = head.attachment_world("plug")
         expected = head.pose.apply(head.attachments["plug"].translation)
         np.testing.assert_allclose(plug.translation, expected)

@@ -18,9 +18,7 @@ from rockstack.shapes import (
     Cylinder,
     Sphere,
     Superellipsoid,
-    union_bounding,
-    union_contains,
-    union_raycast,
+    Union,
 )
 
 
@@ -200,7 +198,7 @@ class TestUnions:
             Sphere(center=(0.0, 0.0, 0.0), radius=5.0),
             Sphere(center=(0.0, 0.0, 30.0), radius=5.0),
         ]
-        s = union_raycast(prims, np.array([[0.0, 0.0, 100.0]]), np.array([[0.0, 0.0, -1.0]]))
+        s = Union(prims).raycast(np.array([[0.0, 0.0, 100.0]]), np.array([[0.0, 0.0, -1.0]]))
         assert s[0] == pytest.approx(65.0)  # upper sphere first
 
     def test_union_contains(self):
@@ -208,16 +206,16 @@ class TestUnions:
             Box(center=(0.0, 0.0, 0.0), half_extents=(1.0, 1.0, 1.0)),
             Sphere(center=(10.0, 0.0, 0.0), radius=1.0),
         ]
-        assert bool(union_contains(prims, np.array([0.5, 0.0, 0.0])))
-        assert bool(union_contains(prims, np.array([10.0, 0.5, 0.0])))
-        assert not bool(union_contains(prims, np.array([5.0, 0.0, 0.0])))
+        assert bool(Union(prims).contains(np.array([0.5, 0.0, 0.0])))
+        assert bool(Union(prims).contains(np.array([10.0, 0.5, 0.0])))
+        assert not bool(Union(prims).contains(np.array([5.0, 0.0, 0.0])))
 
     def test_union_bounding_encloses_everything(self):
         prims = [
             Box(center=(10.0, 0.0, 0.0), half_extents=(2.0, 2.0, 2.0)),
             Sphere(center=(-10.0, 0.0, 0.0), radius=3.0),
         ]
-        center, radius = union_bounding(prims)
+        center, radius = Union(prims).bounding
         for prim in prims:
             pts = prim.surface_points(1.0)
             assert np.max(np.linalg.norm(pts - center, axis=1)) <= radius + 1e-6

@@ -481,14 +481,19 @@ class TestRunStackingTask:
         ]
 
     def test_empty_grasp_list_record(self, monkeypatch):
+        cones = []
+
         def wrap(real):
-            def no_grasps(*args, **kwargs):
-                real(*args, **kwargs)
+            def no_grasps(cloud, hand, cfg, *args, **kwargs):
+                cones.append(cfg.cone_half_angle_deg)
+                real(cloud, hand, cfg, *args, **kwargs)
                 return []
 
             return no_grasps
 
         report, per_rock = self._two_rock_run(monkeypatch, "detect_grasps", wrap)
+        # one detection per rock, with the configured cone: no retry
+        assert cones == [GraspConfig().cone_half_angle_deg] * 2
         for i, rock in enumerate(report.rocks):
             assert rock["outcome"] == "failed"
             assert rock["failure_code"] == "grasp-fail"
@@ -517,6 +522,29 @@ class TestRunStackingTask:
             }
         ]
         assert report.metrics == {"sim_time_s": params.action_time}
+
+    def test_plane_support_heights(self):
+        """``support_from_terrain: false`` measures each rock's height from
+        the fitted base plane instead of the true terrain: the trials run
+        without a crash, every posed rock gets a height, and the heights
+        are not those measured from the terrain."""
+        sensor = {"depth_sigma": 2.0, "mask_erosion": 0.1, "boundary_flip_rate": 0.02, "dropout_rate": 0.01}
+        changed = False
+        for seed in range(3):
+            heights = {}
+            for terrain in (True, False):
+                cfg = ExperimentConfig.from_json_dict(
+                    {"task": "stack", "base_seed": seed, "sensor": sensor, "exec": {"support_from_terrain": terrain}}
+                )
+                report = run_trial(cfg, 0)
+                outcomes = {p["phase"]: p["outcome"] for p in report.phases}
+                assert not any((p["error_code"] or "").startswith("exception:") for p in report.phases)
+                for i, rock in enumerate(report.rocks):
+                    if outcomes[f"pose_rock_{i}"] == "ok":
+                        assert rock["height_est_mm"] is not None
+                heights[terrain] = [rock["height_est_mm"] for rock in report.rocks]
+            changed |= heights[True] != heights[False]
+        assert changed
 
     def test_task_failure_aborts_the_rock(self, monkeypatch):
         calls = []
