@@ -13,8 +13,10 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +32,16 @@ from .errors import (
 
 
 def _json_value(value):
+    if isinstance(value, JsonFields):
+        return value.to_json_dict()
     return [_json_value(v) for v in value] if isinstance(value, tuple) else value
 
 
-def _tuple_value(value):
-    return tuple(_tuple_value(v) for v in value) if isinstance(value, (list, tuple)) else value
+def json_bool(key: str, value) -> bool:
+    """``value`` if it is JSON ``true`` or ``false``; else ConfigError names ``key``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: expected true or false, got {value!r}")
+    return value
 
 
 def json_int(key: str, value) -> int:
@@ -57,25 +64,28 @@ def json_float(key: str, value) -> float:
 def json_array(key: str, value, like: tuple) -> tuple:
     """``value`` as a tuple if it is a JSON array nested like ``like``, with
     the same lengths, whose leaves are numbers of ``like``'s kinds (an
-    integer where ``like`` has one); else ConfigError names ``key``."""
+    integer where ``like`` has one); else ConfigError names ``key``. An
+    empty ``like`` takes an array of any length and leaves it unchecked."""
 
     def shaped(v, d):
         if not isinstance(d, tuple):
             return json_int(key, v) if isinstance(d, int) else json_float(key, v)
-        if not isinstance(v, (list, tuple)) or len(v) != len(d):
-            raise ConfigError(f"{key}: expected an array shaped like {_json_value(like)}, got {value!r}")
-        return tuple(shaped(vi, di) for vi, di in zip(v, d))
+        if not isinstance(v, (list, tuple)) or (d and len(v) != len(d)):
+            shape = f" shaped like {_json_value(like)}" if like else ""
+            raise ConfigError(f"{key}: expected an array{shape}, got {value!r}")
+        return tuple(shaped(vi, di) for vi, di in zip(v, d)) if d else tuple(v)
 
     return shaped(value, like)
 
 
-def json_keys(data, keys: tuple) -> None:
-    """ConfigError unless ``data`` is a JSON object with exactly ``keys``; it
-    names the first missing, else the first unknown, key."""
+def json_keys(data, keys: tuple, allowed=()) -> None:
+    """ConfigError unless ``data`` is a JSON object with every one of
+    ``keys`` and no key outside ``keys`` and ``allowed``; it names the
+    first missing, else the first unknown, key."""
     if not isinstance(data, dict):
         raise ConfigError(f"expected a JSON object, got {type(data).__name__}")
     missing = [k for k in keys if k not in data]
-    unknown = [k for k in data if k not in keys]
+    unknown = [k for k in data if k not in keys and k not in allowed]
     if missing or unknown:
         raise ConfigError(f"missing key {missing[0]!r}" if missing else f"{unknown[0]}: unknown key")
 
@@ -89,18 +99,44 @@ def json_nested(key: str, parse, value):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _field_reader(kind, default):
+    """``read(key, value)`` for a field declared as ``kind`` with
+    ``default``, or None for a type the codec passes through unchecked."""
+    if isinstance(kind, type) and issubclass(kind, JsonFields):
+        return lambda key, value: json_nested(key, kind.from_json_dict, value)
+    if kind is tuple:
+        like = default if isinstance(default, tuple) else ()
+        return lambda key, value: json_array(key, value, like)
+    return {bool: json_bool, int: json_int, float: json_float}.get(kind)
+
+
+@functools.cache
+def _json_fields(cls) -> tuple[dict, tuple]:
+    """``(readers, required)`` for a :class:`JsonFields` class: the reader
+    of each field by name (None passes the value through), and the names
+    of the fields without a default. Worked out once per class."""
+    hints = typing.get_type_hints(cls)
+    readers = {f.name: _field_reader(hints[f.name], f.default) for f in fields(cls)}
+    required = tuple(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return readers, required
+
+
 class JsonFields:
     """JSON codec for dataclasses whose JSON keys are the field names: the
     config classes, and the trial and summary records (``TrialReport``
     reads its own fields back).
 
-    Tuple fields are written as (nested) lists and read back as tuples. A
-    field with a float default takes only a finite JSON number and one with
-    an int default only an integer (neither takes a bool or a string); one
-    with a non-empty tuple default takes only an array of the default's
-    shape (:func:`json_array`). Else ``ConfigError`` names the field; other
-    values pass through. An unknown key raises ``TypeError`` from the
-    constructor, and ``__post_init__`` validates the result.
+    Each field is read by the rule for its declared type: a ``JsonFields``
+    class by that class's reader, its errors prefixed with the key; a
+    ``bool`` only from ``true`` or ``false``; a ``float`` only from a
+    finite number and an ``int`` only from an integer; a ``tuple`` only
+    from an array, shaped like the default when that is non-empty
+    (:func:`json_array`). Other types pass through. A field without a
+    default is required, and :func:`json_keys` rejects a missing or an
+    unknown key. Else ``ConfigError`` names the field, and
+    ``__post_init__`` validates the result.
     """
 
     def to_json_dict(self) -> dict:
@@ -108,24 +144,13 @@ class JsonFields:
 
     @classmethod
     def from_json_dict(cls, data: dict):
-        defaults = {f.name: f.default for f in fields(cls)}
-        kwargs = {}
-        for key, value in data.items():
-            default = defaults.get(key)
-            if isinstance(default, tuple) and default:
-                value = json_array(key, value, default)
-            elif isinstance(default, tuple):
-                value = _tuple_value(value)
-            elif isinstance(default, float):
-                value = json_float(key, value)
-            elif isinstance(default, int) and not isinstance(default, bool):
-                value = json_int(key, value)
-            kwargs[key] = value
-        return cls(**kwargs)
+        readers, required = _json_fields(cls)
+        json_keys(data, required, readers)
+        return cls(**{k: v if readers[k] is None else readers[k](k, v) for k, v in data.items()})
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
+class CameraIntrinsics(JsonFields):
     """Pinhole intrinsics: focal lengths and principal point, in pixels."""
 
     fx: float
@@ -142,28 +167,6 @@ class CameraIntrinsics:
             raise ValidationError(
                 f"principal point ({self.cx}, {self.cy}) outside {self.width}x{self.height} image"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CameraIntrinsics":
-        json_keys(data, ("fx", "fy", "cx", "cy", "width", "height"))
-        return cls(
-            fx=json_float("fx", data["fx"]),
-            fy=json_float("fy", data["fy"]),
-            cx=json_float("cx", data["cx"]),
-            cy=json_float("cy", data["cy"]),
-            width=json_int("width", data["width"]),
-            height=json_int("height", data["height"]),
-        )
 
 
 def deproject_pixel(intr: CameraIntrinsics, u, v, d):
@@ -282,6 +285,7 @@ class RigidTransform:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RigidTransform":
+        json_keys(data, ("rotation", "translation"))
         r = np.asarray(data["rotation"], dtype=np.float64).reshape(3, 3)
         t = np.asarray(data["translation"], dtype=np.float64)
         return cls(r, t)

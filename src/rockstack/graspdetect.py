@@ -166,7 +166,7 @@ class GraspCandidate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GraspCandidate":
         return cls(
-            pose=RigidTransform.from_json_dict(data),
+            pose=RigidTransform.from_json_dict({k: data[k] for k in ("rotation", "translation")}),
             grasp_width=float(data["grasp_width"]),
             score=float(data["score"]),
             closing_point_count=int(data["closing_point_count"]),

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import JsonFields, deproject_pixel, json_nested, mask_centroid, project_point
+from .geometry import JsonFields, deproject_pixel, mask_centroid, project_point
 from .graspdetect import GraspConfig, HandGeometry, detect_grasps
 from .perception import (
     detections_from_masks,
@@ -59,45 +59,27 @@ TASKS = ("stack", "assemble", "pose_stability", "grasp_bench")
 REFERENCE_ALIGNMENT_MM = 25.0
 
 
-# JSON key -> (ExperimentConfig field, section class)
-_SECTIONS = {
-    "scene": ("scene", SceneSpec),
-    "sensor": ("sensor", SensorModel),
-    "hand": ("hand", HandGeometry),
-    "grasp": ("grasp", GraspConfig),
-    "exec": ("exec_params", ExecParams),
-}
-_TOP_LEVEL_KEYS = ("schema_version", "task", "trials", "base_seed", "samples", *_SECTIONS)
-
-
-def _json_object(name: str, value) -> dict:
-    """``value``, which must be a JSON object; else ConfigError names ``name``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name}: expected a JSON object, got {type(value).__name__}")
-    return value
-
-
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: task, trial count, seed policy and nested configs."""
+class ExperimentConfig(JsonFields):
+    """One experiment: task, trial count, seed policy and nested configs.
+    JSON keys are the field names."""
 
+    schema_version: int = SCHEMA_VERSION
     task: str = "stack"
     trials: int = 1
     base_seed: int = 0
     samples: int = 2000  # pose_stability repetitions per trial
-    scene: SceneSpec = field(default_factory=SceneSpec)
-    sensor: SensorModel = field(default_factory=SensorModel)
-    hand: HandGeometry = field(default_factory=HandGeometry)
-    grasp: GraspConfig = field(default_factory=GraspConfig)
-    exec_params: ExecParams = field(default_factory=ExecParams)
+    scene: SceneSpec = SceneSpec()
+    sensor: SensorModel = SensorModel()
+    hand: HandGeometry = HandGeometry()
+    grasp: GraspConfig = GraspConfig()
+    exec: ExecParams = ExecParams()
 
     def __post_init__(self):
+        if self.schema_version != SCHEMA_VERSION:
+            raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {self.schema_version}")
         if self.task not in TASKS:
             raise ConfigError(f"task: unknown task {self.task!r}; expected one of {TASKS}")
-        for name in ("trials", "base_seed", "samples"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name}: expected an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
         if self.samples < 2:
@@ -105,48 +87,25 @@ class ExperimentConfig:
         if self.task == "grasp_bench" and self.scene.rock_count[0] < 1:
             raise ConfigError("scene.rock_count: grasp_bench needs at least one rock per scene")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "task": self.task,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "samples": self.samples,
-            "scene": self.scene.to_json_dict(),
-            "sensor": self.sensor.to_json_dict(),
-            "hand": self.hand.to_json_dict(),
-            "grasp": self.grasp.to_json_dict(),
-            "exec": self.exec_params.to_json_dict(),
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        _json_object("config", data)
-        for key in data:
-            if key not in _TOP_LEVEL_KEYS:
-                raise ConfigError(f"{key}: unknown config key")
-        version = data.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-        kwargs: dict = {}
-        for key in ("task", "trials", "base_seed", "samples"):
-            if key in data:
-                kwargs[key] = data[key]
-        task = kwargs.get("task", "stack")
-        payloads = {key: _json_object(key, data.get(key, {})) for key in _SECTIONS}
-        scene_data = payloads["scene"] = dict(payloads["scene"])
-        if task == "assemble":
-            if "parts" not in scene_data:
-                scene_data.setdefault("rock_count", [0, 0])
-                scene_data["parts"] = ["body", "head"]
-            scene_data.setdefault("base_camera", DEFAULT_ASSEMBLY_CAMERA)
-            scene_data.setdefault("min_separation", 140.0)
-        if task == "pose_stability" and "parts" not in scene_data:
-            scene_data.setdefault("rock_count", [1, 1])
-            scene_data["parts"] = ["body", "head", "leg"]
-        for key, (name, factory) in _SECTIONS.items():
-            kwargs[name] = json_nested(key, factory.from_json_dict, payloads[key])
-        return cls(**kwargs)
+        """The shared reader, after filling the scene defaults of the
+        ``assemble`` and ``pose_stability`` tasks into ``data``."""
+        scene = data.get("scene", {}) if isinstance(data, dict) else None
+        task = data.get("task") if isinstance(scene, dict) else None
+        if task in ("assemble", "pose_stability"):
+            scene = dict(scene)
+            if task == "assemble":
+                if "parts" not in scene:
+                    scene.setdefault("rock_count", [0, 0])
+                    scene["parts"] = ["body", "head"]
+                scene.setdefault("base_camera", DEFAULT_ASSEMBLY_CAMERA)
+                scene.setdefault("min_separation", 140.0)
+            elif "parts" not in scene:
+                scene.setdefault("rock_count", [1, 1])
+                scene["parts"] = ["body", "head", "leg"]
+            data = dict(data, scene=scene)
+        return super().from_json_dict(data)
 
 
 DEFAULT_ASSEMBLY_CAMERA = {
@@ -435,7 +394,7 @@ def _run_grasp_bench_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     """
     scene = generate_scene(cfg.scene, seed)
     cloud, plane, ws, viewpoint = observe_object(
-        scene, scene.rocks[0].center_of_mass, cfg.sensor, cfg.exec_params, derive_seed(seed, 10)
+        scene, scene.rocks[0].center_of_mass, cfg.sensor, cfg.exec, derive_seed(seed, 10)
     )
     grasp_cfg = replace(cfg.grasp, seed=derive_seed(seed, 30))
     grasps = detect_grasps(cloud, cfg.hand, grasp_cfg, plane, ws, viewpoint)
@@ -461,12 +420,12 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
         if cfg.task == "stack":
             scene = generate_scene(cfg.scene, seed)
             return run_stacking_task(
-                scene, cfg.hand, cfg.grasp, cfg.sensor, cfg.exec_params, seed
+                scene, cfg.hand, cfg.grasp, cfg.sensor, cfg.exec, seed
             )
         if cfg.task == "assemble":
             scene = generate_scene(cfg.scene, seed)
             return run_assembly_task(
-                scene, cfg.hand, cfg.grasp, cfg.sensor, cfg.exec_params, seed
+                scene, cfg.hand, cfg.grasp, cfg.sensor, cfg.exec, seed
             )
         if cfg.task == "pose_stability":
             return _run_pose_stability_trial(cfg, seed)

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import PlacementError, ValidationError
+from .errors import ConfigError, PlacementError, ValidationError
 from .geometry import (
     CameraIntrinsics,
     InstanceMask,
     JsonFields,
     RigidTransform,
     camera_pose_from_lookat,
+    json_array,
     json_keys,
     json_nested,
     mask_bbox,
@@ -33,6 +34,10 @@ from .shapes import Box, Cylinder, Sphere, Superellipsoid, Union
 TERRAIN_ID = -1
 MISS_ID = -2
 _RAY_BLOCK = 8192  # terrain rays cast together: 64 KB per float temporary
+# the most terrain grid points a scene may ask for: 8 MB per float64 array
+# of heights, about 350 times the default 67 x 43 grid
+_MAX_TERRAIN_CELLS = 1_000_000
+_XYZ = (0.0, 0.0, 0.0)  # the JSON shape of a point
 
 
 @dataclass(frozen=True)
@@ -275,14 +280,17 @@ class CameraSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CameraSpec":
         """``intrinsics`` plus either ``pose`` or ``position`` and
-        ``look_at``; ``ConfigError`` names a missing or unknown key."""
+        ``look_at``, each 3 numbers; ``ConfigError`` names a missing or
+        unknown key, or a bad value's key."""
         has_pose = isinstance(data, dict) and "pose" in data
         json_keys(data, ("intrinsics", "pose") if has_pose else ("intrinsics", "position", "look_at"))
         intr = json_nested("intrinsics", CameraIntrinsics.from_json_dict, data["intrinsics"])
         if has_pose:
             pose = json_nested("pose", RigidTransform.from_json_dict, data["pose"])
         else:
-            pose = camera_pose_from_lookat(data["position"], data["look_at"])
+            pose = camera_pose_from_lookat(
+                json_array("position", data["position"], _XYZ), json_array("look_at", data["look_at"], _XYZ)
+            )
         return cls(intr, pose)
 
 
@@ -465,6 +473,17 @@ class SceneSpec(JsonFields):
         for part_class in self.parts:
             if part_class not in PARTS:
                 raise ValidationError(f"unknown part class {part_class!r}")
+        if not self.terrain_pitch > 0:
+            raise ConfigError(f"terrain_pitch: must be > 0, got {self.terrain_pitch!r}")
+        if not all(e > 0 for e in self.terrain_extent):
+            raise ConfigError(f"terrain_extent: must be > 0 on both axes, got {list(self.terrain_extent)}")
+        # Terrain.generate's grid, before rounding: 2 * extent / pitch + 1 points per axis
+        cells = math.prod(2 * e / self.terrain_pitch + 1 for e in self.terrain_extent)
+        if cells > _MAX_TERRAIN_CELLS:
+            raise ConfigError(
+                f"terrain_pitch: {self.terrain_pitch!r} makes a grid of {cells:.0f} cells over "
+                f"terrain_extent, more than {_MAX_TERRAIN_CELLS}"
+            )
         # parsed again by generate_scene; checked here so a bad camera fails at load
         if self.base_camera is not None:
             json_nested("base_camera", CameraSpec.from_json_dict, self.base_camera)

@@ -321,7 +321,7 @@ def test_criterion_09_assembly_benchmark():
         for seed in range(trials):
             scene = generate_scene(cfg.scene, seed=seed)
             rep = run_assembly_task(
-                scene, cfg.hand, cfg.grasp, SensorModel(), cfg.exec_params, seed
+                scene, cfg.hand, cfg.grasp, SensorModel(), cfg.exec, seed
             )
             phases = {p["phase"]: p for p in rep.phases}
             assert phases, "per-phase attribution missing"

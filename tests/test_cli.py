@@ -70,7 +70,7 @@ class TestStackRun:
         bad.write_text("[1, 2]")
         code = main(["stack", "run", "--trials", "1", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert capsys.readouterr().err.strip() == "error: config: expected a JSON object, got list"
+        assert capsys.readouterr().err.strip() == "error: expected a JSON object, got list"
 
 
 class TestGraspDetect:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from rockstack.errors import ConfigError, ValidationError
+from rockstack.geometry import CameraIntrinsics, RigidTransform
 from rockstack.graspdetect import GraspConfig, HandGeometry
 from rockstack.harness import (
     DEFAULT_ASSEMBLY_CAMERA,
@@ -115,7 +116,25 @@ NON_DEFAULT_SECTIONS = [
         crop_half_xy=60.0,
         support_from_terrain=False,
     ),
+    CameraIntrinsics(fx=300.0, fy=310.0, cx=160.0, cy=120.0, width=320, height=240),
 ]
+_SECTION_OF = {type(s): s for s in NON_DEFAULT_SECTIONS}
+# every field but schema_version, whose one legal value is its default
+NON_DEFAULT_SECTIONS.append(
+    ExperimentConfig(
+        task="assemble",
+        trials=3,
+        base_seed=7,
+        samples=50,
+        scene=_SECTION_OF[SceneSpec],
+        sensor=_SECTION_OF[SensorModel],
+        hand=_SECTION_OF[HandGeometry],
+        grasp=_SECTION_OF[GraspConfig],
+        exec=_SECTION_OF[ExecParams],
+    )
+)
+
+POSE_WITH_EXTRA_KEY = dict(RigidTransform.identity().to_json_dict(), bogus=1)
 
 
 def fake_stack_report(seed, success, rocks, pairs=(3, 3)) -> TrialReport:
@@ -191,7 +210,7 @@ class TestConfig:
         for name, payload in bad:
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig.from_json_dict({"task": "stack", name: payload})
-        with pytest.raises(ConfigError, match="config: expected a JSON object"):
+        with pytest.raises(ConfigError, match="expected a JSON object, got list"):
             ExperimentConfig.from_json_dict([1, 2])
 
     @pytest.mark.parametrize(
@@ -199,7 +218,7 @@ class TestConfig:
         [
             ({"sensor": {"depth_sigma": "2.5"}}, "sensor: depth_sigma: expected a number, got '2.5'"),
             ({"sensor": {"dropout_rate": True}}, "sensor: dropout_rate: expected a number, got True"),
-            ({"sensr": {"depth_sigma": 2.0}, "trails": 5}, "sensr: unknown config key"),
+            ({"sensr": {"depth_sigma": 2.0}, "trails": 5}, "sensr: unknown key"),
             (
                 {"scene": {"base_camera": {"position": [0, 0, 1]}}},
                 "scene: base_camera: missing key 'intrinsics'",
@@ -214,7 +233,7 @@ class TestConfig:
             ),
             (
                 {"scene": {"base_camera": {"intrinsics": DEFAULT_HAND_INTRINSICS, "pose": {}}}},
-                "scene: base_camera: pose: 'rotation'",
+                "scene: base_camera: pose: missing key 'rotation'",
             ),
             (
                 {"scene": {"hand_camera_intrinsics": dict(DEFAULT_HAND_INTRINSICS, width=320.5)}},
@@ -250,6 +269,36 @@ class TestConfig:
                 "exec: reach_min: must be below reach_max on every axis, "
                 "got [-450.0, 30.0, -20.0] and [450.0, 830.0, -30.0]",
             ),
+            ({"scene": {"no_such": 1}}, "scene: no_such: unknown key"),
+            (
+                {"exec": {"support_from_terrain": "no"}},
+                "exec: support_from_terrain: expected true or false, got 'no'",
+            ),
+            ({"grasp": {"approach_filter": 0}}, "grasp: approach_filter: expected true or false, got 0"),
+            ({"scene": {"parts": "body"}}, "scene: parts: expected an array, got 'body'"),
+            (
+                {"scene": {"base_camera": {"intrinsics": DEFAULT_HAND_INTRINSICS, "pose": POSE_WITH_EXTRA_KEY}}},
+                "scene: base_camera: pose: bogus: unknown key",
+            ),
+            (
+                {"scene": {"base_camera": dict(DEFAULT_BASE_CAMERA, position=[0.0, 500.0])}},
+                "scene: base_camera: position: expected an array shaped like [0.0, 0.0, 0.0], got [0.0, 500.0]",
+            ),
+            (
+                {"scene": {"base_camera": dict(DEFAULT_BASE_CAMERA, position=[0.0, float("nan"), 1000.0])}},
+                "scene: base_camera: position: expected a finite number, got nan",
+            ),
+            ({"scene": {"terrain_pitch": 0}}, "scene: terrain_pitch: must be > 0, got 0.0"),
+            ({"scene": {"terrain_pitch": -10}}, "scene: terrain_pitch: must be > 0, got -10.0"),
+            (
+                {"scene": {"terrain_extent": [-330, 210]}},
+                "scene: terrain_extent: must be > 0 on both axes, got [-330.0, 210.0]",
+            ),
+            (
+                {"scene": {"terrain_pitch": 0.001}},
+                "scene: terrain_pitch: 0.001 makes a grid of 277201080001 cells over terrain_extent, "
+                "more than 1000000",
+            ),
         ],
     )
     def test_error_message_is_the_field_path(self, data, message):
@@ -260,13 +309,13 @@ class TestConfig:
     def test_exec_range_edges_load(self):
         edges = {"action_time": 0.0, "attach_tol_mm": 0.0, "attach_tol_deg": 0.0, "arm_speed": 1e-3}
         cfg = ExperimentConfig.from_json_dict({"task": "stack", "exec": edges})
-        assert cfg.exec_params == ExecParams(**edges)
+        assert cfg.exec == ExecParams(**edges)
 
     @pytest.mark.parametrize("section", NON_DEFAULT_SECTIONS, ids=lambda s: type(s).__name__)
     def test_section_round_trip_covers_every_field(self, section):
         names = [f.name for f in dataclasses.fields(section)]
-        default = type(section)()
-        assert [n for n in names if getattr(section, n) == getattr(default, n)] == []
+        unchanged = [f.name for f in dataclasses.fields(section) if getattr(section, f.name) == f.default]
+        assert unchanged == (["schema_version"] if isinstance(section, ExperimentConfig) else [])
         data = section.to_json_dict()
         assert list(data) == names
         assert type(section).from_json_dict(json.loads(json.dumps(data))) == section
@@ -470,7 +519,7 @@ class TestRunExperiment:
             scene,
             scene.rocks[0].center_of_mass,
             cfg.sensor,
-            cfg.exec_params,
+            cfg.exec,
             derive_seed(cfg.base_seed, 10),
         )
         assert report.metrics["cloud_points"] == len(cloud)

@@ -619,7 +619,7 @@ class TestRunAssemblyTask:
         cfg = self._config("head")
         scene = generate_scene(cfg.scene, seed=1)
         report = run_assembly_task(
-            scene, cfg.hand, cfg.grasp, SensorModel(), cfg.exec_params, seed=1
+            scene, cfg.hand, cfg.grasp, SensorModel(), cfg.exec, seed=1
         )
         assert report.success
         part = report.parts[0]
@@ -639,7 +639,7 @@ class TestRunAssemblyTask:
         cfg = self._config("leg")
         scene = generate_scene(cfg.scene, seed=0)  # seed 0 grasps with the plug hidden
         report = run_assembly_task(
-            scene, cfg.hand, cfg.grasp, SensorModel(), cfg.exec_params, seed=0
+            scene, cfg.hand, cfg.grasp, SensorModel(), cfg.exec, seed=0
         )
         phases = {p["phase"]: p for p in report.phases}
         assert not report.success
@@ -650,7 +650,7 @@ class TestRunAssemblyTask:
         cfg = self._config("head")
         scene = generate_scene(cfg.scene, seed=2)
         report = run_assembly_task(
-            scene, cfg.hand, cfg.grasp, SensorModel(), cfg.exec_params, seed=2
+            scene, cfg.hand, cfg.grasp, SensorModel(), cfg.exec, seed=2
         )
         names = [p["phase"] for p in report.phases]
         expected = ["get_pose", "grasp", "pre_assembly", "detect_joint", "displace", "attach"]
@@ -701,7 +701,7 @@ class TestRunAssemblyTask:
         for _ in range(2):
             scene = generate_scene(cfg.scene, seed=7)
             rep = run_assembly_task(
-                scene, cfg.hand, cfg.grasp, SensorModel(depth_sigma=1.0), cfg.exec_params, seed=7
+                scene, cfg.hand, cfg.grasp, SensorModel(depth_sigma=1.0), cfg.exec, seed=7
             )
             outs.append(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert outs[0] == outs[1]
