@@ -18,13 +18,20 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import JsonFields, deproject_pixel, mask_centroid, project_point
+from .geometry import (
+    JsonFields,
+    deproject_pixel,
+    json_keys,
+    json_nested,
+    mask_centroid,
+    project_point,
+)
 from .graspdetect import GraspConfig, HandGeometry, detect_grasps
 from .perception import (
     detections_from_masks,
@@ -393,17 +400,19 @@ def _run_grasp_bench_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     with the configured cone, as in the task runners.
     """
     scene = generate_scene(cfg.scene, seed)
-    cloud, plane, ws, viewpoint = observe_object(
+    seen = observe_object(
         scene, scene.rocks[0].center_of_mass, cfg.sensor, cfg.exec, derive_seed(seed, 10)
     )
-    grasp_cfg = replace(cfg.grasp, seed=derive_seed(seed, 30))
-    grasps = detect_grasps(cloud, cfg.hand, grasp_cfg, plane, ws, viewpoint)
+    grasps = []
+    if len(seen.cloud):
+        grasp_cfg = replace(cfg.grasp, seed=derive_seed(seed, 30))
+        grasps = detect_grasps(seen.cloud, cfg.hand, grasp_cfg, seen.plane, seen.workspace, seen.viewpoint)
     trial = TrialLog("grasp_bench", seed)
     trial.phase("detect")
     metrics = {
         "n_grasps": len(grasps),
         "grasps": [g.to_json_dict() for g in grasps],
-        "cloud_points": len(cloud),
+        "cloud_points": seen.points,
     }
     return trial.report(len(grasps) > 0, metrics)
 
@@ -412,7 +421,8 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
     """Run trial ``index`` with seed ``base_seed + index``; never raises.
 
     Unexpected exceptions become failure reports so one poisoned trial
-    cannot abort the batch. The report records the exception's type; its
+    cannot abort the batch. The report's one phase records the exception's
+    type as its ``error_code`` and its message as ``error_message``; the
     traceback goes to stderr.
     """
     seed = cfg.base_seed + index
@@ -436,7 +446,7 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
         print(f"{cfg.task} trial {index} (seed {seed}) crashed:", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         trial = TrialLog(cfg.task, seed)
-        trial.phase("trial", f"exception:{type(exc).__name__}")
+        trial.phase("trial", f"exception:{type(exc).__name__}", str(exc))
         return trial.report(False)
 
 
@@ -593,5 +603,12 @@ def recompute_summary_from_files(out_dir) -> MetricsSummary:
     reports = []
     for _, p in indexed:
         with open(p, "r", encoding="utf-8") as f:
-            reports.append(TrialReport.from_json_dict(json.load(f)))
+            reports.append(json_nested(p.name, _read_trial_report, json.load(f)))
     return compute_metrics(reports)
+
+
+def _read_trial_report(data) -> TrialReport:
+    """A trial file's report; ``ConfigError`` names a bad field, or a key
+    that is not a report field."""
+    json_keys(data, (), [f.name for f in fields(TrialReport)])
+    return TrialReport.from_json_dict(data)

@@ -37,6 +37,8 @@ logger = logging.getLogger(__name__)
 
 # share of a mask's highest z values whose median is the object top
 _TOP_FRACTION = 0.05
+# side, px, of the median window object_workspace_pose reads at a mask centroid
+CENTROID_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def object_workspace_pose(
     if mask_area(detection.mask) == 0:
         raise EmptyMaskError("cannot locate an empty detection")
     cu, cv = mask_centroid(detection.mask)
-    d = median_window_depth(depth, cu, cv)
+    d = median_window_depth(depth, cu, cv, size=CENTROID_WINDOW)
     return cam_to_robot.apply(deproject_pixel(intr, cu, cv, d))
 
 

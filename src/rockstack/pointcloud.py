@@ -122,14 +122,35 @@ def cloud_from_depth(
     if stride < 1:
         raise ValidationError("stride must be >= 1")
     depth = np.asarray(depth)
-    vs = np.arange(0, depth.shape[0], stride)
-    us = np.arange(0, depth.shape[1], stride)
-    uu, vv = np.meshgrid(us, vs)  # row-major: v outer, u inner
-    dd = depth[vv, uu].astype(np.float64)
-    valid = dd > 0
-    if not np.any(valid):
+    h, w = depth.shape
+    grid = (np.arange(0, h, stride)[:, None] * w + np.arange(0, w, stride)).ravel()
+    pixels = grid[depth.flat[grid] > 0]
+    if pixels.size == 0:
         raise EmptyCloudError("depth image has no valid pixels")
-    cam_pts = deproject_pixel(intr, uu[valid], vv[valid], dd[valid])
+    return cloud_from_pixels(depth, intr, cam_to_robot, pixels)
+
+
+def cloud_from_pixels(
+    depth: np.ndarray,
+    intr: CameraIntrinsics,
+    cam_to_robot: RigidTransform,
+    pixels: np.ndarray,
+) -> PointCloud:
+    """The points of the flat row-major pixel indices ``pixels``, each of
+    which must hold depth > 0, in their order; empty for no pixels.
+
+    Each point is bit-equal to that pixel's point in :func:`cloud_from_depth`
+    of the same image: deprojection is elementwise, and numpy's matrix
+    product rounds each row alike whatever the rows beside it. A single
+    point is transformed as a two-row product, because numpy sends a
+    one-row product to a vector routine that can round it differently.
+    """
+    depth = np.asarray(depth)
+    pixels = np.asarray(pixels, dtype=np.intp)
+    v, u = np.divmod(pixels, depth.shape[1])
+    cam_pts = deproject_pixel(intr, u, v, depth.flat[pixels].astype(np.float64))
+    if len(cam_pts) == 1:
+        return PointCloud(cam_to_robot.apply(np.repeat(cam_pts, 2, axis=0))[:1], frame="robot")
     return PointCloud(cam_to_robot.apply(cam_pts), frame="robot")
 
 
@@ -219,22 +240,42 @@ def fit_plane_ransac(
 ) -> tuple[Plane, np.ndarray]:
     """Seeded RANSAC plane fit; returns the plane and sorted inlier indices.
 
-    The winning hypothesis (most inliers; ties broken by lowest iteration
-    index) is refit by least squares over its inliers, and the returned
-    inlier set is recomputed against the refit plane over the full cloud.
-    ``max_points`` caps the hypothesis/scoring subset for large clouds; the
-    final refit and inlier indices always refer to the full cloud.
+    The fit is :func:`fit_plane_sample` over the rows :func:`ransac_sample`
+    draws. The winning hypothesis (most inliers; ties broken by lowest
+    iteration index) is refit by least squares over its inliers, and the
+    returned inlier set is recomputed against the refit plane over the full
+    cloud. ``max_points`` caps the hypothesis/scoring subset for large
+    clouds; the final refit and inlier indices always refer to the full
+    cloud.
     """
-    n = len(cloud)
+    rows, rng = ransac_sample(len(cloud), seed, max_points)
+    plane = fit_plane_sample(cloud.points[rows], rng, iters, tol)
+    full_inliers = np.nonzero(np.abs(plane.signed_distance(cloud.points)) <= tol)[0]
+    return plane, full_inliers
+
+
+def ransac_sample(
+    n: int, seed: int, max_points: int | None = None
+) -> tuple[np.ndarray, np.random.Generator]:
+    """The sorted rows of an n-point cloud that :func:`fit_plane_ransac`
+    with this ``seed`` and ``max_points`` fits to, and the generator, after
+    that draw, from which it draws its hypotheses.
+
+    The rows depend on n alone, so a caller that knows n can build just
+    those points and pass them to :func:`fit_plane_sample`.
+    """
     if n < 3:
         raise TooFewPointsError("plane fit needs at least 3 points")
     rng = np.random.default_rng(seed)
     if max_points is not None and n > max_points:
-        subset = np.sort(rng.choice(n, size=max_points, replace=False))
-        pts = cloud.points[subset]
-    else:
-        pts = cloud.points
+        return np.sort(rng.choice(n, size=max_points, replace=False)), rng
+    return np.arange(n), rng
 
+
+def fit_plane_sample(pts: np.ndarray, rng: np.random.Generator, iters: int, tol: float) -> Plane:
+    """The plane of :func:`fit_plane_ransac` from its subset ``pts`` (the
+    points of the rows :func:`ransac_sample` drew, in order) and the
+    generator that drew them."""
     best_count = 0
     best_model: tuple[np.ndarray, float] | None = None
     m = pts.shape[0]
@@ -258,9 +299,7 @@ def fit_plane_ransac(
     _, _, vt = np.linalg.svd(inlier_pts - centroid, full_matrices=False)
     normal = vt[-1]
     normal, offset = _orient_plane(normal, float(normal @ centroid))
-    plane = Plane(normal / np.linalg.norm(normal), offset)
-    full_inliers = np.nonzero(np.abs(plane.signed_distance(cloud.points)) <= tol)[0]
-    return plane, full_inliers
+    return Plane(normal / np.linalg.norm(normal), offset)
 
 
 def filter_above_plane(cloud: PointCloud, plane: Plane, margin: float = 0.0) -> PointCloud:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, PlacementError, ValidationError
+from .errors import ConfigError, EmptyCloudError, PlacementError, ValidationError
 from .geometry import (
     CameraIntrinsics,
     InstanceMask,
@@ -38,6 +38,8 @@ _RAY_BLOCK = 8192  # terrain rays cast together: 64 KB per float temporary
 # of heights, about 350 times the default 67 x 43 grid
 _MAX_TERRAIN_CELLS = 1_000_000
 _XYZ = (0.0, 0.0, 0.0)  # the JSON shape of a point
+# widening, mm, that keeps a pixel-selection bound clear of float rounding
+_ROUNDING_MM = 1e-3
 
 
 @dataclass(frozen=True)
@@ -299,6 +301,18 @@ class Body:
     the world-frame queries that rocks, robot parts and the gripper share."""
 
     def raycast_world(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Ray parameter of the first hit along ``origin + s * dirs``, inf
+        for a miss; ``origin`` is one point or one per ray.
+
+        Each ray's result depends on that ray alone, so a cast of any subset
+        of the rays gives each the same value bit for bit. The shapes' casts
+        are per-ray; the products with the pose go through numpy's matrix
+        routines, which round each row alike whatever the rows beside it. A
+        single ray is cast as two copies, because numpy sends a one-row
+        product to a vector routine that can round it differently."""
+        if len(dirs) == 1:
+            origin = origin if np.ndim(origin) == 1 else np.repeat(origin, 2, axis=0)
+            return self.raycast_world(origin, np.repeat(dirs, 2, axis=0))[:1]
         inv = self.pose.inverse()
         o_local = np.broadcast_to(inv.apply(origin), dirs.shape)
         d_local = dirs @ self.pose.rotation
@@ -471,6 +485,8 @@ class SceneSpec(JsonFields):
         if self.rock_count[0] == 0 and not self.parts:
             raise ValidationError("scene must contain at least one object")
         for part_class in self.parts:
+            if not isinstance(part_class, str):
+                raise ConfigError(f"parts: expected a part class name, got {part_class!r}")
             if part_class not in PARTS:
                 raise ValidationError(f"unknown part class {part_class!r}")
         if not self.terrain_pitch > 0:
@@ -751,10 +767,10 @@ def render_scene_geometry(
     ``pixels``, distinct flat row-major pixel indices in any order, casts
     only those pixels and returns flat ``(depth, ids)`` in their order. Each
     value is bit-equal to the whole-image render at that pixel: the ray
-    directions are those of the whole image, indexed; the terrain cast is
-    per-ray independent; and an object whose footprint holds a cast pixel is
-    cast on its whole footprint, as in the whole-image render, of which only
-    the cast pixels are kept.
+    directions are those of the whole image, indexed, and every cast is
+    per-ray independent (:meth:`Terrain.raycast_world`,
+    :meth:`Body.raycast_world`), so an object is cast only on the pixels of
+    its footprint that are asked for.
     """
     intr = camera.intrinsics
     origin = camera.pose.translation
@@ -780,8 +796,8 @@ def render_scene_geometry(
         cast = at >= 0
         if not np.any(cast):
             continue
-        s = obj.raycast_world(origin, dirs[rows])[cast]
         at = at[cast]
+        s = obj.raycast_world(origin, dirs[rows[cast]])
         closer = s < depth[at]
         if np.any(closer):
             sub = at[closer]
@@ -846,6 +862,140 @@ def render_depth(
     """Synthetic uint16 depth image in mm (0 = missing), seed-deterministic."""
     depth, _ = render_scene_geometry(scene, camera, extra_objects)
     return apply_depth_noise(depth, sensor, seed)
+
+
+class NoisyDepth:
+    """The depth image of :func:`render_depth` and the id image of
+    :func:`render_scene_geometry`, rendered only at the pixels asked for.
+
+    The noise and dropout draws are made over the whole image when the
+    object is made, in :func:`apply_depth_noise`'s order. :meth:`cast`
+    renders pixels with :func:`render_scene_geometry` and finishes them with
+    :func:`finish_depth_noise`; both work pixel by pixel, so each cast pixel
+    of ``depth`` and ``ids`` is bit-equal to the whole image's. A pixel not
+    cast reads 0 in ``depth`` and ``MISS_ID`` in ``ids``. A cast renders the
+    scene as it is at the call, so a reader casts what it will read before
+    anything in the scene moves.
+    """
+
+    def __init__(
+        self,
+        scene: Scene,
+        camera: CameraSpec,
+        sensor: SensorModel,
+        seed: int,
+        extra_objects: list | None = None,
+    ):
+        intr = camera.intrinsics
+        shape = (intr.height, intr.width)
+        self.scene, self.camera, self.sensor = scene, camera, sensor
+        self.extra_objects = list(extra_objects or [])
+        rng = np.random.default_rng(seed)
+        self._normal = self._uniform = None
+        if sensor.depth_sigma > 0:
+            self._normal = rng.normal(0.0, sensor.depth_sigma, size=shape).ravel()
+        if sensor.dropout_rate > 0:
+            self._uniform = rng.random(shape).ravel()
+        self.depth = np.zeros(shape, dtype=np.uint16)
+        self.ids = np.full(shape, MISS_ID, dtype=np.int32)
+        self._cast = np.zeros(self.depth.size, dtype=bool)
+
+    def cast(self, pixels: np.ndarray) -> None:
+        """Render and finish those of the flat row-major pixel indices
+        ``pixels`` (any order, repeats allowed) not cast yet."""
+        todo = np.zeros_like(self._cast)
+        todo[pixels] = True
+        new = np.flatnonzero(todo & ~self._cast)
+        if new.size == 0:
+            return
+        depth, ids = render_scene_geometry(self.scene, self.camera, self.extra_objects, pixels=new)
+        normal = None if self._normal is None else self._normal[new]
+        uniform = None if self._uniform is None else self._uniform[new]
+        self.depth.flat[new] = finish_depth_noise(depth, self.sensor, normal, uniform)
+        self.ids.flat[new] = ids
+        self._cast[new] = True
+
+    def cloud_pixels(self, stride: int = 1) -> np.ndarray:
+        """The flat pixels that :func:`~rockstack.pointcloud.cloud_from_depth`
+        deprojects from the whole image at ``stride``, in its order: those of
+        the stride grid whose finished depth is > 0. ``EmptyCloudError``, as
+        there, when there are none.
+
+        Most pixels are settled by their draws alone. A dropped pixel is
+        invalid. A kept pixel whose ray descends always hits the terrain,
+        and its depth is at least the ray's distance down to the highest hit
+        the pixel can have, less 1 mm for rounding, so it is valid once that
+        bound plus its noise rounds to 1 mm or more. Only the other kept
+        pixels are cast.
+        """
+        h, w = self.depth.shape
+        grid = (np.arange(0, h, stride)[:, None] * w + np.arange(0, w, stride)).ravel()
+        if self._uniform is not None:
+            grid = grid[~(self._uniform[grid] < self.sensor.dropout_rate)]
+        top = self._height_range()[0][grid]
+        dz = _pixel_dirs(self.camera.intrinsics, self.camera.pose)[grid, 2]
+        with np.errstate(divide="ignore"):
+            floor = np.where(dz < 0, (self.camera.pose.translation[2] - top) / -dz - 1.0, -np.inf)
+        if self._normal is not None:
+            floor = floor + self._normal[grid]
+        settled = np.rint(floor) >= 1.0
+        self.cast(grid[~settled])
+        pixels = grid[settled | (self.depth.flat[grid] > 0)]
+        if pixels.size == 0:
+            raise EmptyCloudError("depth image has no valid pixels")
+        return pixels
+
+    def box_pixels(self, lo, hi) -> np.ndarray:
+        """Sorted flat pixels, not dropped, whose deprojected point can lie
+        in the box ``[lo, hi]``: a superset of those whose point from
+        :func:`~rockstack.pointcloud.cloud_from_depth` of the whole image
+        does.
+
+        A descending ray hits where its z lies in the pixel's height range
+        (the terrain's, or an object's on its footprint), and the finished
+        depth, ``rint(depth + noise)`` clipped to the uint16 range, lies
+        within half a millimetre of ``depth + noise``. A pixel is kept when
+        its ray meets the box on that stretch, shifted by the pixel's noise
+        draw and widened by half a millimetre plus a margin for rounding. A
+        ray that does not descend is always kept.
+        """
+        top, bottom = self._height_range()
+        origin = self.camera.pose.translation
+        dirs = _pixel_dirs(self.camera.intrinsics, self.camera.pose)
+        dz = dirs[:, 2]
+        noise = 0.0 if self._normal is None else self._normal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            near = np.maximum((top - origin[2]) / dz, 0.0)
+            far = (bottom - origin[2]) / dz
+            t0 = np.clip(near + noise - 0.5, 0.0, 65535.0) - _ROUNDING_MM
+            t1 = np.clip(far + noise + 0.5, 0.0, 65535.0) + _ROUNDING_MM
+            # cut the stretch to the box axis by axis (slabs); a zero
+            # direction component leaves its axis uncut
+            for axis in range(3):
+                d = dirs[:, axis]
+                a = (lo[axis] - _ROUNDING_MM - origin[axis]) / d
+                b = (hi[axis] + _ROUNDING_MM - origin[axis]) / d
+                np.maximum(t0, np.minimum(a, b), out=t0, where=d != 0)
+                np.minimum(t1, np.maximum(a, b), out=t1, where=d != 0)
+        kept = (t0 <= t1) | ~(dz < 0)
+        if self._uniform is not None:
+            kept &= ~(self._uniform < self.sensor.dropout_rate)
+        return np.flatnonzero(kept)
+
+    def _height_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """The highest and lowest z of a hit, per pixel: the terrain's
+        height range, widened on each object's footprint (the only pixels
+        :func:`render_scene_geometry` casts it on) to its bounding sphere."""
+        heights = self.scene.terrain.heights
+        top = np.full(self.depth.size, float(heights.max()))
+        bottom = np.full(self.depth.size, float(heights.min()))
+        for obj in self.scene.objects() + self.extra_objects:
+            rows = _object_pixel_rows(obj, self.camera.intrinsics, self.camera.pose)
+            if rows is not None:
+                center, radius = obj.bounding
+                top[rows] = np.maximum(top[rows], center[2] + radius)
+                bottom[rows] = np.minimum(bottom[rows], center[2] - radius)
+        return top, bottom
 
 
 def render_instance_masks(scene: Scene, camera: CameraSpec) -> list[InstanceMask]:

@@ -203,7 +203,12 @@ class Superellipsoid:
         return np.stack([self.ax * ce * cw, self.ay * ce * sw, self.az * se], axis=-1)
 
     def raycast(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Entry parameter s per ray (local frame), inf for misses."""
+        """Entry parameter s per ray (local frame), inf for misses.
+
+        Each ray's result depends on that ray alone: every step is
+        elementwise or a reduction over the ray's own three coordinates, so
+        a cast of any subset of the rays, in any order, gives each of them
+        the same value bit for bit."""
         o = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
         d = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
         r = self.bounding_radius

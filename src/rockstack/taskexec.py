@@ -12,7 +12,7 @@ toppled rock) are recorded and, where physically sensible, the task moves on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +38,7 @@ from .geometry import (
     RigidTransform,
     camera_pose_from_lookat,
     deproject_pixel,
+    mask_centroid,
     project_point,
 )
 from .graspdetect import (
@@ -48,26 +49,35 @@ from .graspdetect import (
     detect_grasps,
 )
 from .perception import (
+    CENTROID_WINDOW,
     Detection,
     detections_from_masks,
     estimate_height,
     median_window_depth,
     object_workspace_pose,
     sort_by_mask_area,
+    window_bounds,
 )
-from .pointcloud import Plane, PointCloud, Workspace, cloud_from_depth, fit_plane_ransac
+from .pointcloud import (
+    Plane,
+    PointCloud,
+    Workspace,
+    cloud_from_pixels,
+    crop_workspace,
+    fit_plane_sample,
+    ransac_sample,
+)
 from .scenesim import (
     PLUG_BALL_RADIUS,
     CameraSpec,
+    NoisyDepth,
     RobotPartModel,
     RockModel,
     Scene,
     SensorModel,
     Terrain,
-    apply_depth_noise,
     instance_masks,
-    render_depth,
-    render_scene_geometry,
+    object_pixels,
 )
 from .shapes import Box, Union
 
@@ -462,15 +472,15 @@ class TrialReport(JsonFields):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrialReport":
-        return cls(
-            task=data["task"],
-            trial_seed=int(data["trial_seed"]),
-            success=bool(data["success"]),
-            phases=list(data["phases"]),
-            rocks=list(data.get("rocks", [])),
-            parts=list(data.get("parts", [])),
-            metrics=dict(data.get("metrics", {})),
-        )
+        """The shared reader over the record's fields (``trial_seed`` an
+        integer, ``success`` true or false; ``ConfigError`` names a bad
+        one). A key that is not a field is dropped, so a record that carried
+        one reads back without it; :func:`~rockstack.harness.
+        recompute_summary_from_files` rejects such a key in a trial file."""
+        if isinstance(data, dict):
+            names = {f.name for f in fields(cls)}
+            data = {k: v for k, v in data.items() if k in names}
+        return super().from_json_dict(data)
 
     @property
     def sim_time_s(self) -> float:  # 0 for a record written without it
@@ -500,13 +510,15 @@ class TrialLog:
     def action(self) -> None:
         self._time += self.params.action_time
 
-    def phase(self, name: str, error_code: str | None = None) -> None:
-        """Close phase ``name``: failed with ``error_code``, else ok."""
+    def phase(self, name: str, error_code: str | None = None, error_message: str | None = None) -> None:
+        """Close phase ``name``: failed with ``error_code``, else ok. An
+        ``error_message`` is recorded under its own key."""
         outcome = "ok" if error_code is None else "failed"
         sim_time = round(self._time - self._phase_start, 6)
-        self.phases.append(
-            {"phase": name, "outcome": outcome, "error_code": error_code, "sim_time_s": sim_time}
-        )
+        entry = {"phase": name, "outcome": outcome, "error_code": error_code, "sim_time_s": sim_time}
+        if error_message is not None:
+            entry["error_message"] = error_message
+        self.phases.append(entry)
         self._phase_start = self._time
 
     def report(self, success: bool, metrics: dict | None = None, **records) -> TrialReport:
@@ -523,41 +535,101 @@ def _fail(trial: TrialLog, entry: dict, phase: str, code: str, phase_code: str |
     trial.phase(phase, phase_code or code)
 
 
+@dataclass(frozen=True)
+class WristView:
+    """What the wrist sweep of :func:`observe_object` saw: the points of its
+    merged two-view cloud that lie in the crop box, in the cloud's order;
+    the merged cloud's size; its support-plane fit; the crop box; and the
+    viewpoint for orienting normals.
+
+    :func:`~rockstack.graspdetect.detect_grasps` crops the merged cloud to
+    these points first, so it finds the same grasps from ``cloud``; an empty
+    crop finds none."""
+
+    cloud: PointCloud
+    points: int
+    plane: Plane
+    workspace: Workspace
+    viewpoint: tuple
+
+
 def observe_object(
     scene: Scene,
     xy: np.ndarray,
     sensor: SensorModel,
     params: ExecParams,
     seed: int,
-) -> tuple[PointCloud, Plane, Workspace, tuple]:
+) -> WristView:
     """Eye-in-hand observation of the object at ``xy`` from two oblique wrist
     poses.
 
     A single straight-down view contains almost no side-wall points on squat
     objects, which starves the antipodal score; sweeping the wrist camera
     across the object (as an angled wrist mount does) fills the walls in.
-    Returns the merged cloud, its support-plane fit, the crop box around
-    the object and the viewpoint for orienting normals: the arguments
-    :func:`~rockstack.graspdetect.detect_grasps` takes after the hand and
-    config.
+    The merged cloud is :func:`~rockstack.pointcloud.cloud_from_depth` of
+    view 0, then of view 1, and its plane is fit by :func:`_cloud_plane`.
+
+    Each view is a :class:`~rockstack.scenesim.NoisyDepth`, cast only where
+    the observation reads it: the pixels whose point can land in the crop
+    box (``box_pixels``) and those behind the plane fit's sample. Every
+    point, the plane and so the grasps are bit-equal to those of whole
+    images.
     """
     cx, cy = float(xy[0]), float(xy[1])
     height = params.pregrasp_height - 20.0
-    pts = []
-    for i, dx in enumerate((-120.0, 120.0)):
-        cam = CameraSpec(
-            scene.hand_camera_intrinsics,
-            camera_pose_from_lookat((cx + dx, cy, height), (cx, cy, 0.0)),
-        )
-        depth = render_depth(scene, cam, sensor, derive_seed(seed, 200 + i))
-        pts.append(cloud_from_depth(depth, cam.intrinsics, cam.pose, stride=1).points)
-    cloud = PointCloud(np.concatenate(pts), frame="robot")
-    plane, _ = fit_plane_ransac(
-        cloud, iters=200, tol=4.0, seed=derive_seed(seed, 210), max_points=2500
-    )
     half = params.crop_half_xy
     ws = Workspace((cx - half, cy - half, -60.0), (cx + half, cy + half, 400.0))
-    return cloud, plane, ws, (cx, cy, params.pregrasp_height)
+    views = [
+        NoisyDepth(
+            scene,
+            CameraSpec(
+                scene.hand_camera_intrinsics,
+                camera_pose_from_lookat((cx + dx, cy, height), (cx, cy, 0.0)),
+            ),
+            sensor,
+            derive_seed(seed, 200 + i),
+        )
+        for i, dx in enumerate((-120.0, 120.0))
+    ]
+    boxes = [view.box_pixels(ws.min_corner, ws.max_corner) for view in views]
+    plane, n_points = _cloud_plane(views, 1, derive_seed(seed, 210), boxes)
+    points = np.concatenate(
+        [_view_points(view, box[view.depth.flat[box] > 0]) for view, box in zip(views, boxes)]
+    )
+    cloud = crop_workspace(PointCloud(points, frame="robot"), ws)
+    return WristView(cloud, n_points, plane, ws, (cx, cy, params.pregrasp_height))
+
+
+def _cloud_plane(
+    views: list[NoisyDepth], stride: int, seed: int, reads: list | None = None
+) -> tuple[Plane, int]:
+    """The plane that ``fit_plane_ransac(cloud, iters=200, tol=4.0,
+    seed=seed, max_points=2500)`` fits to the cloud
+    :func:`~rockstack.pointcloud.cloud_from_depth` makes of the views' whole
+    images at ``stride``, concatenated in order, and that cloud's size.
+
+    The fit's sample depends only on the size, which the views count
+    without casting most pixels (``cloud_pixels``), so only the pixels
+    behind the sample are cast and deprojected. ``reads`` holds more pixels
+    of each view to cast in the same render.
+    """
+    pixels = [view.cloud_pixels(stride) for view in views]
+    n = sum(p.size for p in pixels)
+    rows, rng = ransac_sample(n, seed, max_points=2500)
+    points, start = [], 0
+    for i, (view, pix) in enumerate(zip(views, pixels)):
+        sample = pix[rows[(rows >= start) & (rows < start + pix.size)] - start]
+        start += pix.size
+        view.cast(sample if reads is None else np.concatenate([sample, reads[i]]))
+        points.append(_view_points(view, sample))
+    return fit_plane_sample(np.concatenate(points), rng, iters=200, tol=4.0), n
+
+
+def _view_points(view: NoisyDepth, pixels: np.ndarray) -> np.ndarray:
+    """Robot-frame points of cast pixels with depth > 0, bit-equal to their
+    points in the view's whole cloud."""
+    cam = view.camera
+    return cloud_from_pixels(view.depth, cam.intrinsics, cam.pose, pixels).points
 
 
 def _approach_and_detect(
@@ -580,11 +652,13 @@ def _approach_and_detect(
     trial.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
     arm = move_to(arm, pre, scene)
     trial.move(240.0)  # observation sweep
-    cloud, plane, ws, viewpoint = observe_object(scene, xy, sensor, params, observe_seed)
-    cfg = replace(grasp_cfg, seed=grasp_seed)
-    grasps = detect_grasps(cloud, hand, cfg, plane, ws, viewpoint)
+    seen = observe_object(scene, xy, sensor, params, observe_seed)
+    grasps = []
+    if len(seen.cloud):
+        cfg = replace(grasp_cfg, seed=grasp_seed)
+        grasps = detect_grasps(seen.cloud, hand, cfg, seen.plane, seen.workspace, seen.viewpoint)
     trial.action()
-    return arm, grasps, plane
+    return arm, grasps, seen.plane
 
 
 def _rock_true_height(rock: RockModel, terrain: Terrain) -> float:
@@ -613,7 +687,8 @@ def run_stacking_task(
     arm = ArmState.home(params, hand)
 
     # -- detect (eye on base)
-    depth_base, dets = _observe_base(scene, sensor, seed, ("rock",))
+    base, dets = _observe_base(scene, sensor, seed, ("rock",))
+    depth_base = base.depth
     trial.action()
     if not dets:
         trial.phase("detect", "no-detections")
@@ -621,12 +696,7 @@ def run_stacking_task(
     trial.phase("detect")
 
     # -- support plane from the base cloud
-    base_cloud = cloud_from_depth(
-        depth_base, scene.base_camera.intrinsics, scene.base_camera.pose, stride=2
-    )
-    plane, _ = fit_plane_ransac(
-        base_cloud, iters=200, tol=4.0, seed=derive_seed(seed, 3), max_points=2500
-    )
+    plane, _ = _cloud_plane([base], 2, derive_seed(seed, 3))
     target = params.stack_target_xy
     stack = StackState(target_xy=target, base_z=plane.z_at(target[0], target[1]))
 
@@ -749,34 +819,58 @@ def run_stacking_task(
 
 def _observe_base(
     scene: Scene, sensor: SensorModel, seed: int, labels: tuple
-) -> tuple[np.ndarray, list[Detection]]:
-    """Noisy depth image and detections from a single render of the base
-    camera; the same seeds as ``render_depth`` and ``detect_objects``."""
-    depth, ids = render_scene_geometry(scene, scene.base_camera)
+) -> tuple[NoisyDepth, list[Detection]]:
+    """The base camera's noisy depth image and detections, with the seeds of
+    ``render_depth`` and ``detect_objects``.
+
+    The image is cast where the task runners read it. First come the
+    objects' footprints (:func:`~rockstack.scenesim.object_pixels`), which
+    hold every pixel that can take an object id, so the masks equal those
+    of a whole-image render. Then come each detection's mask and the window
+    at its centroid, which ``object_workspace_pose`` and ``estimate_height``
+    read. Later reads cast their own pixels (:func:`_measure_point_via_depth`,
+    :func:`_cloud_plane`).
+    """
+    camera = scene.base_camera
+    view = NoisyDepth(scene, camera, sensor, derive_seed(seed, 1))
+    view.cast(object_pixels(scene, camera))
     dets = detections_from_masks(
-        instance_masks(scene, ids), sensor, derive_seed(seed, 2), labels=labels
+        instance_masks(scene, view.ids), sensor, derive_seed(seed, 2), labels=labels
     )
-    return apply_depth_noise(depth, sensor, derive_seed(seed, 1)), dets
+    reads = [np.flatnonzero(det.mask.bitmap) for det in dets]
+    reads += [_window_pixels(view, *mask_centroid(det.mask), CENTROID_WINDOW) for det in dets]
+    view.cast(np.concatenate(reads or [np.empty(0, dtype=np.intp)]))
+    return view, dets
+
+
+def _window_pixels(view: NoisyDepth, u: float, v: float, size: int) -> np.ndarray:
+    """Flat pixels of the ``size x size`` window that ``median_window_depth``
+    reads at (u, v)."""
+    v0, v1, u0, u1 = window_bounds(u, v, size, view.depth.shape)
+    return (np.arange(v0, v1)[:, None] * view.depth.shape[1] + np.arange(u0, u1)).ravel()
 
 
 def _measure_point_via_depth(
     point_world: np.ndarray,
-    depth: np.ndarray,
-    camera: CameraSpec,
+    view: NoisyDepth,
     window: int = 3,
     surface_offset: float = 0.0,
 ):
-    """Project a known point into the camera and read it back through the
-    noisy depth image: the measurement path every detection shares.
+    """Project a known point into the view's camera and read it back through
+    the noisy depth image, casting the window read: the measurement path
+    every detection shares.
 
     ``surface_offset`` pushes the deprojected surface point forward along
     the sight ray, correcting a ball-shaped feature's near surface to its
     center.
     """
+    camera = view.camera
     cam_pt = camera.pose.inverse().apply(point_world)
     u, v, _ = project_point(camera.intrinsics, cam_pt)
-    d = median_window_depth(depth, float(u), float(v), size=window)
-    measured = camera.pose.apply(deproject_pixel(camera.intrinsics, float(u), float(v), d))
+    u, v = float(u), float(v)
+    view.cast(_window_pixels(view, u, v, window))
+    d = median_window_depth(view.depth, u, v, size=window)
+    measured = camera.pose.apply(deproject_pixel(camera.intrinsics, u, v, d))
     if surface_offset != 0.0:
         ray = measured - camera.pose.translation
         measured = measured + surface_offset * ray / np.linalg.norm(ray)
@@ -838,19 +932,17 @@ def run_assembly_task(
         return trial.report(False, parts=[entry])
 
     # -- get_pose
-    depth_base, dets = _observe_base(scene, sensor, seed, (part.part_class,))
+    base, dets = _observe_base(scene, sensor, seed, (part.part_class,))
     trial.action()
     if not dets:
         return failed("get_pose", "pose-detect-fail")
     det = dets[0]
     try:
         part_pos_meas = object_workspace_pose(
-            det, depth_base, scene.base_camera.intrinsics, scene.base_camera.pose
+            det, base.depth, scene.base_camera.intrinsics, scene.base_camera.pose
         )
         socket_true = body.attachment_world(socket_name)
-        socket_pos_meas = _measure_point_via_depth(
-            socket_true.translation, depth_base, scene.base_camera
-        )
+        socket_pos_meas = _measure_point_via_depth(socket_true.translation, base)
     except (EmptyMaskError, MissingDepthError, OutOfBoundsError, BehindCameraError):
         return failed("get_pose", "pose-detect-fail")
     socket_meas = socket_true.with_translation(socket_pos_meas)
@@ -902,15 +994,12 @@ def run_assembly_task(
     trial.action()
     if not visible:
         return failed("detect_joint", "joint-not-visible")
-    depth_joint = render_depth(
+    joint = NoisyDepth(
         scene, scene.base_camera, sensor, derive_seed(seed, 20), extra_objects=[gripper]
     )
     try:
         plug_pos_meas = _measure_point_via_depth(
-            plug_true.translation,
-            depth_joint,
-            scene.base_camera,
-            surface_offset=PLUG_BALL_RADIUS,
+            plug_true.translation, joint, surface_offset=PLUG_BALL_RADIUS
         )
     except (MissingDepthError, OutOfBoundsError, BehindCameraError):
         return failed("detect_joint", "joint-not-visible")

@@ -2,8 +2,9 @@
 
 It runs the whole per-object pipeline once per sample: a fresh copy of the
 depth image, the noisy windows written in, then ``object_workspace_pose``
-for every detection and ``_measure_point_via_depth`` for the socket, with
-any exception dropping the sample. That is the runner as it was before its
+for every detection and, for the socket, a 3x3 median read at its
+projection deprojected to the robot frame, with any exception dropping the
+sample. That is the runner as it was before its
 sample loop became array passes; the batched runner must reproduce its
 report bit for bit.
 """
@@ -12,16 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from rockstack.geometry import project_point
+from rockstack.geometry import deproject_pixel, project_point
 from rockstack.harness import ExperimentConfig
 from rockstack.perception import (
     detect_objects,
     mask_centroid,
+    median_window_depth,
     object_workspace_pose,
     pose_stability_stats,
 )
 from rockstack.scenesim import SensorModel, apply_depth_noise, generate_scene, render_scene_geometry
-from rockstack.taskexec import TrialReport, derive_seed, _measure_point_via_depth
+from rockstack.taskexec import TrialReport, derive_seed
 
 
 def oracle_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
@@ -72,7 +74,8 @@ def oracle_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport
                 if kind == "detection":
                     pos = object_workspace_pose(payload, depth_k, camera.intrinsics, camera.pose)
                 else:
-                    pos = _measure_point_via_depth(payload, depth_k, camera, window=win)
+                    d = median_window_depth(depth_k, u, v, size=win)
+                    pos = camera.pose.apply(deproject_pixel(camera.intrinsics, u, v, d))
             except Exception:
                 continue
             positions.setdefault(label, []).append(pos)

@@ -159,6 +159,22 @@ class TestReportSummarize:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"success": "false"}, "error: trial_1.json: success: expected true or false, got 'false'"),
+            ({"trial_seed": "3"}, "error: trial_1.json: trial_seed: expected an integer, got '3'"),
+            ({"bogus": 1}, "error: trial_1.json: bogus: unknown key"),
+        ],
+    )
+    def test_malformed_trial_file_fails_by_field(self, pose_run, capsys, change, message):
+        path = pose_run / "trial_1.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **change)))
+        assert main(["report", "summarize", "--in", str(pose_run)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == message
+
     def test_summary_with_another_trial_count_fails(self, pose_run, capsys):
         path = pose_run / "summary.json"
         summary = json.loads(path.read_text())

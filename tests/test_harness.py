@@ -36,10 +36,12 @@ from rockstack.scenesim import (
     generate_scene,
     object_pixels,
 )
-from rockstack.taskexec import ExecParams, TrialReport, derive_seed, observe_object
+from rockstack.taskexec import ExecParams, TrialLog, TrialReport, derive_seed, observe_object
 
+import observe_oracle
 from conftest import tree_hash
 from pose_oracle import oracle_pose_stability_trial
+from test_golden import NOMINAL_SENSOR
 
 QUICK_STACK = {
     "task": "stack",
@@ -299,6 +301,10 @@ class TestConfig:
                 "scene: terrain_pitch: 0.001 makes a grid of 277201080001 cells over terrain_extent, "
                 "more than 1000000",
             ),
+            (
+                {"scene": {"rock_count": [0, 0], "parts": [["body"]]}},
+                "scene: parts: expected a part class name, got ['body']",
+            ),
         ],
     )
     def test_error_message_is_the_field_path(self, data, message):
@@ -475,6 +481,21 @@ class TestRunExperiment:
         reports, _ = run_experiment(cfg, out_dir=tmp_path)
         assert [r.trial_seed for r in reports] == [5, 6]
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"success": "false"}, "trial_1.json: success: expected true or false, got 'false'"),
+            ({"bogus": 1}, "trial_1.json: bogus: unknown key"),
+        ],
+    )
+    def test_malformed_trial_file_is_named(self, tmp_path, change, message):
+        for i in range(2):
+            report = TrialLog("stack", i).report(True).to_json_dict()
+            (tmp_path / f"trial_{i}.json").write_text(json.dumps(dict(report, **change) if i else report))
+        with pytest.raises(ConfigError) as info:
+            recompute_summary_from_files(tmp_path)
+        assert str(info.value) == message
+
     def test_crash_containment(self, monkeypatch, tmp_path):
         import rockstack.harness as harness_mod
 
@@ -491,6 +512,7 @@ class TestRunExperiment:
         assert len(reports) == 3
         assert reports[1].success is False
         assert reports[1].phases[0]["error_code"] == "exception:RuntimeError"
+        assert reports[1].phases[0]["error_message"] == "poisoned trial"
         assert reports[0].success or reports[0].phases  # other trials completed
         assert (tmp_path / "trial_2.json").exists()
 
@@ -515,14 +537,30 @@ class TestRunExperiment:
         assert report.success
         # the rock is observed by the task runners' two-view wrist sweep
         scene = generate_scene(cfg.scene, cfg.base_seed)
-        cloud, _, _, _ = observe_object(
-            scene,
-            scene.rocks[0].center_of_mass,
-            cfg.sensor,
-            cfg.exec,
-            derive_seed(cfg.base_seed, 10),
-        )
-        assert report.metrics["cloud_points"] == len(cloud)
+        args = (scene, scene.rocks[0].center_of_mass, cfg.sensor, cfg.exec, derive_seed(cfg.base_seed, 10))
+        whole, _, _, _ = observe_oracle.observe_object(*args)
+        # the size of the whole merged cloud, not of its crop
+        assert report.metrics["cloud_points"] == observe_object(*args).points == len(whole)
+        assert len(observe_object(*args).cloud) < len(whole)
+
+    def test_nominal_stack_trial_casts_at_most_50k_rays(self, monkeypatch):
+        # A count of terrain rays, not a timing: a trial casts only what it
+        # reads. Whole images would be 76,800 base rays plus 38,400 wrist
+        # rays per rock.
+        real = Terrain.raycast_world
+        rays = []
+
+        def counted(terrain, origin, dirs):
+            rays.append(len(dirs))
+            return real(terrain, origin, dirs)
+
+        monkeypatch.setattr(Terrain, "raycast_world", counted)
+        cfg = ExperimentConfig.from_json_dict({"task": "stack", "base_seed": 1000, "sensor": NOMINAL_SENSOR})
+        for index in (0, 2):
+            rays.clear()
+            report = run_trial(cfg, index)
+            assert report.success and len(report.rocks) == 4
+            assert sum(rays) <= 50_000
 
 
 def _pose_cfg(samples: int = 60, sensor: dict | None = None, scene: dict | None = None):
@@ -660,7 +698,13 @@ class TestPoseOracleAgreement:
         report = run_trial(_pose_cfg(sensor={"depth_sigma": 2.0}), 0)
         assert report.success is False
         assert report.phases == [
-            {"phase": "trial", "outcome": "failed", "error_code": "exception:TypeError", "sim_time_s": 0.0}
+            {
+                "phase": "trial",
+                "outcome": "failed",
+                "error_code": "exception:TypeError",
+                "error_message": "injected",
+                "sim_time_s": 0.0,
+            }
         ]
         assert report.metrics == {"sim_time_s": 0.0}
         # the traceback goes to stderr, never into the record

@@ -18,17 +18,20 @@ from rockstack.errors import (
     TooFewPointsError,
     ValidationError,
 )
-from rockstack.geometry import CameraIntrinsics, RigidTransform
+from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
 from rockstack.pointcloud import (
     Plane,
     PointCloud,
     Workspace,
     cloud_from_depth,
+    cloud_from_pixels,
     crop_workspace,
     estimate_normals,
     filter_above_plane,
     fit_plane_ransac,
+    fit_plane_sample,
     load_cloud_xyz,
+    ransac_sample,
     save_cloud_xyz,
     voxel_downsample,
 )
@@ -81,6 +84,20 @@ class TestCloudFromDepth:
         cloud = cloud_from_depth(depth, intr, RigidTransform.identity(), stride=8)
         resid = np.abs(cloud.points @ plane_n - plane_d)
         assert np.max(resid) < 1.0  # depth quantization bound
+
+    def test_pixel_subsets_match_the_whole_cloud(self):
+        # a rotation without zero entries, applied to one point or many
+        small = CameraIntrinsics(fx=130.0, fy=130.0, cx=80.0, cy=60.0, width=160, height=120)
+        pose = camera_pose_from_lookat((-140.0, 380.0, 330.0), (-20.0, 500.0, 0.0))
+        rng = np.random.default_rng(4)
+        depth = rng.integers(250, 450, size=(120, 160)).astype(np.uint16)
+        depth[rng.random(depth.shape) < 0.2] = 0
+        whole = cloud_from_depth(depth, small, pose)
+        valid = np.flatnonzero(depth > 0)
+        for rows in [[k] for k in range(0, valid.size, 97)] + [valid[[3, 1]], rng.permutation(valid.size)[:500], []]:
+            rows = np.asarray(rows, dtype=np.intp)
+            got = cloud_from_pixels(depth, small, pose, valid[rows])
+            np.testing.assert_array_equal(got.points.view(np.int64), whole.points[rows].view(np.int64))
 
     def test_stride_validation(self, intr):
         with pytest.raises(ValidationError):
@@ -299,6 +316,25 @@ class TestRansacPlane:
         plane, inliers = fit_plane_ransac(PointCloud(pts), seed=2, max_points=300)
         assert inliers.max() >= 300  # indices refer to the full cloud
         assert len(inliers) > 1800
+
+
+class TestRansacSample:
+    @pytest.mark.parametrize("n, max_points", [(3, None), (40, 2500), (3000, 2500), (9000, 500)])
+    def test_fit_from_the_sample_alone(self, n, max_points):
+        # the sample's points and generator give fit_plane_ransac's plane
+        rng = np.random.default_rng(n)
+        pts = np.column_stack([rng.uniform(-100, 100, (n, 2)), rng.normal(0, 1.0, n)])
+        pts[: n // 5] = rng.uniform(-100, 100, (n // 5, 3))
+        plane, _ = fit_plane_ransac(PointCloud(pts), iters=50, tol=3.0, seed=8, max_points=max_points)
+        rows, gen = ransac_sample(n, 8, max_points)
+        assert rows.size == min(n, max_points or n) and np.all(np.diff(rows) > 0)
+        got = fit_plane_sample(pts[rows], gen, iters=50, tol=3.0)
+        np.testing.assert_array_equal(got.normal.view(np.int64), plane.normal.view(np.int64))
+        assert got.offset == plane.offset
+
+    def test_too_few_points(self):
+        with pytest.raises(TooFewPointsError):
+            ransac_sample(2, 0)
 
 
 class TestFilterAbovePlane:

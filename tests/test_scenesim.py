@@ -8,6 +8,7 @@ against a brute-force morphology oracle.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy import ndimage
 
 from rockstack.errors import PlacementError, ValidationError
 from rockstack.geometry import CameraIntrinsics, InstanceMask, RigidTransform, camera_pose_from_lookat, mask_area
-from rockstack.pointcloud import cloud_from_depth
+from rockstack.pointcloud import Workspace, cloud_from_depth
 from rockstack.scenesim import (
     CameraSpec,
     RockModel,
@@ -41,8 +42,11 @@ from rockstack.harness import ExperimentConfig
 from rockstack.scenesim import (
     DEFAULT_BASE_CAMERA,
     DEFAULT_HAND_INTRINSICS,
+    MISS_ID,
+    NoisyDepth,
     _camera_frame_dirs,
     _disk,
+    _object_pixel_rows,
     _pixel_dirs,
     finish_depth_noise,
     object_pixels,
@@ -340,6 +344,34 @@ def _golden_scenes():
     return cases
 
 
+def _assert_subsets_match(scene, cam, extra):
+    """Render pixel subsets of ``cam``, among them subsets that cut every
+    object's footprint down to one ray, two rays and every other ray, and
+    check each against the whole image bit for bit; return the whole image."""
+    depth, ids = render_scene_geometry(scene, cam, extra)
+    n = depth.size
+    footprints = object_pixels(scene, cam)
+    rng = np.random.default_rng(3)
+    subsets = [
+        np.empty(0, dtype=np.intp),
+        footprints,
+        rng.choice(n, size=1, replace=False),
+        rng.choice(n, size=997, replace=False),
+        rng.choice(footprints, size=footprints.size // 3, replace=False),
+        rng.permutation(n),
+    ]
+    for obj in scene.objects() + list(extra or []):
+        rows = _object_pixel_rows(obj, cam.intrinsics, cam.pose)
+        if rows is not None:
+            subsets += [rows[rows.size // 2 : rows.size // 2 + 1], rows[[0, -1]], rows[::2]]
+    for pixels in subsets:
+        d, i = render_scene_geometry(scene, cam, extra, pixels=pixels)
+        assert d.shape == i.shape == pixels.shape
+        np.testing.assert_array_equal(d.view(np.int64), depth.ravel()[pixels].view(np.int64))
+        np.testing.assert_array_equal(i, ids.ravel()[pixels])
+    return depth, ids
+
+
 class TestPixelSubsetRender:
     """A render of a pixel subset equals the whole-image render at those
     pixels, bit for bit."""
@@ -347,32 +379,26 @@ class TestPixelSubsetRender:
     @pytest.mark.parametrize("scene, extra", _golden_scenes())
     def test_subsets_match_the_whole_image(self, scene, extra):
         cam = scene.base_camera
-        depth, ids = render_scene_geometry(scene, cam, extra)
-        n = depth.size
+        _, ids = _assert_subsets_match(scene, cam, extra)
         if extra is not None:
             assert GRIPPER_ID in ids
-        footprints = object_pixels(scene, cam)
-        rng = np.random.default_rng(3)
-        subsets = [
-            np.empty(0, dtype=np.intp),
-            footprints,
-            rng.choice(n, size=1, replace=False),
-            rng.choice(n, size=997, replace=False),
-            rng.choice(footprints, size=footprints.size // 3, replace=False),
-            rng.permutation(n),
-        ]
-        for pixels in subsets:
-            d, i = render_scene_geometry(scene, cam, extra, pixels=pixels)
-            assert d.shape == i.shape == pixels.shape
-            np.testing.assert_array_equal(d.view(np.int64), depth.ravel()[pixels].view(np.int64))
-            np.testing.assert_array_equal(i, ids.ravel()[pixels])
         # no scene object's id outside the footprints
-        outside = np.ones(n, dtype=bool)
+        footprints = object_pixels(scene, cam)
+        outside = np.ones(ids.size, dtype=bool)
         outside[footprints] = False
         scene_ids = [obj.instance_id for obj in scene.objects()]
-        assert footprints.size < n
+        assert footprints.size < ids.size
         assert not np.isin(ids.ravel()[outside], scene_ids).any()
         assert np.isin(ids.ravel()[footprints], scene_ids).any()
+
+    @pytest.mark.parametrize("scene, extra", _golden_scenes())
+    def test_wrist_subsets_match_the_whole_image(self, scene, extra):
+        # both poses of the wrist sweep over the scene's first object
+        x, y = scene.objects()[0].pose.translation[:2]
+        for dx in (-120.0, 120.0):
+            pose = camera_pose_from_lookat((x + dx, y, 330.0), (x, y, 0.0))
+            _, ids = _assert_subsets_match(scene, CameraSpec(scene.hand_camera_intrinsics, pose), extra)
+            assert np.isin(ids, [obj.instance_id for obj in scene.objects()]).any()
 
     def test_footprints_are_sorted_and_distinct(self):
         scene = generate_scene(SceneSpec(rock_count=(4, 4)), seed=2)
@@ -388,6 +414,117 @@ class TestPixelSubsetRender:
         scene = single_rock_scene(Superellipsoid(20, 20, 15), (0.0, 500.0, 15.0))
         with pytest.raises(ValidationError, match="pixels"):
             render_scene_geometry(scene, scene.base_camera, pixels=np.array(pixels))
+
+
+def _bodies():
+    """Rocks, robot parts and the gripper, each as placed and tilted: its
+    rotation then has no zero entry and is stored column-major, as a
+    transposed rotation is."""
+    hand = HandGeometry()
+    gripper = gripper_geometry(ArmState.home(ExecParams(), hand), hand)
+    gripper.pose = gripper.pose.with_translation((30.0, 470.0, 160.0))
+    bodies = [("gripper", gripper)]
+    for name, seed in (("stack_nominal_0", 0), ("assemble_head", 0), ("assemble_leg", 1)):
+        scene = generate_scene(ExperimentConfig.from_json_dict(GOLDEN_CONFIGS[name]).scene, seed)
+        bodies += [(f"{name}-{obj.label}-{obj.instance_id}", obj) for obj in scene.objects()]
+    cases = []
+    tilt = RigidTransform.rotation_x(0.4).compose(RigidTransform.rotation_y(-0.3))
+    for name, body in bodies:
+        tilted = copy.copy(body)
+        tilted_pose = body.pose.compose(tilt)
+        tilted.pose = RigidTransform(np.asfortranarray(tilted_pose.rotation), tilted_pose.translation)
+        cases += [pytest.param(body, id=name), pytest.param(tilted, id=f"{name}-tilted")]
+    return cases
+
+
+class TestBodyRaycast:
+    @pytest.mark.parametrize("body", _bodies())
+    def test_row_subsets_match_the_whole_cast(self, body):
+        # the rays of a wrist camera's footprint of the body
+        center, _ = body.bounding
+        pose = camera_pose_from_lookat(center + np.array([-140.0, -90.0, 250.0]), center)
+        intr = CameraIntrinsics.from_json_dict(DEFAULT_HAND_INTRINSICS)
+        dirs = _pixel_dirs(intr, pose)[_object_pixel_rows(body, intr, pose)]
+        one_origin = pose.translation
+        per_ray = np.repeat(one_origin[None, :], len(dirs), axis=0)
+        for origin in (one_origin, per_ray):
+            whole = body.raycast_world(origin, dirs)
+            hits = np.flatnonzero(np.isfinite(whole))
+            assert 0 < hits.size < whole.size
+            rng = np.random.default_rng(7)
+            subsets = [[k] for k in hits[:: max(1, hits.size // 150)]]
+            subsets += [hits[:2], hits[::-1], rng.permutation(len(dirs))[: len(dirs) // 2]]
+            for rows in subsets:
+                rows = np.asarray(rows)
+                ray_origin = origin if origin.ndim == 1 else origin[rows]
+                got = body.raycast_world(ray_origin, dirs[rows])
+                np.testing.assert_array_equal(got.view(np.int64), whole[rows].view(np.int64))
+
+
+def _wrist_camera(scene: Scene, x: float, y: float, height: float = 330.0) -> CameraSpec:
+    pose = camera_pose_from_lookat((x - 120.0, y, height), (x, y, 0.0))
+    return CameraSpec(scene.hand_camera_intrinsics, pose)
+
+
+class TestNoisyDepth:
+    """A NoisyDepth image equals render_depth's at every pixel it casts,
+    and its pixel sets are those of the whole image."""
+
+    @pytest.mark.parametrize("sensor", [SensorModel(), SensorModel(depth_sigma=2.0, dropout_rate=0.3)])
+    def test_cast_pixels_match_render_depth(self, sensor):
+        scene = generate_scene(SceneSpec(rock_count=(3, 3)), seed=6)
+        cam = scene.base_camera
+        whole = render_depth(scene, cam, sensor, seed=9)
+        _, ids = render_scene_geometry(scene, cam)
+        view = NoisyDepth(scene, cam, sensor, 9)
+        pixels = np.random.default_rng(1).choice(whole.size, size=4000, replace=False)
+        view.cast(pixels[:3000])
+        view.cast(pixels[1000:])  # repeats are cast once
+        cast = np.zeros(whole.size, dtype=bool)
+        cast[pixels] = True
+        np.testing.assert_array_equal(view.depth.ravel(), np.where(cast, whole.ravel(), 0))
+        np.testing.assert_array_equal(view.ids.ravel(), np.where(cast, ids.ravel(), MISS_ID))
+
+    @pytest.mark.parametrize(
+        "sensor, height",
+        [
+            (SensorModel(), 330.0),
+            (SensorModel(depth_sigma=2.0, dropout_rate=0.01), 330.0),
+            # noise so wide that the depth bound settles few pixels
+            (SensorModel(depth_sigma=150.0, dropout_rate=0.5), 330.0),
+            # a camera in the rocks' height range, low enough that its top rows rise
+            (SensorModel(depth_sigma=2.0), 25.0),
+        ],
+    )
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_cloud_pixels_are_the_whole_cloud_pixels(self, sensor, height, stride):
+        scene = generate_scene(SceneSpec(rock_count=(3, 3)), seed=6)
+        x, y = scene.rocks[0].pose.translation[:2]
+        cam = _wrist_camera(scene, x, y, height)
+        whole = render_depth(scene, cam, sensor, seed=4)
+        grid = np.arange(whole.size).reshape(whole.shape)[::stride, ::stride].ravel()
+        view = NoisyDepth(scene, cam, sensor, 4)
+        np.testing.assert_array_equal(view.cloud_pixels(stride), grid[whole.flat[grid] > 0])
+        if sensor.depth_sigma < 10 and height > 100:
+            assert not view.depth.any()  # settled without a cast
+
+    @pytest.mark.parametrize("sigma", [0.0, 2.0, 20.0])
+    def test_box_pixels_hold_every_point_in_the_box(self, sigma):
+        # On flat terrain each ray's hit stretch is a single point, so only
+        # the noise and rounding allowances keep the points near the box's
+        # faces inside the set.
+        scene = single_rock_scene(Superellipsoid(22, 18, 15), (40.0, 520.0, 15.0))
+        sensor = SensorModel(depth_sigma=sigma, dropout_rate=0.2)
+        cam = _wrist_camera(scene, 0.0, 500.0)
+        whole = render_depth(scene, cam, sensor, seed=2)
+        valid = np.flatnonzero(whole > 0)
+        points = cloud_from_depth(whole, cam.intrinsics, cam.pose).points
+        view = NoisyDepth(scene, cam, sensor, 2)
+        for lo, hi in [((-70, 430, -60), (70, 570, 400)), ((-25, 470, -1), (33, 529, 1)), ((10, 480, 0), (60, 560, 40))]:
+            got = view.box_pixels(np.array(lo, dtype=float), np.array(hi, dtype=float))
+            inside = valid[Workspace(lo, hi).contains(points)]
+            assert inside.size and np.isin(inside, got).all()
+            assert got.size < 2 * inside.size + 400
 
 
 class TestInstanceMasks:

@@ -16,6 +16,8 @@ import pytest
 
 from rockstack.errors import (
     BehindCameraError,
+    ConfigError,
+    EmptyCloudError,
     EmptyMaskError,
     GraspMissError,
     MissingDepthError,
@@ -27,11 +29,23 @@ from rockstack.errors import (
     UnreachablePoseError,
     ValidationError,
 )
-from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
-from rockstack.graspdetect import GraspCandidate, GraspConfig, HandGeometry
+from rockstack.geometry import (
+    CameraIntrinsics,
+    RigidTransform,
+    camera_pose_from_lookat,
+    deproject_pixel,
+    project_point,
+)
+from rockstack.graspdetect import GraspCandidate, GraspConfig, HandGeometry, detect_grasps
 from rockstack.harness import ExperimentConfig, compute_metrics, run_trial
-from rockstack.perception import detect_objects
+from rockstack.perception import (
+    estimate_height,
+    median_window_depth,
+    object_workspace_pose,
+)
+from rockstack.pointcloud import cloud_from_depth, crop_workspace
 from rockstack.scenesim import (
+    MISS_ID,
     CameraSpec,
     RockModel,
     Scene,
@@ -39,7 +53,6 @@ from rockstack.scenesim import (
     SensorModel,
     Terrain,
     generate_scene,
-    render_depth,
 )
 from rockstack.shapes import Superellipsoid
 from rockstack.taskexec import (
@@ -50,6 +63,8 @@ from rockstack.taskexec import (
     TrialLog,
     TrialReport,
     _cast_vertical,
+    _cloud_plane,
+    _measure_point_via_depth,
     _observe_base,
     _vertical_surface_z,
     check_stack_stability,
@@ -57,13 +72,16 @@ from rockstack.taskexec import (
     execute_grasp,
     gripper_geometry,
     move_to,
+    observe_object,
     place_on_stack,
     run_assembly_task,
     run_stacking_task,
     settle_object,
 )
 
+import observe_oracle
 from stability_oracle import monte_carlo_stability, oracle_margin, random_resting_pair
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 EASY_SCENE = SceneSpec(
     rock_exponents=(0.7, 1.05), rock_height_axis=(10.0, 18.0), rock_semi_axis=(16.0, 30.0)
@@ -584,28 +602,144 @@ class TestRunStackingTask:
         assert compute_metrics([report]).grasp_success_rate is None
 
 
-class TestObserveBase:
-    def test_one_render_gives_the_depth_and_detections_of_two(self, monkeypatch):
-        import rockstack.taskexec as taskexec_mod
+# a base camera whose top rows look above the horizon, so not every ray descends
+LEVEL_BASE_CAMERA = {
+    "position": [0.0, 0.0, 250.0],
+    "look_at": [0.0, 500.0, 60.0],
+    "intrinsics": {"fx": 270.0, "fy": 270.0, "cx": 160.0, "cy": 120.0, "width": 320, "height": 240},
+}
+# wrist intrinsics wide enough that the sweep's outer rays rise
+WIDE_HAND_INTRINSICS = {"fx": 25.0, "fy": 25.0, "cx": 80.0, "cy": 60.0, "width": 160, "height": 120}
 
-        scene = generate_scene(SceneSpec(rock_count=(2, 2), parts=("body", "head")), seed=3)
-        sensor = SensorModel(
-            depth_sigma=2.0, dropout_rate=0.05, mask_erosion=0.2, boundary_flip_rate=0.1
-        )
-        real = taskexec_mod.render_scene_geometry
-        calls = []
-        monkeypatch.setattr(
-            taskexec_mod, "render_scene_geometry", lambda *a: calls.append(a) or real(*a)
-        )
-        depth, dets = _observe_base(scene, sensor, 11, ("head",))
-        assert len(calls) == 1
-        cam = scene.base_camera
-        np.testing.assert_array_equal(depth, render_depth(scene, cam, sensor, derive_seed(11, 1)))
-        expected = detect_objects(scene, cam, sensor, derive_seed(11, 2), labels=("head",))
-        assert [d.instance_id for d in dets] == [d.instance_id for d in expected] != []
-        for got, want in zip(dets, expected):
-            np.testing.assert_array_equal(got.mask.bitmap, want.mask.bitmap)
-            assert got.bbox == want.bbox
+
+def _observe_cases():
+    """(config, seed) for the scenes and sensors of the golden stack and
+    assembly configs, plus 99% dropout, a base camera whose rays do not all
+    descend and wrist cameras whose rays do not all descend."""
+    cases = []
+    for name in ("stack_nominal_0", "stack_nominal_12", "stack_sigma0", "assemble_head", "assemble_leg"):
+        cfg = ExperimentConfig.from_json_dict(GOLDEN_CONFIGS[name])
+        cases += [pytest.param(cfg, cfg.base_seed + i, id=f"{name}-{i}") for i in range(cfg.trials)]
+    stack = ExperimentConfig.from_json_dict(GOLDEN_CONFIGS["stack_nominal_0"])
+    variants = {
+        "dropout99": {"sensor": SensorModel(depth_sigma=2.0, dropout_rate=0.99)},
+        "level-base-camera": {"scene": replace(stack.scene, base_camera=LEVEL_BASE_CAMERA)},
+        "wide-wrist-camera": {"scene": replace(stack.scene, hand_camera_intrinsics=WIDE_HAND_INTRINSICS)},
+    }
+    for name, change in variants.items():
+        cases += [pytest.param(replace(stack, **change), seed, id=f"{name}-{seed}") for seed in range(2)]
+    return cases
+
+
+def _outcome(read, *args):
+    """``read(*args)``, or the name of the error it raised."""
+    try:
+        return read(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc).__name__
+
+
+def _same(a, b) -> bool:
+    """Equal values, bit for bit for floats and float arrays."""
+    if isinstance(a, str) or isinstance(b, str):
+        return isinstance(a, str) and isinstance(b, str) and a == b
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestObserveOracle:
+    """The runners' observations cast only the pixels they read; every value
+    they read equals that of the whole images (``observe_oracle``)."""
+
+    @pytest.mark.parametrize("cfg, seed", _observe_cases())
+    def test_base_view_matches_the_whole_image(self, cfg, seed):
+        scene = generate_scene(cfg.scene, seed)
+        camera = scene.base_camera
+        intr, pose = camera.intrinsics, camera.pose
+        labels = ("rock",) if cfg.task == "stack" else ("head", "leg")
+        whole, want = observe_oracle.observe_base(scene, cfg.sensor, seed, labels)
+        view, dets = _observe_base(scene, cfg.sensor, seed, labels)
+        assert [d.instance_id for d in dets] == [d.instance_id for d in want]
+        for got_det, want_det in zip(dets, want):
+            np.testing.assert_array_equal(got_det.mask.bitmap, want_det.mask.bitmap)
+            assert got_det.bbox == want_det.bbox
+            for read in (object_workspace_pose, estimate_height):
+                args = (intr, pose) if read is object_workspace_pose else (intr, pose, scene.terrain)
+                assert _same(_outcome(read, got_det, view.depth, *args), _outcome(read, want_det, whole, *args))
+        # the depth read anywhere equals the whole image's; elsewhere it reads 0
+        cast = view.depth != 0
+        np.testing.assert_array_equal(view.depth[cast], whole[cast])
+        for part in scene.parts:
+            for name in part.attachments:
+                point = part.attachment_world(name).translation
+                got = _outcome(_measure_point_via_depth, point, view)
+                assert _same(got, _outcome(_measure_whole, point, whole, camera))
+        got = _outcome(_cloud_plane, [view], 2, derive_seed(seed, 3))
+        want_plane = _outcome(observe_oracle.base_plane, whole, camera, seed)
+        if isinstance(want_plane, str):
+            assert got == want_plane
+        else:
+            plane, points = got
+            assert _same(plane.normal, want_plane.normal) and plane.offset == want_plane.offset
+            assert points == len(cloud_from_depth(whole, intr, pose, stride=2))
+        # footprints, reads and the plane's sample were cast, not the whole image
+        assert np.count_nonzero(view.ids != MISS_ID) <= view.depth.size // 4
+
+    @pytest.mark.parametrize("cfg, seed", _observe_cases())
+    def test_wrist_sweep_matches_the_whole_images(self, cfg, seed):
+        scene = generate_scene(cfg.scene, seed)
+        grasp_cfg = replace(cfg.grasp, seed=derive_seed(seed, 30))
+        for obj in scene.objects()[:2]:
+            xy = obj.pose.translation[:2]
+            got = _outcome(observe_object, scene, xy, cfg.sensor, cfg.exec, derive_seed(seed, 10))
+            want = _outcome(observe_oracle.observe_object, scene, xy, cfg.sensor, cfg.exec, derive_seed(seed, 10))
+            if isinstance(want, str):
+                assert got == want
+                continue
+            cloud, plane, ws, viewpoint = want
+            assert got.points == len(cloud)
+            assert _same(got.plane.normal, plane.normal) and got.plane.offset == plane.offset
+            assert _same(got.cloud.points, crop_workspace(cloud, ws).points)
+            np.testing.assert_array_equal(got.workspace.min_corner, ws.min_corner)
+            np.testing.assert_array_equal(got.workspace.max_corner, ws.max_corner)
+            assert got.viewpoint == viewpoint
+            whole = detect_grasps(cloud, cfg.hand, grasp_cfg, plane, ws, viewpoint)
+            if len(got.cloud):
+                grasps = detect_grasps(got.cloud, cfg.hand, grasp_cfg, got.plane, got.workspace, got.viewpoint)
+                assert [g.to_json_dict() for g in grasps] == [g.to_json_dict() for g in whole]
+            else:
+                assert whole == []
+
+    def test_empty_crop_has_no_grasps(self):
+        cfg = ExperimentConfig.from_json_dict(GOLDEN_CONFIGS["stack_nominal_0"])
+        scene = generate_scene(cfg.scene, 0)
+        params = replace(cfg.exec, crop_half_xy=0.01)
+        xy = scene.rocks[0].pose.translation[:2]
+        got = observe_object(scene, xy, cfg.sensor, params, 5)
+        cloud, plane, ws, viewpoint = observe_oracle.observe_object(scene, xy, cfg.sensor, params, 5)
+        assert len(got.cloud) == len(crop_workspace(cloud, ws)) == 0
+        assert got.points == len(cloud) > 0
+        assert detect_grasps(cloud, cfg.hand, cfg.grasp, plane, ws, viewpoint) == []
+        # the runners detect nothing on an empty crop, and do not fail
+        report = run_trial(replace(cfg, exec=params), 0)
+        assert report.rocks and all(r["failure_code"] == "grasp-fail" for r in report.rocks)
+
+    def test_no_valid_pixel_fails_as_the_whole_cloud_does(self):
+        cfg = ExperimentConfig.from_json_dict(GOLDEN_CONFIGS["stack_nominal_0"])
+        scene = generate_scene(cfg.scene, 0)
+        sensor = SensorModel(dropout_rate=1.0)
+        view, _ = _observe_base(scene, sensor, 0, ("rock",))
+        with pytest.raises(EmptyCloudError, match="depth image has no valid pixels"):
+            _cloud_plane([view], 2, 3)
+        with pytest.raises(EmptyCloudError, match="depth image has no valid pixels"):
+            observe_object(scene, scene.rocks[0].pose.translation[:2], sensor, cfg.exec, 0)
+
+
+def _measure_whole(point, depth, camera):
+    """``_measure_point_via_depth`` on a whole depth image."""
+    u, v, _ = project_point(camera.intrinsics, camera.pose.inverse().apply(point))
+    d = median_window_depth(depth, float(u), float(v), size=3)
+    return camera.pose.apply(deproject_pixel(camera.intrinsics, float(u), float(v), d))
 
 
 class TestRunAssemblyTask:
@@ -719,6 +853,33 @@ class TestTrialReport:
         )
         back = TrialReport.from_json_dict(rep.to_json_dict())
         assert back.to_json_dict() == rep.to_json_dict()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"success": "false"}, "success: expected true or false, got 'false'"),
+            ({"success": 0}, "success: expected true or false, got 0"),
+            ({"trial_seed": 1.5}, "trial_seed: expected an integer, got 1.5"),
+            ({"trial_seed": None}, "trial_seed: expected an integer, got None"),
+        ],
+    )
+    def test_bad_field_is_named(self, change, message):
+        data = dict(TrialLog("stack", 3).report(False).to_json_dict(), **change)
+        with pytest.raises(ConfigError) as info:
+            TrialReport.from_json_dict(data)
+        assert str(info.value) == message
+
+    def test_missing_field_and_non_object_rejected(self):
+        with pytest.raises(ConfigError, match="missing key 'phases'"):
+            TrialReport.from_json_dict({"task": "stack", "trial_seed": 0, "success": True})
+        with pytest.raises(ConfigError, match="expected a JSON object, got list"):
+            TrialReport.from_json_dict([])
+
+    def test_unknown_key_is_dropped(self):
+        # a lossy round trip, which a reader of trial files rejects
+        data = TrialLog("stack", 3).report(True).to_json_dict()
+        back = TrialReport.from_json_dict(dict(data, bogus=1))
+        assert back.to_json_dict() == data
 
 
 class TestGripperGeometry:
