@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, RockstackError, ValidationError
 from .geometry import write_depth_pgm, write_mask_pbm
 from .graspdetect import detect_grasps, save_grasps_json
@@ -24,13 +26,7 @@ from .harness import (
     summary_to_csv,
 )
 from .pointcloud import fit_plane_ransac, load_cloud_xyz
-from .scenesim import (
-    apply_depth_noise,
-    generate_scene,
-    instance_masks,
-    render_scene_geometry,
-    scene_to_json_dict,
-)
+from .scenesim import NoisyDepth, generate_scene, scene_to_json_dict
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -69,9 +65,10 @@ def _cmd_scene_gen(args) -> int:
         json.dump(scene_to_json_dict(scene), f, indent=2, sort_keys=True)
         f.write("\n")
     if args.dump_images:
-        depth, ids = render_scene_geometry(scene, scene.base_camera)
-        write_depth_pgm(out / "depth_base.pgm", apply_depth_noise(depth, cfg.sensor, cfg.base_seed))
-        for mask in instance_masks(scene, ids):
+        view = NoisyDepth(scene, scene.base_camera, cfg.sensor, cfg.base_seed)
+        view.cast(np.arange(view.depth.size))
+        write_depth_pgm(out / "depth_base.pgm", view.depth)
+        for mask in view.masks():
             write_mask_pbm(out / f"mask_{mask.instance_id}.pbm", mask)
     print(f"scene written to {out}", file=sys.stderr)
     return EXIT_OK

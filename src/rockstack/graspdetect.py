@@ -501,9 +501,8 @@ def detect_grasps(
     viewpoint=(0.0, 0.0, 0.0),
 ) -> list[GraspCandidate]:
     """Full pipeline: crop, above-plane filter, normals, generate and score,
-    approach-filter, select. Returns [] when nothing survives the filters."""
-    if len(cloud) == 0:
-        raise EmptyCloudError("detect_grasps on an empty cloud")
+    approach-filter, select. Returns [] when nothing survives the filters,
+    an empty cloud included."""
     work = crop_workspace(cloud, workspace) if workspace is not None else cloud
     work = filter_above_plane(work, plane, cfg.plane_margin)
     if cfg.voxel_leaf > 0:

@@ -37,17 +37,14 @@ from .perception import (
     detections_from_masks,
     median_window_depths,
     pose_stability_stats,
-    window_bounds,
+    window_pixels,
 )
 from .scenesim import (
-    MISS_ID,
+    NoisyDepth,
     SceneSpec,
     SensorModel,
     finish_depth_noise,
     generate_scene,
-    instance_masks,
-    object_pixels,
-    render_scene_geometry,
 )
 from .taskexec import (
     ExecParams,
@@ -266,23 +263,17 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     from ``derive_seed(seed, 100_000 + k)``; that is distribution-identical
     to re-noising the full image. Only the noise changes from sample to
     sample, so the centroids, windows, in-image checks and camera transform
-    are computed once, and the scene is cast only where the trial reads it:
-
-    * the union of the objects' footprints
-      (:func:`~rockstack.scenesim.object_pixels`), which holds every pixel
-      that can take an object id, so the masks built from it equal those of
-      a whole-image render;
-    * then the write-window pixels outside that union, where only terrain
-      can be hit.
-
-    Both are cast by :func:`~rockstack.scenesim.render_scene_geometry`,
-    whose pixel subsets are bit-equal to the whole image. The trial then
-    runs in three steps:
+    are computed once. The scene is read through a noiseless
+    :class:`~rockstack.scenesim.NoisyDepth`, which makes no noise draws and
+    casts only where the trial reads: the objects' footprints, for the masks
+    (``masks``), then all write windows in one ``cast``. The clean write
+    windows are read from its ``clean`` range, bit-equal to a whole-image
+    render. The trial then runs in three steps:
 
     1. *Draw.* Per sample, for each write window in probe order, the
-       ``normal`` and then (with dropout) the ``random`` draws of
-       :func:`~rockstack.scenesim.apply_depth_noise` land in row k of a
-       ``(samples, window pixels)`` array, the write windows side by side.
+       ``normal`` and then (with dropout) the ``random`` draws of the
+       sensor's noise model land in row k of a ``(samples, window pixels)``
+       array, the write windows side by side.
     2. *Finish.* One call of the noise model's finishing step turns the
        clean write windows plus all draws into uint16 depths.
     3. *Gather.* Windows of different probes may overlap, and a later
@@ -300,15 +291,8 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     camera = scene.base_camera
     intr = camera.intrinsics
     shape = (intr.height, intr.width)
-    depth_float = np.full(shape, np.nan)  # set where cast
-    ids = np.full(shape, MISS_ID, dtype=np.int32)
-    footprints = object_pixels(scene, camera)
-    depth_float.flat[footprints], ids.flat[footprints] = render_scene_geometry(
-        scene, camera, pixels=footprints
-    )
-    dets = detections_from_masks(
-        instance_masks(scene, ids), labels=("rock", "head", "leg", "body")
-    )
+    view = NoisyDepth(scene, camera, SensorModel(), seed)
+    dets = detections_from_masks(view.masks(), labels=("rock", "head", "leg", "body"))
 
     probes = []  # (label, u, v, read window size)
     for det in dets:
@@ -321,30 +305,21 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
         u, v, _ = project_point(intr, cam_pt)
         probes.append(("body_joint", float(u), float(v), 3))
 
-    write_bounds = [window_bounds(u, v, size + 2, shape) for _, u, v, size in probes]
-    needed = np.zeros(shape, dtype=bool)
-    for v0, v1, u0, u1 in write_bounds:
-        needed[v0:v1, u0:u1] = True
-    needed.flat[footprints] = False
-    terrain_only = np.flatnonzero(needed)
-    if terrain_only.size:
-        depth_float.flat[terrain_only], _ = render_scene_geometry(
-            scene, camera, pixels=terrain_only
-        )
-
-    column = np.empty(shape, dtype=np.intp)  # stack column last written at each pixel
+    windows = [window_pixels(u, v, size + 2, shape) for _, u, v, size in probes]
+    stacked = np.concatenate([np.empty(0, dtype=np.intp)] + windows)  # write windows side by side
+    view.cast(stacked)
+    column = np.empty(view.clean.size, dtype=np.intp)  # stack column last written at each pixel
     writes = []  # (first, end) stack columns of each write window, in probe order
-    regions = [np.empty(0)]  # the clean write windows, flattened; never empty
     width = 0
-    reads = []  # (label, u, v, read window bounds) for probes inside the image
-    for (label, u, v, size), (v0, v1, u0, u1) in zip(probes, write_bounds):
-        region = depth_float[v0:v1, u0:u1]
-        writes.append((width, width + region.size))
-        column[v0:v1, u0:u1] = np.arange(width, width + region.size).reshape(region.shape)
-        regions.append(region.ravel())
-        width += region.size
-        if 0 <= u < intr.width and 0 <= v < intr.height:
-            reads.append((label, u, v, window_bounds(u, v, size, shape)))
+    for pixels in windows:
+        column[pixels] = np.arange(width, width + pixels.size)
+        writes.append((width, width + pixels.size))
+        width += pixels.size
+    reads = [  # (label, u, v, read window pixels) for probes inside the image
+        (label, u, v, window_pixels(u, v, size, shape))
+        for label, u, v, size in probes
+        if 0 <= u < intr.width and 0 <= v < intr.height
+    ]
 
     n_samples = cfg.samples
     sensor = cfg.sensor
@@ -357,12 +332,12 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
                 normal[k, a:b] = rng.normal(0.0, sensor.depth_sigma, b - a)
             if uniform is not None:
                 uniform[k, a:b] = rng.random(b - a)
-    clean = np.broadcast_to(np.concatenate(regions), (n_samples, width))
+    clean = np.broadcast_to(view.clean.ravel()[stacked], (n_samples, width))
     noisy = finish_depth_noise(clean, sensor, normal, uniform)
 
     by_label: dict = {}  # label -> [(positions (n, 3), kept (n,))] in probe order
-    for label, u, v, (v0, v1, u0, u1) in reads:
-        d = median_window_depths(noisy[:, column[v0:v1, u0:u1].ravel()])
+    for label, u, v, pixels in reads:
+        d = median_window_depths(noisy[:, column[pixels]])
         kept = ~np.isnan(d)
         cam_pts = deproject_pixel(intr, u, v, d[kept])
         # One matrix-vector product per robot axis rounds each point as the
@@ -403,10 +378,8 @@ def _run_grasp_bench_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     seen = observe_object(
         scene, scene.rocks[0].center_of_mass, cfg.sensor, cfg.exec, derive_seed(seed, 10)
     )
-    grasps = []
-    if len(seen.cloud):
-        grasp_cfg = replace(cfg.grasp, seed=derive_seed(seed, 30))
-        grasps = detect_grasps(seen.cloud, cfg.hand, grasp_cfg, seen.plane, seen.workspace, seen.viewpoint)
+    grasp_cfg = replace(cfg.grasp, seed=derive_seed(seed, 30))
+    grasps = detect_grasps(seen.cloud, cfg.hand, grasp_cfg, seen.plane, seen.workspace, seen.viewpoint)
     trial = TrialLog("grasp_bench", seed)
     trial.phase("detect")
     metrics = {

@@ -131,6 +131,13 @@ def window_bounds(u: float, v: float, size: int, shape: tuple) -> tuple[int, int
     return v0, v1, u0, u1
 
 
+def window_pixels(u: float, v: float, size: int, shape: tuple) -> np.ndarray:
+    """Flat row-major indices of the pixels of :func:`window_bounds`'
+    window, row by row; empty for a window wholly outside the image."""
+    v0, v1, u0, u1 = window_bounds(u, v, size, shape)
+    return (np.arange(v0, v1)[:, None] * shape[1] + np.arange(u0, u1)).ravel()
+
+
 def _clipped_span(i: int, half: int, n: int) -> tuple[int, int]:
     return min(max(i - half, 0), n), max(min(i + half + 1, n), 0)
 

@@ -818,13 +818,19 @@ def apply_depth_noise(
     then ``random``, each over ``depth.shape``), so one stream can noise
     several windows in turn.
     """
+    return finish_depth_noise(depth, sensor, *_noise_draws(sensor, seed, depth.shape))
+
+
+def _noise_draws(
+    sensor: SensorModel, seed: int | np.random.Generator, shape
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The ``normal`` and then the ``uniform`` draws of
+    :func:`finish_depth_noise`, each of ``shape``; a draw the sensor does
+    not use is None and not made."""
     rng = np.random.default_rng(seed)
-    normal = uniform = None
-    if sensor.depth_sigma > 0:
-        normal = rng.normal(0.0, sensor.depth_sigma, size=depth.shape)
-    if sensor.dropout_rate > 0:
-        uniform = rng.random(depth.shape)
-    return finish_depth_noise(depth, sensor, normal, uniform)
+    normal = rng.normal(0.0, sensor.depth_sigma, size=shape) if sensor.depth_sigma > 0 else None
+    uniform = rng.random(shape) if sensor.dropout_rate > 0 else None
+    return normal, uniform
 
 
 def finish_depth_noise(
@@ -865,17 +871,19 @@ def render_depth(
 
 
 class NoisyDepth:
-    """The depth image of :func:`render_depth` and the id image of
-    :func:`render_scene_geometry`, rendered only at the pixels asked for.
+    """The depth image of :func:`render_depth` and the depth and id images
+    of :func:`render_scene_geometry`, rendered only at the pixels asked for.
 
     The noise and dropout draws are made over the whole image when the
-    object is made, in :func:`apply_depth_noise`'s order. :meth:`cast`
-    renders pixels with :func:`render_scene_geometry` and finishes them with
+    object is made, in :func:`apply_depth_noise`'s order; a zero sensor
+    draws nothing. :meth:`cast` renders pixels with
+    :func:`render_scene_geometry` and finishes them with
     :func:`finish_depth_noise`; both work pixel by pixel, so each cast pixel
-    of ``depth`` and ``ids`` is bit-equal to the whole image's. A pixel not
-    cast reads 0 in ``depth`` and ``MISS_ID`` in ``ids``. A cast renders the
-    scene as it is at the call, so a reader casts what it will read before
-    anything in the scene moves.
+    of ``depth``, ``clean`` (the float range, inf for a miss) and ``ids`` is
+    bit-equal to the whole image's. A pixel not cast reads 0 in ``depth``,
+    NaN in ``clean`` and ``MISS_ID`` in ``ids``. A cast renders the scene as
+    it is at the call, so a reader casts what it will read before anything
+    in the scene moves.
     """
 
     def __init__(
@@ -890,30 +898,32 @@ class NoisyDepth:
         shape = (intr.height, intr.width)
         self.scene, self.camera, self.sensor = scene, camera, sensor
         self.extra_objects = list(extra_objects or [])
-        rng = np.random.default_rng(seed)
-        self._normal = self._uniform = None
-        if sensor.depth_sigma > 0:
-            self._normal = rng.normal(0.0, sensor.depth_sigma, size=shape).ravel()
-        if sensor.dropout_rate > 0:
-            self._uniform = rng.random(shape).ravel()
+        self._normal, self._uniform = _noise_draws(sensor, seed, intr.height * intr.width)
         self.depth = np.zeros(shape, dtype=np.uint16)
+        self.clean = np.full(shape, np.nan)
         self.ids = np.full(shape, MISS_ID, dtype=np.int32)
-        self._cast = np.zeros(self.depth.size, dtype=bool)
 
     def cast(self, pixels: np.ndarray) -> None:
         """Render and finish those of the flat row-major pixel indices
         ``pixels`` (any order, repeats allowed) not cast yet."""
-        todo = np.zeros_like(self._cast)
+        todo = np.zeros(self.clean.size, dtype=bool)
         todo[pixels] = True
-        new = np.flatnonzero(todo & ~self._cast)
+        new = np.flatnonzero(todo & np.isnan(self.clean.ravel()))
         if new.size == 0:
             return
         depth, ids = render_scene_geometry(self.scene, self.camera, self.extra_objects, pixels=new)
         normal = None if self._normal is None else self._normal[new]
         uniform = None if self._uniform is None else self._uniform[new]
         self.depth.flat[new] = finish_depth_noise(depth, self.sensor, normal, uniform)
+        self.clean.flat[new] = depth
         self.ids.flat[new] = ids
-        self._cast[new] = True
+
+    def masks(self) -> list[InstanceMask]:
+        """The scene objects' masks as :func:`render_instance_masks` makes
+        them, cast only on the objects' footprints (:func:`object_pixels`),
+        which hold every pixel that can take an object id."""
+        self.cast(object_pixels(self.scene, self.camera))
+        return instance_masks(self.scene, self.ids)
 
     def cloud_pixels(self, stride: int = 1) -> np.ndarray:
         """The flat pixels that :func:`~rockstack.pointcloud.cloud_from_depth`

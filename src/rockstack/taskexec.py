@@ -56,7 +56,7 @@ from .perception import (
     median_window_depth,
     object_workspace_pose,
     sort_by_mask_area,
-    window_bounds,
+    window_pixels,
 )
 from .pointcloud import (
     Plane,
@@ -76,8 +76,6 @@ from .scenesim import (
     Scene,
     SensorModel,
     Terrain,
-    instance_masks,
-    object_pixels,
 )
 from .shapes import Box, Union
 
@@ -653,10 +651,8 @@ def _approach_and_detect(
     arm = move_to(arm, pre, scene)
     trial.move(240.0)  # observation sweep
     seen = observe_object(scene, xy, sensor, params, observe_seed)
-    grasps = []
-    if len(seen.cloud):
-        cfg = replace(grasp_cfg, seed=grasp_seed)
-        grasps = detect_grasps(seen.cloud, hand, cfg, seen.plane, seen.workspace, seen.viewpoint)
+    cfg = replace(grasp_cfg, seed=grasp_seed)
+    grasps = detect_grasps(seen.cloud, hand, cfg, seen.plane, seen.workspace, seen.viewpoint)
     trial.action()
     return arm, grasps, seen.plane
 
@@ -824,30 +820,20 @@ def _observe_base(
     ``render_depth`` and ``detect_objects``.
 
     The image is cast where the task runners read it. First come the
-    objects' footprints (:func:`~rockstack.scenesim.object_pixels`), which
-    hold every pixel that can take an object id, so the masks equal those
-    of a whole-image render. Then come each detection's mask and the window
+    objects' footprints, for the masks
+    (:meth:`~rockstack.scenesim.NoisyDepth.masks`), which equal those of a
+    whole-image render. Then come each detection's mask and the window
     at its centroid, which ``object_workspace_pose`` and ``estimate_height``
     read. Later reads cast their own pixels (:func:`_measure_point_via_depth`,
     :func:`_cloud_plane`).
     """
-    camera = scene.base_camera
-    view = NoisyDepth(scene, camera, sensor, derive_seed(seed, 1))
-    view.cast(object_pixels(scene, camera))
-    dets = detections_from_masks(
-        instance_masks(scene, view.ids), sensor, derive_seed(seed, 2), labels=labels
-    )
+    view = NoisyDepth(scene, scene.base_camera, sensor, derive_seed(seed, 1))
+    dets = detections_from_masks(view.masks(), sensor, derive_seed(seed, 2), labels=labels)
+    shape = view.depth.shape
     reads = [np.flatnonzero(det.mask.bitmap) for det in dets]
-    reads += [_window_pixels(view, *mask_centroid(det.mask), CENTROID_WINDOW) for det in dets]
+    reads += [window_pixels(*mask_centroid(det.mask), CENTROID_WINDOW, shape) for det in dets]
     view.cast(np.concatenate(reads or [np.empty(0, dtype=np.intp)]))
     return view, dets
-
-
-def _window_pixels(view: NoisyDepth, u: float, v: float, size: int) -> np.ndarray:
-    """Flat pixels of the ``size x size`` window that ``median_window_depth``
-    reads at (u, v)."""
-    v0, v1, u0, u1 = window_bounds(u, v, size, view.depth.shape)
-    return (np.arange(v0, v1)[:, None] * view.depth.shape[1] + np.arange(u0, u1)).ravel()
 
 
 def _measure_point_via_depth(
@@ -868,7 +854,7 @@ def _measure_point_via_depth(
     cam_pt = camera.pose.inverse().apply(point_world)
     u, v, _ = project_point(camera.intrinsics, cam_pt)
     u, v = float(u), float(v)
-    view.cast(_window_pixels(view, u, v, window))
+    view.cast(window_pixels(u, v, window, view.depth.shape))
     d = median_window_depth(view.depth, u, v, size=window)
     measured = camera.pose.apply(deproject_pixel(camera.intrinsics, u, v, d))
     if surface_offset != 0.0:

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from rockstack.cli import main
+from rockstack.geometry import write_depth_pgm, write_mask_pbm
 from rockstack.pointcloud import save_cloud_xyz
+from rockstack.scenesim import SceneSpec, SensorModel, generate_scene, render_depth, render_instance_masks
 
 from conftest import box_cloud
 
@@ -114,6 +116,24 @@ class TestSceneGen:
         data = json.loads((out / "scene.json").read_text())
         assert data["seed"] == 5
         assert len(data["rocks"]) == 2
+
+    def test_dumped_images_are_the_whole_image_renders(self, tmp_path):
+        sensor = {"depth_sigma": 2.0, "dropout_rate": 0.05}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema_version": 1, "scene": QUICK_SCENE, "sensor": sensor}))
+        out = tmp_path / "scene"
+        code = main(["scene", "gen", "--config", str(path), "--seed", "5", "--out", str(out), "--dump-images"])
+        assert code == 0
+        scene = generate_scene(SceneSpec.from_json_dict(QUICK_SCENE), 5)
+        depth = render_depth(scene, scene.base_camera, SensorModel(**sensor), 5)
+        write_depth_pgm(tmp_path / "depth.pgm", depth)
+        assert (out / "depth_base.pgm").read_bytes() == (tmp_path / "depth.pgm").read_bytes()
+        masks = render_instance_masks(scene, scene.base_camera)
+        want = sorted(f"mask_{m.instance_id}.pbm" for m in masks)
+        assert sorted(p.name for p in out.glob("mask_*.pbm")) == want
+        for mask in masks:
+            write_mask_pbm(tmp_path / "mask.pbm", mask)
+            assert (out / f"mask_{mask.instance_id}.pbm").read_bytes() == (tmp_path / "mask.pbm").read_bytes()
 
 
 class TestReportSummarize:

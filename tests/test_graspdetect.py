@@ -328,11 +328,9 @@ class TestDetectGrasps:
             assert ga.score == gb.score
             np.testing.assert_array_equal(ga.pose.translation, gb.pose.translation)
 
-    def test_empty_cloud_raises(self):
-        with pytest.raises(EmptyCloudError):
-            detect_grasps(
-                PointCloud(np.zeros((0, 3))), HandGeometry(), GraspConfig(), Plane((0, 0, 1.0), 0.0)
-            )
+    def test_empty_cloud_finds_none(self):
+        empty = PointCloud(np.zeros((0, 3)))
+        assert detect_grasps(empty, HandGeometry(), GraspConfig(), Plane((0, 0, 1.0), 0.0)) == []
 
     def test_scores_non_increasing_and_sound(self):
         cloud = box_cloud(width=44.0, depth=52.0, with_floor=True)

@@ -9,6 +9,11 @@ syntax tree alone.
 * Every module-level private function, class or constant in the library is
   referenced in its own module outside its own definition, so a helper
   left without callers by a refactor fails here.
+* Only ``scenesim`` references the renderer's parts (``SCENESIM_ONLY``):
+  every other library module reads depth and masks through
+  ``scenesim.NoisyDepth``, so no second read path grows back. The
+  whole-image ``render_instance_masks`` is a name of its own, which
+  ``perception.detect_objects`` keeps.
 
 One check imports the library instead: the config fields whose declared
 type the JSON codec passes through unchecked are a fixed list, so a new
@@ -70,6 +75,25 @@ def private_imports(module: str, tree: ast.Module) -> set[tuple[str, str]]:
     return found
 
 
+SCENESIM_ONLY = {"apply_depth_noise", "instance_masks", "object_pixels", "render_scene_geometry"}
+
+
+def scenesim_only_references(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """The ``SCENESIM_ONLY`` names a module other than ``scenesim`` imports,
+    loads or reads as an attribute."""
+    if module == "scenesim":
+        return set()
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return {(module, name) for name in found & SCENESIM_ONLY}
+
+
 def _defined_names(node: ast.stmt) -> list[str]:
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [node.name]
@@ -105,6 +129,13 @@ def test_no_private_imports_across_modules():
     found = set()
     for path in MODULES:
         found |= private_imports(path.stem, _tree(path))
+    assert sorted(found) == []
+
+
+def test_only_scenesim_references_the_renderer_parts():
+    found = set()
+    for path in MODULES:
+        found |= scenesim_only_references(path.stem, _tree(path))
     assert sorted(found) == []
 
 
@@ -154,3 +185,15 @@ class TestTheChecks:
             "def f():\n    return _live()\n"
         )
         assert unreferenced_private_names(tree) == ["_Dead", "_UNUSED", "_self_only"]
+
+    def test_scenesim_only_reference_found(self):
+        tree = ast.parse(
+            "from .scenesim import object_pixels as op, render_instance_masks\n"
+            "from . import scenesim\n"
+            "def f(s, c):\n"
+            "    scenesim.apply_depth_noise(render_instance_masks(s, c), None, 0)\n"
+            "    return instance_masks, scenesim.NoisyDepth\n"
+        )
+        want = {("m", "object_pixels"), ("m", "apply_depth_noise"), ("m", "instance_masks")}
+        assert scenesim_only_references("m", tree) == want
+        assert scenesim_only_references("scenesim", tree) == set()

@@ -37,6 +37,7 @@ from rockstack.perception import (
     pose_stability_stats,
     sort_by_mask_area,
     window_bounds,
+    window_pixels,
 )
 from rockstack.pointcloud import Plane
 from rockstack.scenesim import (
@@ -173,8 +174,21 @@ class TestMedianWindowDepth:
         v0, v1, u0, u1 = window_bounds(u, v, 5, depth.shape)
         assert 0 <= v0 <= v1 <= 240 and 0 <= u0 <= u1 <= 320
         assert (v1 - v0) * (u1 - u0) == 0
+        assert window_pixels(u, v, 5, depth.shape).size == 0
         with pytest.raises(MissingDepthError):
             median_window_depth(depth, u, v, 5)
+
+    @pytest.mark.parametrize(
+        "u, v", [(0.4, 6.0), (318.6, 120.0), (50.0, 0.0), (200.0, 239.2), (0.0, 0.0), (319.0, 238.6)]
+    )
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_window_pixels_are_the_clipped_window(self, u, v, size):
+        shape = (240, 320)
+        v0, v1, u0, u1 = window_bounds(u, v, size, shape)
+        assert (v1 - v0) * (u1 - u0) < size * size  # clipped at the border
+        inside = np.zeros(shape, dtype=bool)
+        inside[v0:v1, u0:u1] = True
+        np.testing.assert_array_equal(window_pixels(u, v, size, shape), np.flatnonzero(inside))
 
 
 class TestObjectWorkspacePose:

@@ -473,17 +473,30 @@ class TestNoisyDepth:
     @pytest.mark.parametrize("sensor", [SensorModel(), SensorModel(depth_sigma=2.0, dropout_rate=0.3)])
     def test_cast_pixels_match_render_depth(self, sensor):
         scene = generate_scene(SceneSpec(rock_count=(3, 3)), seed=6)
-        cam = scene.base_camera
-        whole = render_depth(scene, cam, sensor, seed=9)
-        _, ids = render_scene_geometry(scene, cam)
-        view = NoisyDepth(scene, cam, sensor, 9)
-        pixels = np.random.default_rng(1).choice(whole.size, size=4000, replace=False)
-        view.cast(pixels[:3000])
-        view.cast(pixels[1000:])  # repeats are cast once
-        cast = np.zeros(whole.size, dtype=bool)
-        cast[pixels] = True
-        np.testing.assert_array_equal(view.depth.ravel(), np.where(cast, whole.ravel(), 0))
-        np.testing.assert_array_equal(view.ids.ravel(), np.where(cast, ids.ravel(), MISS_ID))
+        base = scene.base_camera
+        # low and oblique: the top rows miss everything
+        horizon = CameraSpec(base.intrinsics, camera_pose_from_lookat((0, 150, 150), (0, 500, 30)))
+        for cam in (base, horizon):
+            whole = render_depth(scene, cam, sensor, seed=9)
+            depth, ids = render_scene_geometry(scene, cam)
+            assert np.isinf(depth).any() == (cam is horizon)
+            view = NoisyDepth(scene, cam, sensor, 9)
+            pixels = np.random.default_rng(1).choice(whole.size, size=4000, replace=False)
+            view.cast(pixels[:3000])
+            view.cast(pixels[1000:])  # repeats are cast once
+            cast = np.zeros(whole.size, dtype=bool)
+            cast[pixels] = True
+            np.testing.assert_array_equal(view.depth.ravel(), np.where(cast, whole.ravel(), 0))
+            np.testing.assert_array_equal(view.ids.ravel(), np.where(cast, ids.ravel(), MISS_ID))
+            np.testing.assert_array_equal(view.clean.ravel()[cast], depth.ravel()[cast])
+            assert np.isnan(view.clean.ravel()[~cast]).all()
+            want = render_instance_masks(scene, cam)
+            got = view.masks()
+            assert [(m.instance_id, m.label, m.confidence) for m in got] == [
+                (m.instance_id, m.label, m.confidence) for m in want
+            ]
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.bitmap, w.bitmap)
 
     @pytest.mark.parametrize(
         "sensor, height",
