@@ -18,7 +18,6 @@ from .graspdetect import (
 )
 from .harness import ExperimentConfig, MetricsSummary, compute_metrics, run_experiment
 from .perception import (
-    Detection,
     estimate_height,
     object_workspace_pose,
     pose_stability_stats,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmState",
     "CameraIntrinsics",
-    "Detection",
     "ExecParams",
     "ExperimentConfig",
     "GraspCandidate",

@@ -17,7 +17,6 @@ import functools
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -327,7 +326,7 @@ class InstanceMask:
     bitmap: np.ndarray  # bool, shape (height, width)
     label: str = "object"
     confidence: float = 1.0
-    instance_id: int = -1
+    instance_id: int = -1  # oracle provenance; a live detector leaves -1
 
     def __post_init__(self):
         bm = np.asarray(self.bitmap, dtype=bool)
@@ -380,33 +379,6 @@ def write_depth_pgm(path, depth: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         f.write(depth.astype(">u2").tobytes())
-
-
-def read_depth_pgm(path) -> np.ndarray:
-    """Read a 16-bit binary PGM depth image written by :func:`write_depth_pgm`."""
-    data = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":  # comment line
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    if fields[0] != b"P5":
-        raise ValidationError(f"not a binary PGM file: magic {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 65535:
-        raise ValidationError(f"expected 16-bit PGM (maxval 65535), got {maxval}")
-    img = np.frombuffer(data[pos : pos + 2 * w * h], dtype=">u2")
-    if img.size != w * h:
-        raise ValidationError("truncated PGM payload")
-    return img.reshape(h, w).astype(np.uint16)
 
 
 def write_mask_pbm(path, mask: InstanceMask) -> None:

@@ -163,27 +163,10 @@ class GraspCandidate:
             "orientation_index": int(self.orientation_index),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GraspCandidate":
-        return cls(
-            pose=RigidTransform.from_json_dict({k: data[k] for k in ("rotation", "translation")}),
-            grasp_width=float(data["grasp_width"]),
-            score=float(data["score"]),
-            closing_point_count=int(data["closing_point_count"]),
-            seed_index=int(data.get("seed_index", 0)),
-            orientation_index=int(data.get("orientation_index", 0)),
-        )
-
 
 def save_grasps_json(path, grasps: list[GraspCandidate]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump({"grasps": [g.to_json_dict() for g in grasps]}, f, indent=2, sort_keys=True)
-
-
-def load_grasps_json(path) -> list[GraspCandidate]:
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return [GraspCandidate.from_json_dict(d) for d in data["grasps"]]
 
 
 def sample_seeds(cloud: PointCloud, cfg: GraspConfig) -> np.ndarray:

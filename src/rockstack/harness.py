@@ -296,7 +296,7 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
 
     probes = []  # (label, u, v, read window size)
     for det in dets:
-        cu, cv = mask_centroid(det.mask)
+        cu, cv = mask_centroid(det)
         probes.append((det.label, cu, cv, 5))
     bodies = [p for p in scene.parts if p.part_class == "body"]
     if bodies:

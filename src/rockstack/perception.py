@@ -1,16 +1,15 @@
-"""Detection-to-workspace-pose pipeline: size sorting by mask area, pixel
+"""Mask-to-workspace-pose pipeline: size sorting by mask area, pixel
 deprojection of mask centroids, and height estimation from one depth image.
 
 The detector here is an oracle over rendered instance masks, but everything
-downstream consumes plain :class:`Detection` records, so a live segmentation
-model could be swapped in without touching this module.
+downstream consumes plain :class:`~rockstack.geometry.InstanceMask` records,
+so a live segmentation model could be swapped in without touching this
+module.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,39 +26,14 @@ from .geometry import (
     RigidTransform,
     deproject_pixel,
     mask_area,
-    mask_bbox,
     mask_centroid,
 )
-from .pointcloud import Plane
-from .scenesim import CameraSpec, Scene, SensorModel, Terrain, degrade_mask, render_instance_masks
-
-logger = logging.getLogger(__name__)
+from .scenesim import CameraSpec, Scene, SensorModel, degrade_mask, render_instance_masks
 
 # share of a mask's highest z values whose median is the object top
 _TOP_FRACTION = 0.05
 # side, px, of the median window object_workspace_pose reads at a mask centroid
 CENTROID_WINDOW = 5
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One detected object: class label, mask, tight bbox, confidence."""
-
-    label: str
-    mask: InstanceMask
-    bbox: tuple[int, int, int, int]
-    confidence: float
-    instance_id: int = -1  # oracle provenance; a live detector leaves -1
-
-    @classmethod
-    def from_mask(cls, mask: InstanceMask) -> "Detection":
-        return cls(
-            label=mask.label,
-            mask=mask,
-            bbox=mask_bbox(mask),
-            confidence=mask.confidence,
-            instance_id=mask.instance_id,
-        )
 
 
 def detect_objects(
@@ -68,10 +42,10 @@ def detect_objects(
     sensor: SensorModel | None = None,
     seed: int = 0,
     labels: tuple | None = None,
-) -> list[Detection]:
+) -> list[InstanceMask]:
     """Oracle detector: exact rendered masks, optionally sensor-degraded.
 
-    Stands in for a trained segmentation network; emits the same records a
+    Stands in for a trained segmentation network; emits the same masks a
     live detector would.
     """
     masks = render_instance_masks(scene, camera)
@@ -83,7 +57,7 @@ def detections_from_masks(
     sensor: SensorModel | None = None,
     seed: int = 0,
     labels: tuple | None = None,
-) -> list[Detection]:
+) -> list[InstanceMask]:
     """The detections of :func:`detect_objects` from already rendered masks.
 
     Mask ``i`` (counted over all masks, before the label filter) is degraded
@@ -97,25 +71,20 @@ def detections_from_masks(
             mask = degrade_mask(mask, sensor, seed + 1000 * (i + 1))
         if mask_area(mask) == 0:
             continue
-        out.append(Detection.from_mask(mask))
+        out.append(mask)
     return out
 
 
-def sort_by_mask_area(detections: list[Detection]) -> list[Detection]:
+def sort_by_mask_area(masks: list[InstanceMask]) -> list[InstanceMask]:
     """Non-increasing mask area; ties broken by centroid (v, then u).
 
-    Detections with empty masks are dropped with a warning.
+    An empty mask raises :class:`~rockstack.errors.EmptyMaskError`;
+    :func:`detections_from_masks` never returns one.
     """
-    keep = []
-    for det in detections:
-        if mask_area(det.mask) == 0:
-            logger.warning("dropping detection %r with empty mask", det.label)
-            continue
-        keep.append(det)
-    def key(det: Detection):
-        cu, cv = mask_centroid(det.mask)
-        return (-mask_area(det.mask), cv, cu)
-    return sorted(keep, key=key)
+    def key(mask: InstanceMask):
+        cu, cv = mask_centroid(mask)
+        return (-mask_area(mask), cv, cu)
+    return sorted(masks, key=key)
 
 
 def window_bounds(u: float, v: float, size: int, shape: tuple) -> tuple[int, int, int, int]:
@@ -173,37 +142,34 @@ def median_window_depth(depth: np.ndarray, u: float, v: float, size: int = 5) ->
 
 
 def object_workspace_pose(
-    detection: Detection,
+    mask: InstanceMask,
     depth: np.ndarray,
     intr: CameraIntrinsics,
     cam_to_robot: RigidTransform,
 ) -> np.ndarray:
     """Mask centroid -> median window depth -> deproject -> robot frame.
 
-    Returns the ``(3,)`` position in the robot frame, mm."""
-    if mask_area(detection.mask) == 0:
-        raise EmptyMaskError("cannot locate an empty detection")
-    cu, cv = mask_centroid(detection.mask)
+    Returns the ``(3,)`` position in the robot frame, mm. An empty mask
+    raises :class:`~rockstack.errors.EmptyMaskError`."""
+    cu, cv = mask_centroid(mask)
     d = median_window_depth(depth, cu, cv, size=CENTROID_WINDOW)
     return cam_to_robot.apply(deproject_pixel(intr, cu, cv, d))
 
 
 def estimate_height(
-    detection: Detection,
+    mask: InstanceMask,
     depth: np.ndarray,
     intr: CameraIntrinsics,
     cam_to_robot: RigidTransform,
-    support,
+    support_z: float,
 ) -> float:
-    """Object top minus the support surface under its centroid, mm.
+    """Object top minus ``support_z``, the support height under it, mm.
 
     The top is a robust maximum: the median of the highest 5% (at least 5)
     of the mask's deprojected z values, which keeps depth speckle from
-    inflating the estimate. ``support`` may be a Plane, a Terrain, or a
-    plain z value.
+    inflating the estimate.
     """
-    bitmap = detection.mask.bitmap
-    vs, us = np.nonzero(bitmap)
+    vs, us = np.nonzero(mask.bitmap)
     if us.size == 0:
         raise EmptyMaskError("cannot measure an empty detection")
     ds = depth[vs, us].astype(np.float64)
@@ -215,14 +181,6 @@ def estimate_height(
     k = max(5, int(round(_TOP_FRACTION * z.size)))
     k = min(k, z.size)
     top = float(np.median(np.sort(z)[-k:]))
-
-    center = object_workspace_pose(detection, depth, intr, cam_to_robot)
-    if isinstance(support, Plane):
-        support_z = support.z_at(center[0], center[1])
-    elif isinstance(support, Terrain):
-        support_z = float(support.height_at(center[0], center[1]))
-    else:
-        support_z = float(support)
     height = top - support_z
     if height <= 0:
         raise NegativeHeightError(

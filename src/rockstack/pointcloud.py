@@ -315,19 +315,6 @@ def filter_above_plane(cloud: PointCloud, plane: Plane, margin: float = 0.0) -> 
 # ASCII cloud file: '#' comments, then 'x y z [nx ny nz]' per line, mm
 
 
-def save_cloud_xyz(path, cloud: PointCloud) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# point cloud, {len(cloud)} points, frame={cloud.frame}, units mm\n")
-        if cloud.normals is None:
-            for p in cloud.points:
-                f.write(f"{p[0]:.6g} {p[1]:.6g} {p[2]:.6g}\n")
-        else:
-            for p, n in zip(cloud.points, cloud.normals):
-                f.write(
-                    f"{p[0]:.6g} {p[1]:.6g} {p[2]:.6g} {n[0]:.6g} {n[1]:.6g} {n[2]:.6g}\n"
-                )
-
-
 def load_cloud_xyz(path) -> PointCloud:
     pts: list[list[float]] = []
     nrm: list[list[float]] = []

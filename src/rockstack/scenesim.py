@@ -1119,37 +1119,3 @@ def scene_to_json_dict(scene: Scene) -> dict:
         "base_camera": scene.base_camera.to_json_dict(),
         "hand_camera_intrinsics": scene.hand_camera_intrinsics.to_json_dict(),
     }
-
-
-def scene_from_json_dict(data: dict) -> Scene:
-    terrain = Terrain(
-        heights=np.asarray(data["terrain"]["heights"], dtype=np.float64),
-        pitch=float(data["terrain"]["pitch"]),
-        origin=tuple(data["terrain"]["origin"]),
-    )
-    rocks = [
-        RockModel(
-            shape=Superellipsoid(
-                ax=r["semi_axes"][0],
-                ay=r["semi_axes"][1],
-                az=r["semi_axes"][2],
-                e1=r["exponents"][0],
-                e2=r["exponents"][1],
-            ),
-            pose=RigidTransform.from_json_dict(r["pose"]),
-            instance_id=int(r["instance_id"]),
-        )
-        for r in data["rocks"]
-    ]
-    parts = [
-        make_part(p["part_class"], int(p["instance_id"]), RigidTransform.from_json_dict(p["pose"]))
-        for p in data["parts"]
-    ]
-    return Scene(
-        terrain=terrain,
-        rocks=rocks,
-        parts=parts,
-        base_camera=CameraSpec.from_json_dict(data["base_camera"]),
-        hand_camera_intrinsics=CameraIntrinsics.from_json_dict(data["hand_camera_intrinsics"]),
-        seed=int(data.get("seed", 0)),
-    )

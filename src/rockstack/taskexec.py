@@ -34,10 +34,12 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
+    InstanceMask,
     JsonFields,
     RigidTransform,
     camera_pose_from_lookat,
     deproject_pixel,
+    mask_area,
     mask_centroid,
     project_point,
 )
@@ -50,7 +52,6 @@ from .graspdetect import (
 )
 from .perception import (
     CENTROID_WINDOW,
-    Detection,
     detections_from_masks,
     estimate_height,
     median_window_depth,
@@ -718,7 +719,7 @@ def run_stacking_task(
             "instance_id": det.instance_id,
             "sorted_index": sorted_index,
             "volume_order_correct": volume_rank[sorted_index] == det.instance_id,
-            "mask_area_px": int(np.count_nonzero(det.mask.bitmap)),
+            "mask_area_px": mask_area(det),
             "outcome": "pending",
             "failure_code": None,
             "grasp_score": None,
@@ -729,17 +730,17 @@ def run_stacking_task(
             "stable": None,
         }
         rocks_report.append(entry)
-        support_ref = scene.terrain if params.support_from_terrain else plane
         try:
             position = object_workspace_pose(
                 det, depth_base, scene.base_camera.intrinsics, scene.base_camera.pose
             )
+            x, y = position[:2]
+            if params.support_from_terrain:
+                support_z = float(scene.terrain.height_at(x, y))
+            else:
+                support_z = plane.z_at(x, y)
             height_est = estimate_height(
-                det,
-                depth_base,
-                scene.base_camera.intrinsics,
-                scene.base_camera.pose,
-                support_ref,
+                det, depth_base, scene.base_camera.intrinsics, scene.base_camera.pose, support_z
             )
         except (EmptyMaskError, MissingDepthError, NegativeHeightError):
             trial.action()
@@ -815,23 +816,23 @@ def run_stacking_task(
 
 def _observe_base(
     scene: Scene, sensor: SensorModel, seed: int, labels: tuple
-) -> tuple[NoisyDepth, list[Detection]]:
+) -> tuple[NoisyDepth, list[InstanceMask]]:
     """The base camera's noisy depth image and detections, with the seeds of
     ``render_depth`` and ``detect_objects``.
 
     The image is cast where the task runners read it. First come the
     objects' footprints, for the masks
     (:meth:`~rockstack.scenesim.NoisyDepth.masks`), which equal those of a
-    whole-image render. Then come each detection's mask and the window
-    at its centroid, which ``object_workspace_pose`` and ``estimate_height``
-    read. Later reads cast their own pixels (:func:`_measure_point_via_depth`,
-    :func:`_cloud_plane`).
+    whole-image render. Then come each detection's mask, which
+    ``estimate_height`` reads, and the window at its centroid, which
+    ``object_workspace_pose`` reads. Later reads cast their own pixels
+    (:func:`_measure_point_via_depth`, :func:`_cloud_plane`).
     """
     view = NoisyDepth(scene, scene.base_camera, sensor, derive_seed(seed, 1))
     dets = detections_from_masks(view.masks(), sensor, derive_seed(seed, 2), labels=labels)
     shape = view.depth.shape
-    reads = [np.flatnonzero(det.mask.bitmap) for det in dets]
-    reads += [window_pixels(*mask_centroid(det.mask), CENTROID_WINDOW, shape) for det in dets]
+    reads = [np.flatnonzero(det.bitmap) for det in dets]
+    reads += [window_pixels(*mask_centroid(det), CENTROID_WINDOW, shape) for det in dets]
     view.cast(np.concatenate(reads or [np.empty(0, dtype=np.intp)]))
     return view, dets
 

@@ -55,6 +55,13 @@ def box_cloud(
     return PointCloud(cloud, frame="robot")
 
 
+def write_cloud_xyz(path, cloud: PointCloud) -> None:
+    """Write ``cloud`` as ``pointcloud.load_cloud_xyz`` reads it: a ``#``
+    comment line, then ``x y z [nx ny nz]`` per point."""
+    rows = cloud.points if cloud.normals is None else np.hstack([cloud.points, cloud.normals])
+    np.savetxt(path, rows, header=f"point cloud, {len(cloud)} points, mm")
+
+
 def tree_hash(d: Path) -> str:
     """SHA-256 over the file names and bytes of a run's output tree, in name
     order."""

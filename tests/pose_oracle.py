@@ -35,7 +35,7 @@ def oracle_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport
 
     probes = []  # (label, kind, u, v, window, payload)
     for det in dets:
-        cu, cv = mask_centroid(det.mask)
+        cu, cv = mask_centroid(det)
         probes.append((det.label, "detection", cu, cv, 5, det))
     bodies = [p for p in scene.parts if p.part_class == "body"]
     if bodies:

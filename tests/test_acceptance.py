@@ -30,7 +30,12 @@ from rockstack.harness import (
     run_trial,
     summary_to_csv,
 )
-from rockstack.perception import detect_objects, estimate_height, sort_by_mask_area
+from rockstack.perception import (
+    detect_objects,
+    estimate_height,
+    object_workspace_pose,
+    sort_by_mask_area,
+)
 from rockstack.pointcloud import (
     PointCloud,
     Workspace,
@@ -208,9 +213,14 @@ def test_criterion_06_height_estimation():
             true_h = float(np.max(pts[:, 2])) - float(
                 scene.terrain.height_at(*rock.center_of_mass[:2])
             )
-            args = (scene.base_camera.intrinsics, scene.base_camera.pose, scene.terrain)
-            rel_errors.append(abs(estimate_height(det, depth_noisy, *args) - true_h) / true_h)
-            abs_zero.append(abs(estimate_height(det, depth_clean, *args) - true_h))
+            args = (scene.base_camera.intrinsics, scene.base_camera.pose)
+            heights = []
+            for depth in (depth_noisy, depth_clean):
+                x, y, _ = object_workspace_pose(det, depth, *args)
+                support_z = float(scene.terrain.height_at(x, y))
+                heights.append(estimate_height(det, depth, *args, support_z))
+            rel_errors.append(abs(heights[0] - true_h) / true_h)
+            abs_zero.append(abs(heights[1] - true_h))
         seed += 1
     median_rel = float(np.median(rel_errors[:100]))
     max_abs = float(np.max(abs_zero[:100]))

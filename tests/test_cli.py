@@ -8,10 +8,9 @@ import pytest
 
 from rockstack.cli import main
 from rockstack.geometry import write_depth_pgm, write_mask_pbm
-from rockstack.pointcloud import save_cloud_xyz
 from rockstack.scenesim import SceneSpec, SensorModel, generate_scene, render_depth, render_instance_masks
 
-from conftest import box_cloud
+from conftest import box_cloud, write_cloud_xyz
 
 QUICK_SCENE = {
     "rock_count": [2, 2],
@@ -78,7 +77,7 @@ class TestStackRun:
 class TestGraspDetect:
     def test_detect_on_box_cloud(self, tmp_path, capsys):
         cloud_path = tmp_path / "box.xyz"
-        save_cloud_xyz(cloud_path, box_cloud(width=40.0, with_floor=True))
+        write_cloud_xyz(cloud_path, box_cloud(width=40.0, with_floor=True))
         code = main(["grasp", "detect", "--cloud", str(cloud_path), "--seed", "3"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -93,7 +92,7 @@ class TestGraspDetect:
 
     def test_out_dir_receives_grasps_json(self, tmp_path):
         cloud_path = tmp_path / "box.xyz"
-        save_cloud_xyz(cloud_path, box_cloud(width=40.0, with_floor=True))
+        write_cloud_xyz(cloud_path, box_cloud(width=40.0, with_floor=True))
         out = tmp_path / "g"
         code = main(
             ["grasp", "detect", "--cloud", str(cloud_path), "--seed", "3", "--out", str(out)]

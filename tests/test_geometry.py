@@ -31,7 +31,6 @@ from rockstack.geometry import (
     mask_bbox,
     mask_centroid,
     project_point,
-    read_depth_pgm,
     write_depth_pgm,
     write_mask_pbm,
 )
@@ -290,10 +289,11 @@ class TestFileFormats:
         depth = rng.integers(0, 65535, size=(17, 23), dtype=np.uint16)
         path = tmp_path / "d.pgm"
         write_depth_pgm(path, depth)
-        back = read_depth_pgm(path)
-        np.testing.assert_array_equal(back, depth)
-        header = path.read_bytes()[:20]
-        assert header.startswith(b"P5\n23 17\n65535\n")
+        header = b"P5\n23 17\n65535\n"
+        data = path.read_bytes()
+        assert data[: len(header)] == header
+        # row-major, big-endian 16-bit samples
+        assert data[len(header) :] == bytes(b for x in depth.ravel().tolist() for b in (x >> 8, x & 0xFF))
 
     def test_pgm_requires_uint16(self, tmp_path):
         with pytest.raises(ValidationError):

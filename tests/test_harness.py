@@ -645,7 +645,7 @@ class TestPoseOracleAgreement:
         socket = scene.parts[0].attachment_world("socket_top")
         u, v, _ = project_point(cam.intrinsics, cam.pose.inverse().apply(socket.translation))
         shape = (cam.intrinsics.height, cam.intrinsics.width)
-        body_read = window_bounds(*mask_centroid(body.mask), 5, shape)
+        body_read = window_bounds(*mask_centroid(body), 5, shape)
         socket_write = window_bounds(float(u), float(v), 3 + 2, shape)
         assert _overlaps(body_read, socket_write)
         got = _pose_json(run_trial(cfg, 3))

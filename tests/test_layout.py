@@ -9,6 +9,10 @@ syntax tree alone.
 * Every module-level private function, class or constant in the library is
   referenced in its own module outside its own definition, so a helper
   left without callers by a refactor fails here.
+* Every module-level public function or class in the library is referenced
+  outside its own definition: in its module, in another library module, in
+  ``rockstack.__all__`` or in a file under ``benchmarks/`` (whose span
+  targets name functions in strings). Code that only tests call fails here.
 * Only ``scenesim`` references the renderer's parts (``SCENESIM_ONLY``):
   every other library module reads depth and masks through
   ``scenesim.NoisyDepth``, so no second read path grows back. The
@@ -33,6 +37,7 @@ from rockstack.geometry import JsonFields, _json_fields
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "rockstack").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCHMARKS = sorted((ROOT / "benchmarks").rglob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -120,6 +125,42 @@ def unreferenced_private_names(tree: ast.Module) -> list[str]:
     return sorted(found)
 
 
+def referenced_names(node: ast.AST, strings: bool = False) -> set[str]:
+    """Names a node loads, reads as an attribute or imports; with
+    ``strings``, also every dotted part of its string constants."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.update(n.value.split("."))
+    return found
+
+
+def unreferenced_public_names(modules: dict[str, ast.Module], outside: set[str]) -> list[str]:
+    """``module.name`` of each module-level public function or class that
+    no other statement of its module, no other module of ``modules`` and
+    nothing in ``outside`` references (a recursive call does not count)."""
+    per_node = {m: [referenced_names(node) for node in tree.body] for m, tree in modules.items()}
+    found = []
+    for module, tree in modules.items():
+        known = set(outside).union(
+            *(names for other, nodes in per_node.items() if other != module for names in nodes)
+        )
+        for i, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in known:
+                continue
+            if not any(node.name in names for j, names in enumerate(per_node[module]) if j != i):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -142,6 +183,14 @@ def test_only_scenesim_references_the_renderer_parts():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(_tree(path)) == []
+
+
+def test_no_public_code_only_tests_call():
+    outside = set(rockstack.__all__)
+    for path in BENCHMARKS:
+        outside |= referenced_names(_tree(path), strings=True)
+    modules = {path.stem: _tree(path) for path in MODULES}
+    assert unreferenced_public_names(modules, outside) == []
 
 
 def test_config_fields_the_codec_passes_through():
@@ -197,3 +246,19 @@ class TestTheChecks:
         want = {("m", "object_pixels"), ("m", "apply_depth_noise"), ("m", "instance_masks")}
         assert scenesim_only_references("m", tree) == want
         assert scenesim_only_references("scenesim", tree) == set()
+
+    def test_unreferenced_public_name_found(self):
+        a = ast.parse(
+            "def used_here():\n    return 0\n"
+            "def self_only(n):\n    return self_only(n - 1) if n else used_here()\n"
+            "class Dead:\n    pass\n"
+            "def imported():\n    return 0\n"
+            "def exported():\n    return 0\n"
+            "def benchmarked():\n    return 0\n"
+            "def _private():\n    return 0\n"
+        )
+        b = ast.parse("from .a import imported\n")
+        bench = referenced_names(ast.parse("T = ('a.benchmarked',)\n"), strings=True)
+        outside = {"exported"} | bench
+        assert unreferenced_public_names({"a": a, "b": b}, outside) == ["a.Dead", "a.self_only"]
+        assert "benchmarked" not in referenced_names(ast.parse("T = ('a.benchmarked',)\n"))

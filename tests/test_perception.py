@@ -1,4 +1,4 @@
-"""Detection sorting, workspace-pose deprojection and height estimation.
+"""Mask sorting, workspace-pose deprojection and height estimation.
 
 Scene-truth cases get their expectations from the simulator's ground truth
 via an independent path (direct geometric render + manual deprojection), not
@@ -7,13 +7,13 @@ from the functions under test.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 import pytest
 
 from rockstack.errors import (
+    EmptyMaskError,
     InsufficientSamplesError,
     MissingDepthError,
     NegativeHeightError,
@@ -28,7 +28,6 @@ from rockstack.geometry import (
     mask_area,
 )
 from rockstack.perception import (
-    Detection,
     detect_objects,
     estimate_height,
     median_window_depth,
@@ -39,7 +38,6 @@ from rockstack.perception import (
     window_bounds,
     window_pixels,
 )
-from rockstack.pointcloud import Plane
 from rockstack.scenesim import (
     CameraSpec,
     RockModel,
@@ -52,8 +50,8 @@ from rockstack.scenesim import (
 from rockstack.shapes import Superellipsoid
 
 
-def make_detection(area: int, offset=(0, 0), size=(96, 96), label="rock") -> Detection:
-    """Roughly square detection of the requested area at the given offset."""
+def make_detection(area: int, offset=(0, 0), size=(96, 96), label="rock") -> InstanceMask:
+    """Roughly square mask of the requested area at the given offset."""
     side = int(math.sqrt(area))
     bm = np.zeros(size, dtype=bool)
     v0, u0 = 10 + offset[1], 10 + offset[0]
@@ -61,8 +59,7 @@ def make_detection(area: int, offset=(0, 0), size=(96, 96), label="rock") -> Det
     extra = area - side * side
     if extra:
         bm[v0 + side, u0 : u0 + extra] = True
-    mask = InstanceMask(bm, label=label)
-    return Detection.from_mask(mask)
+    return InstanceMask(bm, label=label)
 
 
 def overhead_scene(rock: RockModel, terrain_z: float = 0.0) -> Scene:
@@ -84,7 +81,7 @@ class TestSortByMaskArea:
     def test_example_order(self):
         dets = [make_detection(a) for a in (1200, 800, 2000)]
         out = sort_by_mask_area(dets)
-        assert [mask_area(d.mask) for d in out] == [2000, 1200, 800]
+        assert [mask_area(d) for d in out] == [2000, 1200, 800]
         assert out[0] is dets[2] and out[1] is dets[0] and out[2] is dets[1]
 
     def test_equal_areas_tie_break_by_centroid(self):
@@ -100,22 +97,18 @@ class TestSortByMaskArea:
             for _ in range(20)
         ]
         out = sort_by_mask_area(dets)
-        areas = [mask_area(d.mask) for d in out]
+        areas = [mask_area(d) for d in out]
         assert areas == sorted(areas, reverse=True)
         assert sorted(id(d) for d in out) == sorted(id(d) for d in dets)
 
-    def test_empty_masks_dropped_with_warning(self, caplog):
-        empty = Detection(
-            label="rock",
-            mask=InstanceMask(np.zeros((8, 8), dtype=bool)),
-            bbox=(0, 0, 0, 0),
-            confidence=1.0,
-        )
-        good = make_detection(100)
-        with caplog.at_level(logging.WARNING):
-            out = sort_by_mask_area([empty, good])
-        assert out == [good]
-        assert any("empty mask" in r.message for r in caplog.records)
+    def test_empty_mask_raises(self):
+        empty = InstanceMask(np.zeros((96, 96), dtype=bool), label="rock")
+        with pytest.raises(EmptyMaskError):
+            sort_by_mask_area([make_detection(100), empty])
+        intr = CameraIntrinsics(fx=100, fy=100, cx=48, cy=48, width=96, height=96)
+        depth = np.full((96, 96), 500, dtype=np.uint16)
+        with pytest.raises(EmptyMaskError):
+            object_workspace_pose(empty, depth, intr, RigidTransform.identity())
 
 
 class TestMedianWindowDepth:
@@ -197,7 +190,7 @@ class TestObjectWorkspacePose:
         depth = np.full((480, 640), 500, dtype=np.uint16)
         bm = np.zeros((480, 640), dtype=bool)
         bm[238:243, 318:323] = True  # centroid exactly at the principal point
-        det = Detection.from_mask(InstanceMask(bm))
+        det = InstanceMask(bm)
         position = object_workspace_pose(det, depth, intr, RigidTransform.identity())
         np.testing.assert_allclose(position, [0.0, 0.0, 500.0])
 
@@ -228,7 +221,7 @@ class TestObjectWorkspacePose:
         depth = np.zeros((480, 640), dtype=np.uint16)
         bm = np.zeros((480, 640), dtype=bool)
         bm[100:110, 100:110] = True
-        det = Detection.from_mask(InstanceMask(bm))
+        det = InstanceMask(bm)
         with pytest.raises(MissingDepthError):
             object_workspace_pose(det, depth, intr, RigidTransform.identity())
 
@@ -242,23 +235,18 @@ class TestEstimateHeight:
         bm = np.zeros((240, 320), dtype=bool)
         bm[100:140, 140:180] = True
         depth[bm] = depth_value
-        return intr, pose, depth, Detection.from_mask(InstanceMask(bm))
+        return intr, pose, depth, InstanceMask(bm)
 
     def test_flat_topped_object_on_plane(self):
         # object top 50 mm above the z=0 floor seen from 500 mm overhead
         intr, pose, depth, det = self._overhead_setup(450)
-        h = estimate_height(det, depth, intr, pose, support=0.0)
-        assert h == pytest.approx(50.0, abs=2.0)
-
-    def test_plane_support_reference(self):
-        intr, pose, depth, det = self._overhead_setup(450)
-        h = estimate_height(det, depth, intr, pose, support=Plane((0.0, 0.0, 1.0), 0.0))
+        h = estimate_height(det, depth, intr, pose, support_z=0.0)
         assert h == pytest.approx(50.0, abs=2.0)
 
     def test_object_below_reference_raises(self):
         intr, pose, depth, det = self._overhead_setup(450)
         with pytest.raises(NegativeHeightError):
-            estimate_height(det, depth, intr, pose, support=100.0)
+            estimate_height(det, depth, intr, pose, support_z=100.0)
 
     def test_sphere_on_raised_terrain(self):
         # sphere r=30 resting on terrain z=10: top-minus-support = 60
@@ -270,9 +258,9 @@ class TestEstimateHeight:
         scene = overhead_scene(rock, terrain_z=10.0)
         depth = render_depth(scene, scene.base_camera, SensorModel(), seed=0)
         det = detect_objects(scene, scene.base_camera)[0]
-        h = estimate_height(
-            det, depth, scene.base_camera.intrinsics, scene.base_camera.pose, scene.terrain
-        )
+        intr, pose = scene.base_camera.intrinsics, scene.base_camera.pose
+        x, y, _ = object_workspace_pose(det, depth, intr, pose)
+        h = estimate_height(det, depth, intr, pose, float(scene.terrain.height_at(x, y)))
         assert h == pytest.approx(60.0, abs=2.0)
 
 
@@ -315,14 +303,14 @@ class TestPoseStabilityStats:
 
 
 class TestDetectionSerialization:
-    def test_oracle_detections_have_tight_bbox(self):
+    def test_oracle_detection_is_the_rendered_mask(self):
         rock = RockModel(
             shape=Superellipsoid(22.0, 18.0, 15.0),
             pose=RigidTransform.from_translation((0.0, 500.0, 15.0)),
             instance_id=0,
         )
         scene = overhead_scene(rock)
-        det = detect_objects(scene, scene.base_camera)[0]
-        vs, us = np.nonzero(det.mask.bitmap)
-        assert det.bbox == (us.min(), vs.min(), us.max(), vs.max())
-        assert det.confidence == 1.0
+        (det,) = detect_objects(scene, scene.base_camera)
+        _, ids = render_scene_geometry(scene, scene.base_camera)
+        np.testing.assert_array_equal(det.bitmap, ids == 0)
+        assert (det.label, det.instance_id, det.confidence) == ("rock", 0, 1.0)

@@ -32,9 +32,10 @@ from rockstack.pointcloud import (
     fit_plane_sample,
     load_cloud_xyz,
     ransac_sample,
-    save_cloud_xyz,
     voxel_downsample,
 )
+
+from conftest import write_cloud_xyz
 
 
 class TestCloudFromDepth:
@@ -379,7 +380,7 @@ class TestCloudFile:
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         cloud = PointCloud(pts, normals)
         path = tmp_path / "cloud.xyz"
-        save_cloud_xyz(path, cloud)
+        write_cloud_xyz(path, cloud)
         back = load_cloud_xyz(path)
         np.testing.assert_allclose(back.points, pts, rtol=1e-5, atol=1e-3)
         np.testing.assert_allclose(back.normals, normals, atol=1e-4)
@@ -388,7 +389,7 @@ class TestCloudFile:
     def test_round_trip_without_normals(self, tmp_path):
         cloud = PointCloud(np.array([[1.5, -2.25, 3.125]]))
         path = tmp_path / "c.xyz"
-        save_cloud_xyz(path, cloud)
+        write_cloud_xyz(path, cloud)
         back = load_cloud_xyz(path)
         np.testing.assert_allclose(back.points, cloud.points)
         assert back.normals is None

@@ -9,6 +9,7 @@ against a brute-force morphology oracle.
 from __future__ import annotations
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -33,7 +34,6 @@ from rockstack.scenesim import (
     render_depth,
     render_instance_masks,
     render_scene_geometry,
-    scene_from_json_dict,
     scene_to_json_dict,
     superellipse_unit_area,
 )
@@ -749,13 +749,26 @@ class TestParts:
 class TestSceneSerialization:
     def test_round_trip(self):
         scene = generate_scene(SceneSpec(parts=("body", "head")), seed=6)
-        data = scene_to_json_dict(scene)
-        back = scene_from_json_dict(data)
-        assert len(back.rocks) == len(scene.rocks)
-        assert len(back.parts) == len(scene.parts)
-        for a, b in zip(scene.rocks, back.rocks):
-            np.testing.assert_allclose(a.pose.translation, b.pose.translation)
-            assert a.true_volume == pytest.approx(b.true_volume)
-        for a, b in zip(scene.parts, back.parts):
-            assert a.part_class == b.part_class
-            np.testing.assert_allclose(a.pose.rotation, b.pose.rotation)
+        data = json.loads(json.dumps(scene_to_json_dict(scene)))
+
+        def same_pose(got: dict, want: RigidTransform):
+            back = RigidTransform.from_json_dict(got)
+            np.testing.assert_array_equal(back.rotation, want.rotation)
+            np.testing.assert_array_equal(back.translation, want.translation)
+
+        assert data["seed"] == 6
+        np.testing.assert_array_equal(data["terrain"]["heights"], scene.terrain.heights)
+        assert [d["instance_id"] for d in data["rocks"]] == [r.instance_id for r in scene.rocks]
+        for d, rock in zip(data["rocks"], scene.rocks):
+            assert d["semi_axes"] == [rock.shape.ax, rock.shape.ay, rock.shape.az]
+            assert d["exponents"] == [rock.shape.e1, rock.shape.e2]
+            assert d["true_volume"] == rock.true_volume
+            same_pose(d["pose"], rock.pose)
+        assert [(d["instance_id"], d["part_class"]) for d in data["parts"]] == [
+            (p.instance_id, p.part_class) for p in scene.parts
+        ]
+        for d, part in zip(data["parts"], scene.parts):
+            same_pose(d["pose"], part.pose)
+            assert set(d["attachments"]) == set(part.attachments)
+            for name, frame in part.attachments.items():
+                same_pose(d["attachments"][name], frame)

@@ -660,12 +660,29 @@ class TestObserveOracle:
         whole, want = observe_oracle.observe_base(scene, cfg.sensor, seed, labels)
         view, dets = _observe_base(scene, cfg.sensor, seed, labels)
         assert [d.instance_id for d in dets] == [d.instance_id for d in want]
+        # the stacking runner fits the plane before it reads any rock
+        got = _outcome(_cloud_plane, [view], 2, derive_seed(seed, 3))
+        want_plane = _outcome(observe_oracle.base_plane, whole, camera, seed)
+        supports = [(scene.terrain.height_at, scene.terrain.height_at)]
+        if isinstance(want_plane, str):
+            assert got == want_plane
+        else:
+            plane, points = got
+            assert _same(plane.normal, want_plane.normal) and plane.offset == want_plane.offset
+            assert points == len(cloud_from_depth(whole, intr, pose, stride=2))
+            supports.append((plane.z_at, want_plane.z_at))
         for got_det, want_det in zip(dets, want):
-            np.testing.assert_array_equal(got_det.mask.bitmap, want_det.mask.bitmap)
-            assert got_det.bbox == want_det.bbox
-            for read in (object_workspace_pose, estimate_height):
-                args = (intr, pose) if read is object_workspace_pose else (intr, pose, scene.terrain)
-                assert _same(_outcome(read, got_det, view.depth, *args), _outcome(read, want_det, whole, *args))
+            np.testing.assert_array_equal(got_det.bitmap, want_det.bitmap)
+            got_pos = _outcome(object_workspace_pose, got_det, view.depth, intr, pose)
+            want_pos = _outcome(object_workspace_pose, want_det, whole, intr, pose)
+            assert _same(got_pos, want_pos)
+            if isinstance(want_pos, str):
+                continue
+            # each side's support height is read at the position that side read
+            for got_z, want_z in supports:
+                got_h = _outcome(estimate_height, got_det, view.depth, intr, pose, float(got_z(*got_pos[:2])))
+                want_h = _outcome(estimate_height, want_det, whole, intr, pose, float(want_z(*want_pos[:2])))
+                assert _same(got_h, want_h)
         # the depth read anywhere equals the whole image's; elsewhere it reads 0
         cast = view.depth != 0
         np.testing.assert_array_equal(view.depth[cast], whole[cast])
@@ -674,14 +691,6 @@ class TestObserveOracle:
                 point = part.attachment_world(name).translation
                 got = _outcome(_measure_point_via_depth, point, view)
                 assert _same(got, _outcome(_measure_whole, point, whole, camera))
-        got = _outcome(_cloud_plane, [view], 2, derive_seed(seed, 3))
-        want_plane = _outcome(observe_oracle.base_plane, whole, camera, seed)
-        if isinstance(want_plane, str):
-            assert got == want_plane
-        else:
-            plane, points = got
-            assert _same(plane.normal, want_plane.normal) and plane.offset == want_plane.offset
-            assert points == len(cloud_from_depth(whole, intr, pose, stride=2))
         # footprints, reads and the plane's sample were cast, not the whole image
         assert np.count_nonzero(view.ids != MISS_ID) <= view.depth.size // 4
 
