@@ -351,11 +351,21 @@ def mask_area(mask: InstanceMask) -> int:
 
 
 def mask_centroid(mask: InstanceMask) -> tuple[float, float]:
-    """Arithmetic mean (u, v) of the set pixels; sub-pixel, not rounded."""
-    vs, us = np.nonzero(mask.bitmap)
-    if us.size == 0:
+    """Arithmetic mean (u, v) of the set pixels; sub-pixel, not rounded.
+
+    Formed from the set pixels per column and per row: the coordinate sums
+    are exact integers and each mean one correctly rounded division, so it
+    equals the mean of ``np.nonzero``'s coordinates without listing them.
+    """
+    per_column = np.count_nonzero(mask.bitmap, axis=0)
+    count = int(per_column.sum())
+    if count == 0:
         raise EmptyMaskError("centroid of an empty mask")
-    return float(us.mean()), float(vs.mean())
+    per_row = np.count_nonzero(mask.bitmap, axis=1)
+    return (
+        int(per_column @ np.arange(per_column.size)) / count,
+        int(per_row @ np.arange(per_row.size)) / count,
+    )
 
 
 def mask_bbox(mask: InstanceMask) -> tuple[int, int, int, int]:

@@ -231,6 +231,93 @@ def _orient_plane(normal: np.ndarray, offset: float) -> tuple[np.ndarray, float]
     return normal, offset
 
 
+# hypotheses x points per scoring tile, and points per tile at most: 512 KB
+# per float array, so a tile's temporaries stay under 1 MB whatever the
+# cloud size
+_SCORE_ELEMENTS = 1 << 16
+_SCORE_WIDTH = 1 << 12
+# a cross product this close to the degeneracy threshold, relative to it,
+# is judged by _plane_from_three itself
+_NEAR_DEGENERATE = 1e-6
+
+
+def _ransac_triples(rng: np.random.Generator, m: int, iters: int) -> np.ndarray:
+    """The ``(iters, 3)`` triples that ``iters`` calls of
+    ``rng.choice(m, 3, replace=False)`` return, drawn in one call that
+    leaves ``rng`` in the same state.
+
+    ``choice`` runs Floyd's algorithm: bounded draws over [0, m-3],
+    [0, m-2] and [0, m-1], where a value already taken is replaced by
+    that range's top. It then shuffles, swapping position 2 with a draw
+    over [0, 2] and position 1 with a draw over [0, 1]. ``integers`` with
+    these exclusive highs makes the same five bounded draws per triple
+    through the same routine; a range of one value draws nothing.
+    """
+    draws = rng.integers(0, np.tile([m - 2, m - 1, m, 3, 2], iters)).reshape(iters, 5)
+    t = draws[:, :3].copy()
+    t[t[:, 1] == t[:, 0], 1] = m - 2
+    t[(t[:, 2] == t[:, 0]) | (t[:, 2] == t[:, 1]), 2] = m - 1
+    rows = np.arange(iters)
+    for pos, col in ((2, 3), (1, 4)):
+        swap = draws[:, col]
+        taken = t[rows, swap]
+        t[rows, swap] = t[:, pos]
+        t[:, pos] = taken
+    return t
+
+
+def _hypothesis_counts(pts: np.ndarray, triples: np.ndarray, tol: float) -> np.ndarray:
+    """Per triple, ``np.count_nonzero(np.abs(pts @ n - off) <= tol)`` for
+    the plane ``(n, off)`` that :func:`_plane_from_three` builds of its
+    points, or -1 where it builds none.
+
+    The planes are built together and scored in tiles of hypotheses and
+    points, each tile one matrix product, whose distances may round apart
+    from a single plane's by far less than margin = 1e-9 (1 + max |p|),
+    the maximum over the finite coordinates.
+    So each hypothesis is counted at ``tol - margin`` and ``tol + margin``:
+    equal counts are the exact count, and where they differ, or where the
+    cross product's length is near the 1e-9 threshold, the triple is
+    scored as a plane of its own.
+    """
+    a, b, c = pts[triples].transpose(1, 2, 0)
+    u, v = b - a, c - a
+    n = np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]])
+    length = np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+    live = length > 1e-9 * (1 + _NEAR_DEGENERATE)
+    near = ~live & (length >= 1e-9 * (1 - _NEAR_DEGENERATE))
+    normals = (n[:, live] / length[live]).T
+    offsets = normals[:, 0] * a[0, live] + normals[:, 1] * a[1, live] + normals[:, 2] * a[2, live]
+    planes = np.column_stack([normals, -offsets])
+    margin = 1e-9 * (1.0 + np.abs(pts[np.isfinite(pts)]).max(initial=0.0))
+    homogeneous = np.vstack([pts.T, np.ones(pts.shape[0])])
+    # tiles of hypotheses x points: a tile of a long cloud spans part of it,
+    # so the points it reads stay in cache for all its hypotheses
+    width = max(1, min(pts.shape[0], _SCORE_WIDTH))
+    block = _SCORE_ELEMENTS // width
+    tight = np.zeros(planes.shape[0], dtype=np.intp)
+    loose = np.zeros(planes.shape[0], dtype=np.intp)
+    for lo in range(0, planes.shape[0], block):
+        part = slice(lo, lo + block)
+        for start in range(0, pts.shape[0], width):
+            dist = planes[part] @ homogeneous[:, start : start + width]
+            np.abs(dist, out=dist)
+            tight[part] += _row_counts(dist <= tol - margin)
+            loose[part] += _row_counts(dist <= tol + margin)
+    counts = np.full(triples.shape[0], -1, dtype=np.intp)
+    counts[live] = np.where(tight == loose, tight, -2)
+    for i in np.flatnonzero(near | (counts == -2)):
+        model = _plane_from_three(pts[triples[i]])
+        counts[i] = -1 if model is None else np.count_nonzero(np.abs(pts @ model[0] - model[1]) <= tol)
+    return counts
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    # true values per row; a popcount of the packed bits is about three
+    # times faster than summing the bools along the row
+    return np.bitwise_count(np.packbits(mask, axis=1)).sum(axis=1, dtype=np.intp)
+
+
 def fit_plane_ransac(
     cloud: PointCloud,
     iters: int = 200,
@@ -275,22 +362,27 @@ def ransac_sample(
 def fit_plane_sample(pts: np.ndarray, rng: np.random.Generator, iters: int, tol: float) -> Plane:
     """The plane of :func:`fit_plane_ransac` from its subset ``pts`` (the
     points of the rows :func:`ransac_sample` drew, in order) and the
-    generator that drew them."""
-    best_count = 0
-    best_model: tuple[np.ndarray, float] | None = None
-    m = pts.shape[0]
-    for _ in range(iters):
-        triple = rng.choice(m, size=3, replace=False)
-        model = _plane_from_three(pts[triple])
-        if model is None:
-            continue
-        normal, offset = model
-        count = int(np.count_nonzero(np.abs(pts @ normal - offset) <= tol))
-        if count > best_count:
-            best_count = count
-            best_model = model
-    if best_model is None:
+    generator that drew them.
+
+    Hypothesis k is the plane through the triple that the k-th of ``iters``
+    calls of ``rng.choice(m, 3, replace=False)`` would draw, none where the
+    triple's cross product is shorter than 1e-9, scored by its points
+    within ``tol``. The winner is the first hypothesis with the most
+    inliers, as a loop keeping only a strictly greater count picks it, and
+    is refit by least squares over its inliers.
+
+    The triples are drawn in one call that leaves ``rng`` as those
+    ``choice`` calls would (:func:`_ransac_triples`). The planes are built
+    and scored together (:func:`_hypothesis_counts`); a count that the
+    rounding of the joint product could change, by a margin of
+    1e-9 (1 + max |p|) either side of ``tol``, is recounted for that plane
+    alone. So the plane is bit-equal to scoring one hypothesis at a time.
+    """
+    triples = _ransac_triples(rng, pts.shape[0], iters)
+    counts = _hypothesis_counts(pts, triples, tol)
+    if not np.any(counts > 0):
         raise DegenerateInputError("all sampled triples were collinear; no plane model")
+    best_model = _plane_from_three(pts[triples[np.argmax(counts)]])
 
     normal, offset = best_model
     inliers = np.abs(pts @ normal - offset) <= tol

@@ -260,6 +260,32 @@ class TestMasks:
         assert mask_area(m) == 2
         assert mask_centroid(m) == (5.0, 0.0)
 
+    def test_centroid_matches_nonzero_mean(self):
+        def nonzero_mean(bitmap):
+            vs, us = np.nonzero(bitmap)
+            return float(us.mean()), float(vs.mean())
+
+        bitmaps = []
+        for v, u in [(0, 0), (239, 319), (7, 5), (0, 319)]:
+            bm = np.zeros((240, 320), dtype=bool)
+            bm[v, u] = True
+            bitmaps.append(bm)
+        for edge in (0, -1):
+            bm = np.zeros((240, 320), dtype=bool)
+            bm[edge] = True
+            bitmaps += [bm, bm.T.copy()]
+        bitmaps.append(np.ones((240, 320), dtype=bool))
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            h, w = rng.integers(1, 200, size=2)
+            bm = rng.random((h, w)) < rng.random() ** 3
+            if bm.any():
+                bitmaps.append(bm)
+        for bm in bitmaps:
+            got = mask_centroid(InstanceMask(bm))
+            want = nonzero_mean(bm)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_empty_centroid_raises(self):
         with pytest.raises(EmptyMaskError):
             mask_centroid(InstanceMask(np.zeros((4, 4), dtype=bool)))

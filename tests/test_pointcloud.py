@@ -8,6 +8,7 @@ and noise generators that know the ground-truth plane.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from rockstack.errors import (
     TooFewPointsError,
     ValidationError,
 )
+from rockstack import pointcloud
 from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
 from rockstack.pointcloud import (
     Plane,
     PointCloud,
     Workspace,
+    _ransac_triples,
     cloud_from_depth,
     cloud_from_pixels,
     crop_workspace,
@@ -35,6 +38,7 @@ from rockstack.pointcloud import (
     voxel_downsample,
 )
 
+import ransac_oracle
 from conftest import write_cloud_xyz
 
 
@@ -336,6 +340,141 @@ class TestRansacSample:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             ransac_sample(2, 0)
+
+
+def generator(seed: int, buffered: bool) -> np.random.Generator:
+    """A seeded generator, optionally holding a buffered odd uint32 as a
+    generator does after an odd number of 32-bit draws."""
+    rng = np.random.default_rng(seed)
+    if buffered:
+        state = rng.bit_generator.state
+        state.update(has_uint32=1, uinteger=0x9E3779B9)
+        rng.bit_generator.state = state
+    return rng
+
+
+def fit_outcome(fit, pts, rng, iters, tol):
+    """The plane's raw bytes, or the error's message, and the generator's
+    state after the fit."""
+    try:
+        plane = fit(pts, rng, iters, tol)
+    except DegenerateInputError as err:
+        result = ("DegenerateInputError", str(err))
+    else:
+        result = (plane.normal.tobytes(), np.float64(plane.offset).tobytes())
+    return result, rng.bit_generator.state
+
+
+def assert_fit_matches_reference(pts, iters, tol, seed=0, buffered=False):
+    """The library's fit equals the hypothesis-at-a-time reference: the same
+    plane, bit for bit, or the same error, and the same generator state."""
+    got = fit_outcome(fit_plane_sample, pts, generator(seed, buffered), iters, tol)
+    want = fit_outcome(ransac_oracle.fit_plane_sample, pts, generator(seed, buffered), iters, tol)
+    assert got == want
+    return got[0]
+
+
+ALL_DEGENERATE = ("DegenerateInputError", "all sampled triples were collinear; no plane model")
+
+
+class TestChoiceReplay:
+    """The one-call draw replays ``rng.choice(m, 3, replace=False)``; if a
+    numpy release changes how ``choice`` draws, this fails before the
+    golden hashes move."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 100, 2500, 9999, 10000, 10001, 50000, 2**31])
+    def test_triples_and_state(self, m, buffered):
+        for seed in range(2000):
+            got_rng, want_rng = generator(seed, buffered), generator(seed, buffered)
+            want = [want_rng.choice(m, 3, replace=False) for _ in range(3)]
+            assert np.array_equal(_ransac_triples(got_rng, m, 3), want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestBatchedHypotheses:
+    """``fit_plane_sample`` against the reference loop in
+    ``ransac_oracle.py`` on the fits where batching could go wrong."""
+
+    def test_random_fits(self):
+        rng = np.random.default_rng(31)
+        for k in range(60):
+            m = int(rng.integers(3, 2500))
+            pts = np.column_stack([rng.uniform(-100, 100, (m, 2)), rng.normal(0, 2, m)])
+            pts[: m // 4] = rng.uniform(-100, 100, (m // 4, 3))
+            iters, tol = int(rng.integers(1, 250)), float(rng.uniform(0.5, 5.0))
+            assert_fit_matches_reference(pts, iters, tol, seed=k, buffered=k % 2 == 1)
+
+    def test_integer_mm_ties(self, monkeypatch):
+        # many distances equal tol exactly, so the margin leaves counts
+        # unsure and the fit must recount them one plane at a time
+        calls = []
+        original = pointcloud._plane_from_three
+        monkeypatch.setattr(pointcloud, "_plane_from_three", lambda p: calls.append(1) or original(p))
+        rng = np.random.default_rng(37)
+        for k in range(12):
+            m = int(rng.integers(50, 2500))
+            pts = np.column_stack([rng.integers(-200, 200, (m, 2)), rng.integers(-4, 5, m)]).astype(float)
+            assert_fit_matches_reference(pts, 200, 4.0, seed=k, buffered=k % 3 == 0)
+        assert len(calls) > 12  # more than the winners were rebuilt
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_smallest_clouds(self, m):
+        rng = np.random.default_rng(m)
+        for seed in range(20):
+            pts = rng.uniform(-50, 50, (m, 3))
+            assert_fit_matches_reference(pts, 30, 2.0, seed=seed, buffered=seed % 2 == 1)
+
+    def test_every_triple_degenerate(self):
+        line = np.outer(np.arange(40.0), [1.0, 2.0, -0.5])
+        same = np.tile([3.0, -1.0, 7.0], (40, 1))
+        for pts in (line, same):
+            assert assert_fit_matches_reference(pts, 50, 1.0) == ALL_DEGENERATE
+
+    def test_collinear_and_duplicate_points_among_others(self):
+        rng = np.random.default_rng(41)
+        line = np.outer(np.arange(300.0), [0.5, 0.25, 0.0])
+        pts = np.concatenate([line, line[:100], rng.uniform(-20, 20, (8, 3))])
+        for seed in range(10):
+            assert assert_fit_matches_reference(pts, 100, 1.0, seed=seed) != ALL_DEGENERATE
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_points(self):
+        # a cloud file may hold nan or inf; the margin comes from the finite
+        # coordinates, and those points lie within tol of no plane
+        rng = np.random.default_rng(53)
+        pts = np.column_stack([rng.uniform(-100, 100, (400, 2)), rng.normal(0, 1, 400)])
+        pts[::50, 0] = np.nan
+        pts[7::50, 2] = np.inf
+        for seed in range(5):
+            assert assert_fit_matches_reference(pts, 100, 2.0, seed=seed) != ALL_DEGENERATE
+
+    @pytest.mark.parametrize("iters, tol", [(0, 4.0), (50, -1.0)], ids=["no-hypotheses", "no-inliers"])
+    def test_no_winner(self, iters, tol):
+        pts = np.random.default_rng(43).uniform(-50, 50, (100, 3))
+        assert assert_fit_matches_reference(pts, iters, tol) == ALL_DEGENERATE
+
+    @pytest.mark.parametrize("side", [1 + 1e-10, 1 - 1e-10])
+    def test_cross_product_at_the_degeneracy_threshold(self, side):
+        # |u x v| = 1e-3 * 1e-6 * side, within rounding of the 1e-9 bound
+        pts = np.array([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [0.0, 1e-6 * side, 0.0]])
+        result = assert_fit_matches_reference(pts, 20, 1.0)
+        assert (result == ALL_DEGENERATE) == (side < 1)
+
+    def test_long_cloud_in_bounded_memory(self):
+        # no max_points: a 200 x m distance matrix would take 80 MB
+        m = 50_000
+        rng = np.random.default_rng(47)
+        pts = np.column_stack([rng.uniform(-500, 500, (m, 2)), rng.normal(0, 2, m)])
+        pts[: m // 5] = rng.uniform(-500, 500, (m // 5, 3))
+        tracemalloc.start()
+        try:
+            fit_plane_sample(pts, np.random.default_rng(5), 200, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert_fit_matches_reference(pts, 200, 4.0, seed=5)
 
 
 class TestFilterAbovePlane:

@@ -23,7 +23,8 @@ from render_oracle import (
     superellipsoid_raycast,
     terrain_height_at,
 )
-from rockstack import pointcloud, shapes
+import ransac_oracle
+from rockstack import pointcloud, shapes, taskexec
 from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
 from rockstack.harness import ExperimentConfig, run_trial
 from rockstack.pointcloud import PointCloud, _plane_from_three, fit_plane_ransac
@@ -79,15 +80,17 @@ class TestRecordedStackTrials:
     @pytest.fixture(scope="class")
     def calls(self):
         cfg = ExperimentConfig.from_json_dict(NOMINAL_STACK)
-        march, terrain, planes = [], [], []
+        march, terrain, planes, fits = [], [], [], []
         with (
             record_calls(Superellipsoid, "raycast", march),
             record_calls(Terrain, "raycast_world", terrain),
             record_calls(pointcloud, "_plane_from_three", planes),
+            ransac_oracle.record_fits(pointcloud, fits),
+            ransac_oracle.record_fits(taskexec, fits),
         ):
             for index in (3, 8):
                 run_trial(cfg, index)
-        return march, terrain, planes
+        return march, terrain, planes, fits
 
     def test_march(self, calls):
         march = calls[0]
@@ -106,8 +109,14 @@ class TestRecordedStackTrials:
             assert np.isfinite(got[dirs[:, 2] < 0]).all()
 
     def test_planes(self, calls):
-        planes = calls[2]
-        assert len(planes) > 500
+        planes, fits = calls[2], calls[3]
+        assert len(fits) >= 8
+        for pts, rng, iters, tol, plane, rng_after in fits:
+            want = ransac_oracle.fit_plane_sample(pts, rng, iters, tol)
+            assert same_bits(plane.normal, want.normal) and same_bits(plane.offset, want.offset)
+            assert rng_after.bit_generator.state == rng.bit_generator.state
+        # each fit rebuilds its winner, and recounts its unsure hypotheses
+        assert len(planes) >= len(fits)
         for (points,) in planes:
             got, want = _plane_from_three(points), plane_from_three(points)
             assert (got is None) == (want is None)
