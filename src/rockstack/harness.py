@@ -43,8 +43,8 @@ from .scenesim import (
     NoisyDepth,
     SceneSpec,
     SensorModel,
-    finish_depth_noise,
     generate_scene,
+    noisy_readings,
 )
 from .taskexec import (
     ExecParams,
@@ -258,30 +258,20 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
 
     Each probe is a pixel read through the depth image: the mask centroid
     of every detection (5x5 median window) and, with a body in the scene,
-    the projected socket (3x3 window). Sample k re-noises, in probe order,
-    a write window two pixels wider than each probe's read window, drawing
-    from ``derive_seed(seed, 100_000 + k)``; that is distribution-identical
-    to re-noising the full image. Only the noise changes from sample to
-    sample, so the centroids, windows, in-image checks and camera transform
-    are computed once. The scene is read through a noiseless
-    :class:`~rockstack.scenesim.NoisyDepth`, which makes no noise draws and
-    casts only where the trial reads: the objects' footprints, for the masks
-    (``masks``), then all write windows in one ``cast``. The clean write
-    windows are read from its ``clean`` range, bit-equal to a whole-image
-    render. The trial then runs in three steps:
+    the projected socket (3x3 window). Only the noise changes from sample
+    to sample, so the centroids, windows, in-image checks and camera
+    transform are computed once. The scene is read through a noiseless
+    :class:`~rockstack.scenesim.NoisyDepth`, which casts only where the
+    trial reads: the objects' footprints, for the masks (``masks``), then
+    the read windows. Its ``clean`` range is bit-equal to a whole-image
+    render.
 
-    1. *Draw.* Per sample, for each write window in probe order, the
-       ``normal`` and then (with dropout) the ``random`` draws of the
-       sensor's noise model land in row k of a ``(samples, window pixels)``
-       array, the write windows side by side.
-    2. *Finish.* One call of the noise model's finishing step turns the
-       clean write windows plus all draws into uint16 depths.
-    3. *Gather.* Windows of different probes may overlap, and a later
-       write overwrites an earlier one before any probe reads, so every
-       read-window pixel takes its column from the last write window that
-       covers it (its own probe's window always does). The read windows of
-       all samples are one gather per probe; the medians, deprojection and
-       transform to the robot frame then run as one array pass per probe.
+    The noise is one table, :func:`~rockstack.scenesim.noisy_readings` of
+    the distinct read pixels in flat-index order, seeded with
+    ``derive_seed(seed, 100_000)``: sample k of the j-th pixel is row k,
+    column j, so overlapping windows read one value per shared pixel. Each
+    probe gathers its columns for all samples at once, and its medians,
+    deprojection and transform to the robot frame are one array pass.
 
     A sample whose read window has no valid pixel is dropped; a probe whose
     pixel lies outside the image is dropped whole. Positions are gathered
@@ -305,39 +295,17 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
         u, v, _ = project_point(intr, cam_pt)
         probes.append(("body_joint", float(u), float(v), 3))
 
-    windows = [window_pixels(u, v, size + 2, shape) for _, u, v, size in probes]
-    stacked = np.concatenate([np.empty(0, dtype=np.intp)] + windows)  # write windows side by side
-    view.cast(stacked)
-    column = np.empty(view.clean.size, dtype=np.intp)  # stack column last written at each pixel
-    writes = []  # (first, end) stack columns of each write window, in probe order
-    width = 0
-    for pixels in windows:
-        column[pixels] = np.arange(width, width + pixels.size)
-        writes.append((width, width + pixels.size))
-        width += pixels.size
-    reads = [  # (label, u, v, read window pixels) for probes inside the image
-        (label, u, v, window_pixels(u, v, size, shape))
-        for label, u, v, size in probes
-        if 0 <= u < intr.width and 0 <= v < intr.height
-    ]
-
+    windows = [window_pixels(u, v, size, shape) for _, u, v, size in probes]
+    pixels = np.unique(np.concatenate([np.empty(0, dtype=np.intp)] + windows))
+    view.cast(pixels)
     n_samples = cfg.samples
-    sensor = cfg.sensor
-    normal = np.empty((n_samples, width)) if sensor.depth_sigma > 0 else None
-    uniform = np.empty((n_samples, width)) if sensor.dropout_rate > 0 else None
-    for k in range(n_samples):
-        rng = np.random.default_rng(derive_seed(seed, 100_000 + k))
-        for a, b in writes:
-            if normal is not None:
-                normal[k, a:b] = rng.normal(0.0, sensor.depth_sigma, b - a)
-            if uniform is not None:
-                uniform[k, a:b] = rng.random(b - a)
-    clean = np.broadcast_to(view.clean.ravel()[stacked], (n_samples, width))
-    noisy = finish_depth_noise(clean, sensor, normal, uniform)
+    noisy = noisy_readings(view.clean.ravel()[pixels], cfg.sensor, derive_seed(seed, 100_000), n_samples)
 
     by_label: dict = {}  # label -> [(positions (n, 3), kept (n,))] in probe order
-    for label, u, v, pixels in reads:
-        d = median_window_depths(noisy[:, column[pixels]])
+    for (label, u, v, _), window in zip(probes, windows):
+        if not (0 <= u < intr.width and 0 <= v < intr.height):
+            continue
+        d = median_window_depths(noisy[:, np.searchsorted(pixels, window)])
         kept = ~np.isnan(d)
         cam_pts = deproject_pixel(intr, u, v, d[kept])
         # One matrix-vector product per robot axis rounds each point as the

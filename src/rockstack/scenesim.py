@@ -5,7 +5,8 @@ Every output is a pure function of (inputs, seed). Depth is measured along
 the camera's optical axis (+z) and quantized to 1 mm as ``uint16``; value 0
 is the missing-depth sentinel. Instance masks are exact ("oracle") and may
 be degraded separately through the sensor model's erosion/flip parameters,
-which stand in for segmentation damage under harsh exposure.
+which stand in for segmentation damage under harsh exposure. Repeated reads
+of a few pixels draw their noise as one table (:func:`noisy_readings`).
 """
 
 from __future__ import annotations
@@ -809,23 +810,28 @@ def render_scene_geometry(
     return depth.reshape(h, w), ids.reshape(h, w)
 
 
-def apply_depth_noise(
-    depth: np.ndarray, sensor: SensorModel, seed: int | np.random.Generator
-) -> np.ndarray:
+def apply_depth_noise(depth: np.ndarray, sensor: SensorModel, seed: int) -> np.ndarray:
     """Noise + 1 mm quantization + dropout; misses and dropouts become 0.
 
-    ``seed`` may be a Generator, which is drawn from in place (``normal``
-    then ``random``, each over ``depth.shape``), so one stream can noise
-    several windows in turn.
-    """
-    return finish_depth_noise(depth, sensor, *_noise_draws(sensor, seed, depth.shape))
+    The draws are ``normal`` and then ``random``, each over ``depth.shape``,
+    from ``default_rng(seed)``."""
+    return _finish_depth_noise(depth, sensor, *_noise_draws(sensor, seed, depth.shape))
 
 
-def _noise_draws(
-    sensor: SensorModel, seed: int | np.random.Generator, shape
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+def noisy_readings(clean: np.ndarray, sensor: SensorModel, seed: int, n: int) -> np.ndarray:
+    """``n`` noisy readings of the float depths ``clean``, stacked on a new
+    first axis: :func:`apply_depth_noise`'s model with one ``normal`` draw
+    over the whole ``(n, *clean.shape)`` table followed by one ``random``
+    draw of the same shape, so reading k takes row k of each. With ``n`` = 1
+    the reading is ``apply_depth_noise(clean, sensor, seed)``."""
+    shape = (n, *clean.shape)
+    draws = _noise_draws(sensor, seed, shape)
+    return _finish_depth_noise(np.broadcast_to(clean, shape), sensor, *draws)
+
+
+def _noise_draws(sensor: SensorModel, seed: int, shape) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The ``normal`` and then the ``uniform`` draws of
-    :func:`finish_depth_noise`, each of ``shape``; a draw the sensor does
+    :func:`_finish_depth_noise`, each of ``shape``; a draw the sensor does
     not use is None and not made."""
     rng = np.random.default_rng(seed)
     normal = rng.normal(0.0, sensor.depth_sigma, size=shape) if sensor.depth_sigma > 0 else None
@@ -833,7 +839,7 @@ def _noise_draws(
     return normal, uniform
 
 
-def finish_depth_noise(
+def _finish_depth_noise(
     depth: np.ndarray,
     sensor: SensorModel,
     normal: np.ndarray | None,
@@ -845,8 +851,8 @@ def finish_depth_noise(
     when ``dropout_rate`` is 0), each of ``depth``'s shape.
 
     Misses (non-finite depth) and dropouts become 0, the rest is rounded
-    to 1 mm and clipped to the uint16 range. Elementwise, so a stack of
-    windows is finished in one call."""
+    to 1 mm and clipped to the uint16 range. Elementwise, so any subset of
+    pixels is finished as the whole image finishes it."""
     valid = np.isfinite(depth)
     noisy = np.where(valid, depth, 0.0)
     if sensor.depth_sigma > 0:
@@ -878,7 +884,7 @@ class NoisyDepth:
     object is made, in :func:`apply_depth_noise`'s order; a zero sensor
     draws nothing. :meth:`cast` renders pixels with
     :func:`render_scene_geometry` and finishes them with
-    :func:`finish_depth_noise`; both work pixel by pixel, so each cast pixel
+    :func:`_finish_depth_noise`; both work pixel by pixel, so each cast pixel
     of ``depth``, ``clean`` (the float range, inf for a miss) and ``ids`` is
     bit-equal to the whole image's. A pixel not cast reads 0 in ``depth``,
     NaN in ``clean`` and ``MISS_ID`` in ``ids``. A cast renders the scene as
@@ -914,7 +920,7 @@ class NoisyDepth:
         depth, ids = render_scene_geometry(self.scene, self.camera, self.extra_objects, pixels=new)
         normal = None if self._normal is None else self._normal[new]
         uniform = None if self._uniform is None else self._uniform[new]
-        self.depth.flat[new] = finish_depth_noise(depth, self.sensor, normal, uniform)
+        self.depth.flat[new] = _finish_depth_noise(depth, self.sensor, normal, uniform)
         self.clean.flat[new] = depth
         self.ids.flat[new] = ids
 

@@ -1,12 +1,14 @@
 """Reference pose-stability trial for the harness tests.
 
-It runs the whole per-object pipeline once per sample: a fresh copy of the
-depth image, the noisy windows written in, then ``object_workspace_pose``
+The noise is drawn by hand as one table over the distinct pixels the probes
+read, in flat-index order: one ``normal`` draw over ``(samples, pixels)``,
+then one ``random`` draw of the same shape, from
+``default_rng(derive_seed(seed, 100_000))``. Then the whole per-object
+pipeline runs once per sample: a fresh copy of the clean depth image with
+row k of the table written at the read pixels, then ``object_workspace_pose``
 for every detection and, for the socket, a 3x3 median read at its
 projection deprojected to the robot frame, with any exception dropping the
-sample. That is the runner as it was before its
-sample loop became array passes; the batched runner must reproduce its
-report bit for bit.
+sample. The batched runner must reproduce its report bit for bit.
 """
 
 from __future__ import annotations
@@ -45,30 +47,30 @@ def oracle_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport
         probes.append(("body_joint", "point", float(u), float(v), 3, socket.translation))
 
     h, w = clean.shape
-    windows = []
+    read = np.zeros((h, w), dtype=bool)
     for _, _, u, v, win, _ in probes:
-        half = win // 2 + 1
+        half = win // 2
         iu, iv = int(round(u)), int(round(v))
-        windows.append(
-            (max(iv - half, 0), min(iv + half + 1, h), max(iu - half, 0), min(iu + half + 1, w))
-        )
+        read[max(iv - half, 0) : max(iv + half + 1, 0), max(iu - half, 0) : max(iu + half + 1, 0)] = True
+    pixels = np.flatnonzero(read)
+
+    n_samples = cfg.samples
+    sensor = cfg.sensor
+    rng = np.random.default_rng(derive_seed(seed, 100_000))
+    clean_reads = np.broadcast_to(depth_float.ravel()[pixels], (n_samples, pixels.size))
+    valid = np.isfinite(clean_reads)
+    noisy = np.where(valid, clean_reads, 0.0)
+    if sensor.depth_sigma > 0:
+        noisy = noisy + rng.normal(0.0, sensor.depth_sigma, size=clean_reads.shape)
+    quant = np.clip(np.rint(noisy), 0, 65535).astype(np.uint16)
+    quant[~valid] = 0
+    if sensor.dropout_rate > 0:
+        quant[rng.random(clean_reads.shape) < sensor.dropout_rate] = 0
 
     positions: dict = {}
-    n_samples = cfg.samples
     for k in range(n_samples):
-        rng = np.random.default_rng(derive_seed(seed, 100_000 + k))
         depth_k = clean.copy()
-        for (v0, v1, u0, u1) in windows:
-            region = depth_float[v0:v1, u0:u1]
-            valid = np.isfinite(region)
-            noisy = np.where(valid, region, 0.0)
-            if cfg.sensor.depth_sigma > 0:
-                noisy = noisy + rng.normal(0.0, cfg.sensor.depth_sigma, size=region.shape)
-            quant = np.clip(np.rint(noisy), 0, 65535).astype(np.uint16)
-            quant[~valid] = 0
-            if cfg.sensor.dropout_rate > 0:
-                quant[rng.random(region.shape) < cfg.sensor.dropout_rate] = 0
-            depth_k[v0:v1, u0:u1] = quant
+        depth_k.flat[pixels] = quant[k]
         for label, kind, u, v, win, payload in probes:
             try:
                 if kind == "detection":

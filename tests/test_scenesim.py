@@ -48,7 +48,7 @@ from rockstack.scenesim import (
     _disk,
     _object_pixel_rows,
     _pixel_dirs,
-    finish_depth_noise,
+    noisy_readings,
     object_pixels,
 )
 from rockstack.shapes import Superellipsoid
@@ -226,67 +226,41 @@ class TestRenderDepth:
         c = render_depth(scene, scene.base_camera, sensor, seed=12)
         assert not np.array_equal(a, c)
 
-    def test_generator_is_drawn_in_place(self):
-        depth = np.full((6, 7), 500.0)
-        depth[0, :3] = np.inf
-        sensor = SensorModel(depth_sigma=2.0, dropout_rate=0.2)
-        np.testing.assert_array_equal(
-            apply_depth_noise(depth, sensor, np.random.default_rng(9)),
-            apply_depth_noise(depth, sensor, 9),
-        )
-        # two windows noised in turn from one stream: normal then random each
-        rng = np.random.default_rng(9)
-        first = apply_depth_noise(depth[:3], sensor, rng)
-        second = apply_depth_noise(depth[3:], sensor, rng)
-        ref = np.random.default_rng(9)
-        for window, got in ((depth[:3], first), (depth[3:], second)):
-            noisy = np.rint(np.where(np.isfinite(window), window, 0.0) + ref.normal(0.0, 2.0, window.shape))
-            expect = np.where(np.isfinite(window), noisy, 0).astype(np.uint16)
-            expect[ref.random(window.shape) < 0.2] = 0
-            np.testing.assert_array_equal(got, expect)
-
     @pytest.mark.parametrize("sigma", [0.0, 3.0])
     @pytest.mark.parametrize("dropout", [0.0, 0.3, 1.0])
-    def test_batched_finish_matches_per_window_noise(self, sigma, dropout):
-        # the pose-bench layout: per sample, each window's draws from one
-        # stream side by side in a row, then one finishing pass over all rows
+    def test_noisy_readings_are_one_table_draw(self, sigma, dropout):
+        # one normal draw over the whole (n, m) table, then one random draw
+        # of the same shape, then the finishing rule, row by row
         rng = np.random.default_rng(17)
-        windows = []
-        for h, w in ((5, 5), (7, 7), (3, 4), (0, 7), (1, 1), (7, 6)):
-            window = rng.uniform(-20.0, 70_000.0, (h, w))
-            specials = rng.random((h, w))
-            window[specials < 0.1] = np.inf
-            window[(specials >= 0.1) & (specials < 0.15)] = np.nan
-            window[(specials >= 0.15) & (specials < 0.2)] = -np.inf
-            window[(specials >= 0.2) & (specials < 0.3)] = rng.uniform(-4.0, 0.4)  # clips to 0
-            window[(specials >= 0.3) & (specials < 0.4)] = rng.uniform(65_534.6, 65_540.0)
-            windows.append(window)
         sensor = SensorModel(depth_sigma=sigma, dropout_rate=dropout)
-        n_samples = 9
-        sizes = np.cumsum([0] + [win.size for win in windows])
-        normal = np.empty((n_samples, sizes[-1])) if sigma > 0 else None
-        uniform = np.empty((n_samples, sizes[-1])) if dropout > 0 else None
-        expected = []
-        for k in range(n_samples):
-            ref = np.random.default_rng(1000 + k)
-            expected.append(
-                np.concatenate([apply_depth_noise(win, sensor, ref).ravel() for win in windows])
+        n = 9
+        for shape in ((80,), (5, 7), (0,), (0, 7), (1, 1)):
+            clean = rng.uniform(-20.0, 70_000.0, shape)
+            specials = rng.random(shape)
+            clean[specials < 0.1] = np.inf
+            clean[(specials >= 0.1) & (specials < 0.15)] = np.nan
+            clean[(specials >= 0.15) & (specials < 0.2)] = -np.inf
+            clean[(specials >= 0.2) & (specials < 0.3)] = rng.uniform(-4.0, 0.4)  # clips to 0
+            clean[(specials >= 0.3) & (specials < 0.4)] = rng.uniform(65_534.6, 65_540.0)
+            got = noisy_readings(clean, sensor, 1000, n)
+            assert got.dtype == np.uint16 and got.shape == (n, *shape)
+            ref = np.random.default_rng(1000)
+            normal = ref.normal(0.0, sigma, (n, *shape)) if sigma > 0 else np.zeros((n, *shape))
+            uniform = ref.random((n, *shape)) if dropout > 0 else np.ones((n, *shape))
+            valid = np.isfinite(clean)
+            for k in range(n):
+                expect = np.clip(np.rint(np.where(valid, clean, 0.0) + normal[k]), 0, 65535)
+                expect = np.where(valid & (uniform[k] >= dropout), expect, 0).astype(np.uint16)
+                np.testing.assert_array_equal(got[k], expect)
+            if shape == (80,):
+                if dropout == 1.0:
+                    assert not got.any()
+                else:
+                    assert got.max() == 65535 and (got == 0).any()
+            # a one-row table is the whole-image noise of the same seed
+            np.testing.assert_array_equal(
+                noisy_readings(clean, sensor, 1000, 1)[0], apply_depth_noise(clean, sensor, 1000)
             )
-            draw = np.random.default_rng(1000 + k)
-            for a, b in zip(sizes[:-1], sizes[1:]):
-                if normal is not None:
-                    normal[k, a:b] = draw.normal(0.0, sigma, b - a)
-                if uniform is not None:
-                    uniform[k, a:b] = draw.random(b - a)
-        flat = np.concatenate([win.ravel() for win in windows])
-        clean = np.broadcast_to(flat, (n_samples, sizes[-1]))
-        got = finish_depth_noise(clean, sensor, normal, uniform)
-        assert got.dtype == np.uint16
-        np.testing.assert_array_equal(got, np.stack(expected))
-        if dropout == 1.0:
-            assert not got.any()
-        else:
-            assert got.max() == 65535 and (got == 0).any()
 
     def test_pixel_grid_is_cached_and_read_only(self):
         pose = camera_pose_from_lookat((40.0, 300.0, 600.0), (0.0, 520.0, 0.0))
