@@ -201,9 +201,42 @@ def project_point(intr: CameraIntrinsics, p):
     return u, v, z
 
 
+def _rotated(r: np.ndarray, p: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """The rotation ``r`` of each point of ``p``, shape ``(3,)`` or
+    ``(..., 3)``, plus ``t`` if given: coordinate i is ``x * r[i, 0] +
+    y * r[i, 1] + z * r[i, 2]`` (then ``+ t[i]``), left to right, elementwise.
+
+    This is the one rounding rule for rigid transforms: a point rounds to
+    the same bits alone or in any batch, in any memory order and on any
+    BLAS kernel, which ``@`` does not promise. Up to three points (one, or
+    a rotation's columns) are worked in Python floats: the same IEEE
+    operations, at less call overhead.
+    """
+    if p.shape[-1:] != (3,):
+        raise ValidationError(f"points must have shape (..., 3), got {p.shape}")
+    rows = r.tolist()
+    if p.size <= 9:
+        out = [[x * a + y * b + z * c for a, b, c in rows] for x, y, z in p.reshape(-1, 3).tolist()]
+        if t is not None:
+            shift = t.tolist()
+            out = [[v + s for v, s in zip(row, shift)] for row in out]
+        return np.array(out).reshape(p.shape)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    out = np.empty(p.shape)
+    for i, (a, b, c) in enumerate(rows):
+        col = x * a
+        col += y * b
+        col += z * c
+        out[..., i] = col
+    if t is not None:
+        out += t
+    return out
+
+
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rigid motion: p -> rotation @ p + translation, translation in mm."""
+    """Rigid motion: p -> R p + t, with rotation R and translation t in mm.
+    Every product with R rounds one way, :func:`_rotated`'s."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -213,7 +246,7 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if not np.allclose(r.T @ r, np.eye(3), atol=1e-9):
+        if not np.allclose(_rotated(r.T, r.T), np.eye(3), atol=1e-9):
             raise ValidationError("rotation is not orthonormal within 1e-9")
         if not np.isclose(np.linalg.det(r), 1.0, atol=1e-9):
             raise ValidationError("rotation determinant is not +1 within 1e-9")
@@ -245,8 +278,12 @@ class RigidTransform:
 
     def apply(self, points):
         """Transform one point ``(3,)`` or a batch ``(..., 3)``."""
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
+        return _rotated(self.rotation, np.asarray(points, dtype=np.float64), self.translation)
+
+    def rotate(self, vectors):
+        """Rotate one direction ``(3,)`` or a batch ``(..., 3)``; the
+        translation is not applied."""
+        return _rotated(self.rotation, np.asarray(vectors, dtype=np.float64))
 
     @classmethod
     def _unchecked(cls, rotation: np.ndarray, translation: np.ndarray) -> "RigidTransform":
@@ -268,13 +305,12 @@ class RigidTransform:
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Return the transform applying ``other`` first, then ``self``."""
         return RigidTransform._unchecked(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
+            _rotated(self.rotation, other.rotation.T).T, self.apply(other.translation)
         )
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
-        return RigidTransform._unchecked(rt, -rt @ self.translation)
+        return RigidTransform._unchecked(rt, -_rotated(rt, self.translation))
 
     def to_json_dict(self) -> dict:
         return {

@@ -307,14 +307,8 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
             continue
         d = median_window_depths(noisy[:, np.searchsorted(pixels, window)])
         kept = ~np.isnan(d)
-        cam_pts = deproject_pixel(intr, u, v, d[kept])
-        # One matrix-vector product per robot axis rounds each point as the
-        # single-point ``camera.pose.apply`` does (both are contiguous
-        # length-3 dot products); an (n, 3) @ (3, 3) product does not once
-        # the rotation has no zero entries.
-        per_axis = np.stack([cam_pts @ row for row in camera.pose.rotation], axis=1)
         pos = np.zeros((n_samples, 3))
-        pos[kept] = per_axis + camera.pose.translation
+        pos[kept] = camera.pose.apply(deproject_pixel(intr, u, v, d[kept]))
         by_label.setdefault(label, []).append((pos, kept))
 
     classes = {}

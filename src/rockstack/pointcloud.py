@@ -140,17 +140,12 @@ def cloud_from_pixels(
     which must hold depth > 0, in their order; empty for no pixels.
 
     Each point is bit-equal to that pixel's point in :func:`cloud_from_depth`
-    of the same image: deprojection is elementwise, and numpy's matrix
-    product rounds each row alike whatever the rows beside it. A single
-    point is transformed as a two-row product, because numpy sends a
-    one-row product to a vector routine that can round it differently.
+    of the same image: deprojection and the transform are both per point.
     """
     depth = np.asarray(depth)
     pixels = np.asarray(pixels, dtype=np.intp)
     v, u = np.divmod(pixels, depth.shape[1])
     cam_pts = deproject_pixel(intr, u, v, depth.flat[pixels].astype(np.float64))
-    if len(cam_pts) == 1:
-        return PointCloud(cam_to_robot.apply(np.repeat(cam_pts, 2, axis=0))[:1], frame="robot")
     return PointCloud(cam_to_robot.apply(cam_pts), frame="robot")
 
 

@@ -306,18 +306,11 @@ class Body:
         for a miss; ``origin`` is one point or one per ray.
 
         Each ray's result depends on that ray alone, so a cast of any subset
-        of the rays gives each the same value bit for bit. The shapes' casts
-        are per-ray; the products with the pose go through numpy's matrix
-        routines, which round each row alike whatever the rows beside it. A
-        single ray is cast as two copies, because numpy sends a one-row
-        product to a vector routine that can round it differently."""
-        if len(dirs) == 1:
-            origin = origin if np.ndim(origin) == 1 else np.repeat(origin, 2, axis=0)
-            return self.raycast_world(origin, np.repeat(dirs, 2, axis=0))[:1]
+        of the rays gives each the same value bit for bit: the shapes' casts
+        are per-ray, and so are the pose's transforms into the local frame."""
         inv = self.pose.inverse()
         o_local = np.broadcast_to(inv.apply(origin), dirs.shape)
-        d_local = dirs @ self.pose.rotation
-        return self.shape.raycast(o_local, d_local)
+        return self.shape.raycast(o_local, inv.rotate(dirs))
 
     def contains_world(self, pts: np.ndarray) -> np.ndarray:
         return self.shape.contains(self.pose.inverse().apply(pts))
@@ -690,30 +683,28 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
 # rendering
 
 
-@functools.lru_cache(maxsize=4)
-def _camera_frame_dirs(intr: CameraIntrinsics) -> np.ndarray:
-    """Camera-frame ray directions ``((u - cx) / fx, (v - cy) / fy, 1)`` of
-    every pixel, row-major, shape ``(height * width, 3)``.
-
-    Cached per intrinsics and shared by every render through them, so the
-    array is read-only."""
-    us = np.arange(intr.width, dtype=np.float64)
-    vs = np.arange(intr.height, dtype=np.float64)
-    uu, vv = np.meshgrid(us, vs)
-    dirs_cam = np.stack(
-        [(uu - intr.cx) / intr.fx, (vv - intr.cy) / intr.fy, np.ones_like(uu)], axis=-1
-    ).reshape(-1, 3)
-    dirs_cam.flags.writeable = False
-    return dirs_cam
-
-
 def _pixel_dirs(intr: CameraIntrinsics, pose: RigidTransform) -> np.ndarray:
-    """World-frame ray directions with unit z-component in the camera frame,
-    so the ray parameter equals depth along the optical axis.
+    """World-frame ray directions of every pixel, row-major, shape
+    ``(height * width, 3)``: the camera-frame ``((u - cx) / fx, (v - cy) /
+    fy, 1)`` rotated by ``pose``, so the ray parameter equals depth along
+    the optical axis.
 
-    The transposed rotation is copied to C order first: OpenBLAS can take a
-    far slower path for the Fortran-ordered view, with bit-equal results."""
-    return _camera_frame_dirs(intr) @ np.ascontiguousarray(pose.rotation.T)
+    They depend on the intrinsics and the rotation alone, and are cached
+    read-only for the last three (:func:`_rotated_dirs`)."""
+    return _rotated_dirs(intr, pose.rotation.tobytes())
+
+
+@functools.lru_cache(maxsize=3)
+def _rotated_dirs(intr: CameraIntrinsics, rotation: bytes) -> np.ndarray:
+    """:func:`_pixel_dirs` for the C-ordered bytes of a rotation. Three
+    entries hold a stack trial's base view and its two wrist views."""
+    dirs_cam = np.ones((intr.height, intr.width, 3))
+    dirs_cam[..., 0] = (np.arange(intr.width, dtype=np.float64) - intr.cx) / intr.fx
+    dirs_cam[..., 1] = ((np.arange(intr.height, dtype=np.float64) - intr.cy) / intr.fy)[:, None]
+    pose = RigidTransform(np.frombuffer(rotation).reshape(3, 3), np.zeros(3))
+    dirs = pose.rotate(dirs_cam.reshape(-1, 3))
+    dirs.flags.writeable = False
+    return dirs
 
 
 def _object_pixel_rows(

@@ -357,8 +357,10 @@ def check_stack_stability(top: RockModel, support: RockModel) -> str:
 
     The contact region is the xy set where the vertical gap between the top
     rock's lower surface and the support's upper surface is within 1 mm of
-    the minimum, sampled on a 1 mm grid. Raises NoContactError when the
-    bodies are more than 1 mm apart everywhere.
+    the minimum, sampled on a 1 mm grid. A region without a 2-D hull (one
+    or two points, or points on a line) holds the center of mass when it
+    lies within 1 mm of one of them. Raises NoContactError when the bodies
+    are more than 1 mm apart everywhere.
     """
     c_top, r_top = top.bounding
     c_sup, r_sup = support.bounding
@@ -381,9 +383,6 @@ def check_stack_stability(top: RockModel, support: RockModel) -> str:
         raise NoContactError(f"bodies are {min_gap:.2f} mm apart")
     region = xys[ok & (gap <= min_gap + 1.0)]
     com = top.center_of_mass[:2]
-    if region.shape[0] < 3:
-        inside = bool(np.min(np.linalg.norm(region - com, axis=1)) <= 1.0)
-        return "stable" if inside else "toppled"
     try:
         hull = ConvexHull(region)
     except QhullError:

@@ -1,5 +1,5 @@
-"""Shared fixtures: reference intrinsics, synthetic clouds and the
-output-tree hash."""
+"""Shared fixtures: reference intrinsics, synthetic clouds, the
+output-tree hash and the rigid-transform rounding rule by hand."""
 
 from __future__ import annotations
 
@@ -70,3 +70,11 @@ def tree_hash(d: Path) -> str:
         h.update(f.name.encode())
         h.update(f.read_bytes())
     return h.hexdigest()
+
+
+def rotated_by_hand(r, p) -> list:
+    """The rotation ``r`` of the point ``p`` as a list of Python floats,
+    by the rounding rule of ``RigidTransform``: coordinate i is
+    ``x * r[i, 0] + y * r[i, 1] + z * r[i, 2]``, left to right."""
+    x, y, z = (float(v) for v in p)
+    return [x * float(r[i, 0]) + y * float(r[i, 1]) + z * float(r[i, 2]) for i in range(3)]

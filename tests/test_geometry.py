@@ -1,8 +1,8 @@
 """Pinhole deprojection/projection, rigid transforms, masks and file I/O.
 
 Derived expectations are verified through independent oracles: projection
-round trips for deprojection, explicit matrix products for transforms, and
-pixel enumeration for mask statistics.
+round trips for deprojection, the rounding rule written out in Python
+floats for transforms, and pixel enumeration for mask statistics.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from rockstack.geometry import (
     write_depth_pgm,
     write_mask_pbm,
 )
+
+from conftest import rotated_by_hand
 
 
 class TestDeprojection:
@@ -174,8 +176,8 @@ class TestRigidTransform:
 
     def test_compose_and_inverse_match_the_checked_constructor(self):
         """compose, inverse and with_translation skip re-validating the
-        rotation; their arrays are the ones the checked constructor would
-        store, bit for bit."""
+        rotation; their arrays are the ones the checked constructor stores
+        for the products worked by hand, bit for bit."""
         rng = np.random.default_rng(6)
         for _ in range(50):
             angles = rng.uniform(-math.pi, math.pi, 3)
@@ -183,9 +185,17 @@ class TestRigidTransform:
                 RigidTransform.rotation_x(angles[1])
             )
             b = RigidTransform.rotation_y(angles[2], rng.uniform(-500, 500, 3))
+            columns = [rotated_by_hand(a.rotation, b.rotation[:, j]) for j in range(3)]
+            moved = rotated_by_hand(a.rotation, b.translation)
+            back = rotated_by_hand(a.rotation.T, a.translation)
             pairs = [
-                (a.compose(b), RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)),
-                (a.inverse(), RigidTransform(a.rotation.T, -a.rotation.T @ a.translation)),
+                (
+                    a.compose(b),
+                    RigidTransform(
+                        np.array(columns).T, [m + float(t) for m, t in zip(moved, a.translation)]
+                    ),
+                ),
+                (a.inverse(), RigidTransform(a.rotation.T, [-x for x in back])),
                 (a.with_translation(b.translation), RigidTransform(a.rotation, b.translation)),
                 (a.with_translation((1.0, -2, 3.5)), RigidTransform(a.rotation, (1.0, -2, 3.5))),
             ]
@@ -195,6 +205,34 @@ class TestRigidTransform:
                     assert x.tobytes() == y.tobytes()
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.inverse().translation = np.zeros(3)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_every_point_rounds_as_it_does_alone(self, order):
+        """Rotations without a zero entry, stored and given in either memory
+        order: each point of a batch of any shape transforms to the bits of
+        the point transformed alone, which are the rule's by hand."""
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+            q = q * np.sign(np.diag(r))
+            q *= np.sign(np.linalg.det(q))
+            pose = RigidTransform(np.asarray(q, order=order), rng.uniform(-500, 500, 3))
+            assert np.all(pose.rotation != 0.0)
+            pts = np.asarray(rng.uniform(-800, 800, (4, 5, 3)), order=order)
+            for shape in [(3,), (1, 3), (1, 1, 3), (2, 3), (3, 3), (20, 3), (4, 5, 3)]:
+                batch = pts.reshape(-1, 3)[: math.prod(shape[:-1])].reshape(shape)
+                rows = batch.reshape(-1, 3)
+                for method in (pose.apply, pose.rotate):
+                    got = method(batch)
+                    assert got.shape == batch.shape and got.dtype == np.float64
+                    for row, point in zip(got.reshape(-1, 3), rows):
+                        alone = method(point.copy())
+                        hand = rotated_by_hand(pose.rotation, point)
+                        if method == pose.apply:
+                            hand = [h + float(t) for h, t in zip(hand, pose.translation)]
+                        assert row.tobytes() == alone.tobytes() == np.array(hand).tobytes()
+        with pytest.raises(ValidationError):
+            pose.apply(np.zeros((4, 2)))
 
 
 class TestLookAt:

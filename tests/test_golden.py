@@ -4,11 +4,14 @@ Each config below runs through ``run_experiment`` and the SHA-256 of the
 written tree (file names plus bytes, in name order) is compared with a
 constant recorded on numpy 2.4.6 with OpenBLAS 0.3.31 (scipy 1.17.1,
 Python 3.11), whose runtime dispatch picked its SkylakeX kernels (as
-``scipy_openblas_get_corename64_`` reports). The hashes depend on that
-kernel, not only on the build: the same build forced onto its Haswell
-kernels (``OPENBLAS_CORETYPE=Haswell``) moves the five stack and assemble
-hashes and keeps ``grasp_bench`` and ``pose_stability``. Another CPU,
-numpy or BLAS build may likewise move a hash without any code change.
+``scipy_openblas_get_corename64_`` reports). Two of the hashes depend on
+that kernel, not only on the build. Forcing the same build onto its
+Haswell or Sandybridge kernels (``OPENBLAS_CORETYPE``) moves
+``assemble_head`` and ``stack_nominal_12``; turning numpy's AVX-512 loops
+off (``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``) moves
+``stack_nominal_12`` alone. The other five hold under all three settings,
+which ``test_kernels.py`` checks. Another numpy or BLAS build may still
+move a hash without any code change.
 
 A change that alters these outputs on purpose updates the hash it moves and
 says in CHANGES.md which config moved and why. The whole file takes about
@@ -30,7 +33,7 @@ NOMINAL_SENSOR = {
     "dropout_rate": 0.01,
 }
 
-# seed 14 of stack_nominal_12 topples a rock; seeds 0 and 2-3 of
+# seed 14 of stack_nominal_12 topples a rock; seeds 0 and 3 of
 # assemble_leg end in joint-not-visible
 CONFIGS = {
     "stack_nominal_0": {"task": "stack", "trials": 4, "base_seed": 0, "sensor": NOMINAL_SENSOR},
@@ -58,12 +61,12 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "stack_nominal_0": "01e660b0c6ece6b6727ec9d09ba69a7cd88d7cf72d628820e7758898c967d277",
-    "stack_nominal_12": "16b28d279c1a8c292c3894a55ea512559da9e6a89cef4b8da1b799ee747baa5e",
-    "stack_sigma0": "790cb3490d9c09d1bece915cfecc1cc5a364115857c162d8dc73385dc8246e0f",
-    "assemble_head": "6b0930068a1b3c20581858714db5070db310536616a668c508ff49a3a7631add",
-    "assemble_leg": "de2e2c4f2fbdbb7f280ea95add7972185ce9c567541bbfe3ecc490d6cfd0bebc",
-    "grasp_bench": "6a1db2fd44e162af05ae1b1f97a8942289eced9e22720217d87f86a280d5086f",
+    "stack_nominal_0": "8688dab3e77296550e3fdd0692b2d4cfdfc9fb81a1bc611deefe6191059f9a9c",
+    "stack_nominal_12": "5315e496336b2bfd67457496ef1c0f9fba0f397deda5569cf651a09cab6e7a9f",
+    "stack_sigma0": "08f1d10102a3f166be9c6cb8f5f3acd0f22a025f5fe47e0f3b7c212470077d2f",
+    "assemble_head": "50fb17e4310c0b3fe517000abcf55110b307b26bead481a65a820c47ad87bfa8",
+    "assemble_leg": "d147ac0eed80f6f6061b292aaaf93f2945478d366f79879de1ea5dbc32f44237",
+    "grasp_bench": "8438f20581e29730fa41990c181eaab7b9b879d65cbf33ec99144c18f37888da",
     "pose_stability": "157b2c934ff234b55acec32c82b40c9c2b06818b43d4e134167700cc5743aa05",
 }
 

@@ -44,7 +44,6 @@ from rockstack.scenesim import (
     DEFAULT_HAND_INTRINSICS,
     MISS_ID,
     NoisyDepth,
-    _camera_frame_dirs,
     _disk,
     _object_pixel_rows,
     _pixel_dirs,
@@ -54,6 +53,7 @@ from rockstack.scenesim import (
 from rockstack.shapes import Superellipsoid
 from rockstack.taskexec import GRIPPER_ID, ArmState, ExecParams, gripper_geometry
 
+from conftest import rotated_by_hand
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -270,29 +270,29 @@ class TestRenderDepth:
             CameraIntrinsics.from_json_dict(DEFAULT_BASE_CAMERA["intrinsics"]),
             CameraIntrinsics.from_json_dict(DEFAULT_HAND_INTRINSICS),
         ):
-            first, second = _pixel_dirs(intr, pose), _pixel_dirs(intr, pose)
-            assert first.tobytes() == second.tobytes()
+            # the directions depend on the rotation alone
+            first = _pixel_dirs(intr, pose)
+            assert first is _pixel_dirs(intr, pose.with_translation((1.0, 2.0, 3.0)))
+            with pytest.raises(ValueError):
+                first[0, 0] = 1.0
             uu, vv = np.meshgrid(np.arange(float(intr.width)), np.arange(float(intr.height)))
             grid = np.stack(
                 [(uu - intr.cx) / intr.fx, (vv - intr.cy) / intr.fy, np.ones_like(uu)], axis=-1
             ).reshape(-1, 3)
-            assert first.tobytes() == (grid @ pose.rotation.T).tobytes()
-            # the product with the C-ordered rotation is bit-equal to the one
-            # with the Fortran-ordered transpose, on rotations without zero
-            # entries too
-            for _ in range(8):
+            # each direction is its camera-frame one rotated by hand, also for
+            # rotations without zero entries, stored in either order
+            poses = [pose]
+            for _ in range(4):
                 q, r = np.linalg.qr(rng.normal(size=(3, 3)))
                 q = q * np.sign(np.diag(r))
                 q *= np.sign(np.linalg.det(q))
-                generic = RigidTransform(q, (5.0, 480.0, 700.0))
-                assert np.all(generic.rotation != 0.0)
-                assert not generic.rotation.T.flags.c_contiguous
-                assert _pixel_dirs(intr, generic).tobytes() == (grid @ generic.rotation.T).tobytes()
-            cached = _camera_frame_dirs(intr)
-            assert cached is _camera_frame_dirs(intr)
-            assert cached.tobytes() == grid.tobytes()
-            with pytest.raises(ValueError):
-                cached[0, 0] = 1.0
+                assert np.all(q != 0.0)
+                poses += [RigidTransform(q, np.zeros(3)), RigidTransform(np.asfortranarray(q), np.zeros(3))]
+            for p in poses:
+                dirs = _pixel_dirs(intr, p)
+                assert dirs.shape == grid.shape
+                for k in range(0, len(grid), 97):
+                    assert dirs[k].tobytes() == np.array(rotated_by_hand(p.rotation, grid[k])).tobytes()
 
     def test_noise_model_validation(self):
         with pytest.raises(ValidationError):

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from rockstack.errors import (
     BehindCameraError,
@@ -204,6 +205,14 @@ class TestStackStability:
         c = sphere_rock(20.0, (500.0, 0.0, 20.0), 1)
         with pytest.raises(NoContactError):
             check_stack_stability(c, a)
+
+    def test_hull_fallback_covers_points_and_lines(self):
+        """check_stack_stability takes its no-hull fallback from
+        ``QhullError`` alone, which scipy raises for one point, two points
+        and collinear points."""
+        for pts in ([[0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]):
+            with pytest.raises(QhullError):
+                ConvexHull(np.array(pts))
 
     def test_agrees_with_monte_carlo_oracle(self):
         rng = np.random.default_rng(0)
