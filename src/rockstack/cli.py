@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, RockstackError, ValidationError
 from .geometry import write_depth_pgm, write_mask_pbm
-from .graspdetect import detect_grasps, save_grasps_json
+from .graspdetect import detect_grasps
 from .harness import (
     ExperimentConfig,
+    dump_json,
     recompute_summary_from_files,
     run_experiment,
     summary_to_csv,
@@ -61,9 +62,7 @@ def _cmd_scene_gen(args) -> int:
     scene = generate_scene(cfg.scene, cfg.base_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scene.json", "w", encoding="utf-8") as f:
-        json.dump(scene_to_json_dict(scene), f, indent=2, sort_keys=True)
-        f.write("\n")
+    dump_json(out / "scene.json", scene_to_json_dict(scene))
     if args.dump_images:
         view = NoisyDepth(scene, scene.base_camera, cfg.sensor, cfg.base_seed)
         view.cast(np.arange(view.depth.size))
@@ -89,7 +88,7 @@ def _cmd_grasp_detect(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        save_grasps_json(out / "grasps.json", grasps)
+        dump_json(out / "grasps.json", {"grasps": payload["grasps"]})
         print(f"grasps written to {out / 'grasps.json'}", file=sys.stderr)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if grasps else EXIT_FAILURE

@@ -19,34 +19,24 @@ Candidates are evaluated in array passes, not one at a time. For each
 chunk of seeds and each orientation, the closing and finger bands, the push
 depth, the caught points, the insertion and the extent are computed for all
 seeds at once as rows of ``(seeds, points)`` arrays with masked
-``min``/``max``/``count`` reductions. The survivors are scored in the same
-pass with the :func:`closing_region_mask` test, as one
-``(seeds * points, 3) @ rotation`` product. Candidates stay arrays
-(:class:`CandidateSet`); each orientation's rotation is validated once, and
-a :class:`RigidTransform` is built only for a grasp that is returned or
-read out.
+``min``/``max``/``count`` reductions, and the survivors are scored in the
+same pass. Candidates stay arrays (:class:`CandidateSet`); each
+orientation's rotation is validated once, and a :class:`RigidTransform` is
+built only for a grasp that is returned or read out.
 
 The batched pass gives the same bits as evaluating one candidate at a time
-(:func:`score_candidate`): every element goes through the same float
-expressions, in the same order. In particular:
-
-* seed projections use ``np.vecdot``, which rounds each row like
-  ``float(seed @ axis)``; a matrix-vector product does not;
-* a masked minimum of ``u + back`` is taken as ``min(u) + back``, which is
-  exact because rounding is monotone;
-* the closing-region product stacks the ``points - origin`` rows of several
-  candidates; a row of a matrix product does not depend on the rows stacked
-  with it. Seeds are chunked, points never are, and a chunk keeps
-  ``seeds * points`` to 128 KB of floats whatever the cloud size;
-* the friction-cone test reads each normal's closing-axis projection from
-  one matrix-vector product over the cloud. A closing region of a single
-  point makes a 1x3 product, which numpy evaluates as a dot product, so
-  those candidates read ``np.vecdot`` instead.
+(:func:`score_candidate`), because every point and normal enters a hand
+frame by :class:`RigidTransform`'s one rounding rule: the cloud is rotated
+once per orientation, and a candidate's points are that rotated cloud plus
+its own translation, coordinate by coordinate, as ``pose.inverse().apply``
+computes them. A masked minimum of ``u + back`` is taken as
+``min(u) + back``, which is exact because rounding is monotone. Seeds are
+chunked, points never are, and a chunk keeps ``seeds * points`` to 128 KB
+of floats whatever the cloud size.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -65,7 +55,6 @@ from .pointcloud import (
 )
 
 _EPS = 1e-9
-_DOWN = np.array([0.0, 0.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -122,6 +111,16 @@ class GraspConfig(JsonFields):
         object.__setattr__(self, "hand_axis", tuple(axis / norm))
         if self.push_step <= 0:
             raise ValidationError("push_step must be > 0")
+        # a score divides by expected_closing_points; normals need 3 neighbours
+        rules = (
+            ("expected_closing_points", self.expected_closing_points > 0, "> 0"),
+            ("friction_half_angle_deg", 0.0 < self.friction_half_angle_deg <= 90.0, "in (0, 90]"),
+            ("normals_k", self.normals_k >= 3, ">= 3"),
+            ("voxel_leaf", self.voxel_leaf >= 0, ">= 0"),
+        )
+        for name, ok, bound in rules:
+            if not ok:
+                raise ValidationError(f"{name}: must be {bound}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -162,11 +161,6 @@ class GraspCandidate:
             "seed_index": int(self.seed_index),
             "orientation_index": int(self.orientation_index),
         }
-
-
-def save_grasps_json(path, grasps: list[GraspCandidate]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({"grasps": [g.to_json_dict() for g in grasps]}, f, indent=2, sort_keys=True)
 
 
 def sample_seeds(cloud: PointCloud, cfg: GraspConfig) -> np.ndarray:
@@ -257,7 +251,8 @@ class CandidateSet:
         # every candidate shares the approach axis, so the cone keeps all or none
         if cfg.approach_filter:
             cos_thresh = math.cos(math.radians(cfg.cone_half_angle_deg))
-            if float(self.rotations[0, :, 0] @ _DOWN) < cos_thresh - _EPS:
+            # the approach's projection on world -z; exact, the other terms are +-0
+            if -float(self.rotations[0, 2, 0]) < cos_thresh - _EPS:
                 return []
         order = np.lexsort((self.orientation_index, self.seed_index, -self.score))
         return [self[i] for i in order[: cfg.num_selected]]
@@ -334,29 +329,19 @@ def _push_and_catch(
 
 
 def _score_rows(
-    points_t: np.ndarray,
-    origin: np.ndarray,
-    rotation: np.ndarray,
+    local: np.ndarray,
+    shift: np.ndarray,
     aligned: np.ndarray,
-    aligned_single: np.ndarray,
     hand: HandGeometry,
     expected_closing_points: float,
 ) -> np.ndarray:
-    """:func:`score_candidate` for the candidates at ``origin`` sharing
-    ``rotation``. ``points_t`` is the cloud's points transposed to (3, n);
-    ``aligned``/``aligned_single`` flag the normals inside the friction cone
-    (see the module docstring)."""
-    # offsets one coordinate at a time: broadcasting along a trailing axis of
-    # 3 is several times slower than along the points
-    diff = np.empty((len(origin), points_t.shape[1], 3))
-    for j in range(3):
-        np.subtract(points_t[j], origin[:, j, None], out=diff[..., j])
-    local = (diff.reshape(-1, 3) @ rotation).reshape(diff.shape)
-    inside = _in_closing_region(local, hand)
+    """:func:`score_candidate` for candidates sharing one rotation.
+    ``local`` is the cloud rotated into their hand frame, one row per
+    coordinate, ``shift`` each candidate's translation in that frame and
+    ``aligned`` flags the normals inside the friction cone."""
+    inside = in_closing_region(local[:, None, :] + shift.T[:, :, None], hand)
     count = np.count_nonzero(inside, axis=1)
     antipodal = np.count_nonzero(inside & aligned, axis=1)
-    single = count == 1
-    antipodal[single] = np.count_nonzero(inside[single] & aligned_single, axis=1)
     with np.errstate(invalid="ignore"):
         score = antipodal / count * (count / expected_closing_points)
     return np.where(count == 0, 0.0, score)
@@ -374,49 +359,35 @@ def generate_candidates(cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig)
     if cloud.normals is None:
         raise ValidationError("scoring requires a cloud with normals")
     seeds = sample_seeds(cloud, cfg)
-    pts = cloud.points
-    seed_points = pts[seeds]
+    seed_points = cloud.points[seeds]
     approach, axes = _closing_frame_axes(cfg)
-    rotations = np.stack(
-        [RigidTransform(np.column_stack([approach, c, h]), np.zeros(3)).rotation for c, h in axes]
-    )
+    frames = [RigidTransform(np.column_stack([approach, c, h]), np.zeros(3)) for c, h in axes]
     cos_thresh = math.cos(math.radians(cfg.friction_half_angle_deg))
 
-    pa = pts @ approach
-    sa = np.vecdot(seed_points, approach)
-    # per orientation: point and seed projections on the closing and hand
-    # axes, and the normals inside the friction cone about the closing axis
-    frames = []
-    for (c_axis, h_axis), rotation in zip(axes, rotations):
-        closing_axis = rotation[:, 1]  # strided, as GraspCandidate.closing_axis is
-        frames.append(
-            (
-                pts @ c_axis,
-                np.vecdot(seed_points, c_axis),
-                pts @ h_axis,
-                np.vecdot(seed_points, h_axis),
-                np.abs(cloud.normals @ closing_axis) >= cos_thresh,
-                np.abs(np.vecdot(cloud.normals, closing_axis)) >= cos_thresh,
-            )
-        )
-    points_t = pts.T.copy()
-    chunk = max(1, _CHUNK_ELEMENTS // len(pts))
+    # per orientation: the map into its hand frame, the cloud in that frame
+    # (one row per coordinate) and the normals inside the friction cone about
+    # the closing axis
+    hand_frames = []
+    for frame in frames:
+        to_hand = frame.inverse()
+        aligned = np.abs(to_hand.rotate(cloud.normals)[:, 1]) >= cos_thresh
+        hand_frames.append((to_hand, to_hand.rotate(cloud.points).T.copy(), aligned))
+    # every orientation shares the approach axis, so the first one's
+    # approach coordinate is every one's
+    pa = hand_frames[0][1][0]
+    chunk = max(1, _CHUNK_ELEMENTS // len(cloud))
     parts = []
     for lo in range(0, len(seeds), chunk):
         part = slice(lo, lo + chunk)
-        u = pa - sa[part, None]
-        for orient_index, (pc, sc, ph, sh, aligned, aligned_single) in enumerate(frames):
+        # each seed reads its own row of the rotated cloud
+        u = pa - pa[seeds[part], None]
+        for orient_index, (to_hand, local, aligned) in enumerate(hand_frames):
+            gamma, eta = (axis - axis[seeds[part], None] for axis in local[1:])
             rows, origin, width, count = _push_and_catch(
-                u, pc - sc[part, None], ph - sh[part, None], seed_points[part], approach, hand, cfg
+                u, gamma, eta, seed_points[part], approach, hand, cfg
             )
             score = _score_rows(
-                points_t,
-                origin,
-                rotations[orient_index],
-                aligned,
-                aligned_single,
-                hand,
-                cfg.expected_closing_points,
+                local, -to_hand.rotate(origin), aligned, hand, cfg.expected_closing_points
             )
             parts.append((lo + rows, np.full(len(rows), orient_index), origin, width, score, count))
 
@@ -425,7 +396,7 @@ def generate_candidates(cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig)
     )
     order = np.lexsort((orient, seed_index))
     return CandidateSet(
-        rotations=rotations,
+        rotations=np.stack([frame.rotation for frame in frames]),
         origin=origin[order],
         grasp_width=width[order],
         score=score[order],
@@ -435,12 +406,15 @@ def generate_candidates(cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig)
     )
 
 
-def _in_closing_region(local: np.ndarray, hand: HandGeometry) -> np.ndarray:
+def in_closing_region(local: np.ndarray, hand: HandGeometry) -> np.ndarray:
+    """Boolean mask of hand-frame points inside the closing region; ``local``
+    holds their x, y and z coordinates along its first axis (``points.T``)."""
+    x, y, z = local
     return (
-        (local[..., 0] >= -_EPS)
-        & (local[..., 0] <= hand.finger_depth + _EPS)
-        & (np.abs(local[..., 1]) <= hand.max_aperture / 2.0 + _EPS)
-        & (np.abs(local[..., 2]) <= hand.hand_height / 2.0 + _EPS)
+        (x >= -_EPS)
+        & (x <= hand.finger_depth + _EPS)
+        & (np.abs(y) <= hand.max_aperture / 2.0 + _EPS)
+        & (np.abs(z) <= hand.hand_height / 2.0 + _EPS)
     )
 
 
@@ -448,7 +422,7 @@ def closing_region_mask(
     points: np.ndarray, pose: RigidTransform, hand: HandGeometry
 ) -> np.ndarray:
     """Boolean mask of points inside the closing region of a grasp pose."""
-    return _in_closing_region((points - pose.translation) @ pose.rotation, hand)
+    return in_closing_region(pose.inverse().apply(points).T, hand)
 
 
 def score_candidate(
@@ -470,7 +444,7 @@ def score_candidate(
     if count == 0:
         return 0.0
     cos_thresh = math.cos(math.radians(friction_half_angle_deg))
-    alignment = np.abs(cloud.normals[mask] @ grasp.closing_axis)
+    alignment = np.abs(grasp.pose.inverse().rotate(cloud.normals[mask])[:, 1])
     antipodal = float(np.count_nonzero(alignment >= cos_thresh)) / count
     return antipodal * (count / expected_closing_points)
 

@@ -390,7 +390,7 @@ def _trial_worker(cfg_json: dict, index: int) -> dict:
     return run_trial(cfg, index).to_json_dict()
 
 
-def _dump_json(path: Path, payload: dict) -> None:
+def dump_json(path: Path, payload: dict) -> None:
     """Write ``payload`` to a temporary file beside ``path``, then move it
     into place, so ``path`` holds either its old bytes or the whole new
     file, never a partial one."""
@@ -431,7 +431,7 @@ def run_experiment(
         for i in range(cfg.trials):
             report_dicts[i] = run_trial(cfg, i).to_json_dict()
             if out_path is not None:
-                _dump_json(out_path / f"trial_{i}.json", report_dicts[i])
+                dump_json(out_path / f"trial_{i}.json", report_dicts[i])
             _note(i)
     else:
         from concurrent.futures import as_completed
@@ -443,13 +443,13 @@ def run_experiment(
                 i = futures[future]
                 report_dicts[i] = future.result()
                 if out_path is not None:
-                    _dump_json(out_path / f"trial_{i}.json", report_dicts[i])
+                    dump_json(out_path / f"trial_{i}.json", report_dicts[i])
                 _note(i)
 
     reports = [TrialReport.from_json_dict(d) for d in report_dicts]
     summary = compute_metrics(reports)
     if out_path is not None:
-        _dump_json(out_path / "summary.json", summary.to_json_dict())
+        dump_json(out_path / "summary.json", summary.to_json_dict())
     if progress is not None:
         wall = time.perf_counter() - started
         print(f"{cfg.trials} trials in {wall:.2f}s wall clock", file=progress)

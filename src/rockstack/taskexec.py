@@ -47,8 +47,8 @@ from .graspdetect import (
     GraspCandidate,
     GraspConfig,
     HandGeometry,
-    closing_region_mask,
     detect_grasps,
+    in_closing_region,
 )
 from .perception import (
     CENTROID_WINDOW,
@@ -192,16 +192,14 @@ def gripper_geometry(arm: ArmState, hand: HandGeometry) -> RobotPartModel:
     return RobotPartModel("gripper", Union(prims), {}, arm.pose, GRIPPER_ID)
 
 
-def _grasp_collides(
-    points: np.ndarray, grasp: GraspCandidate, hand: HandGeometry, tol: float = 1.5
-) -> bool:
-    """True when the open hand at the grasp pose overlaps the given surface
-    by more than ``tol`` (compliance/quantization allowance).
+def _grasp_collides(local: np.ndarray, hand: HandGeometry, tol: float = 1.5) -> bool:
+    """True when the open hand overlaps the surface points ``local``, given
+    in the grasp's hand frame, by more than ``tol`` (compliance/quantization
+    allowance).
 
     Catches grasps the detector hallucinated at workspace-crop boundaries,
     where the real object continues beyond the cloud it saw.
     """
-    local = (points - grasp.pose.translation) @ grasp.pose.rotation
     half_ap = hand.max_aperture / 2.0
     in_slab = (
         (local[:, 0] >= 0.0)
@@ -248,17 +246,18 @@ def execute_grasp(
     arm = move_to(arm, grasp.pose)
     travel += pregrasp_offset
 
+    to_hand = grasp.pose.inverse()
     counts: list[tuple[int, int, np.ndarray]] = []
     for obj in scene.objects():
-        pts = obj.surface_points_world()
-        if _grasp_collides(pts, grasp, hand):
+        local = to_hand.apply(obj.surface_points_world())
+        if _grasp_collides(local, hand):
             raise GraspMissError(
                 f"hand would collide with object {obj.instance_id} before closing"
             )
-        caught = closing_region_mask(pts, grasp.pose, hand)
+        caught = in_closing_region(local.T, hand)
         n = int(np.count_nonzero(caught))
         if n > 0:
-            counts.append((obj.instance_id, n, pts[caught]))
+            counts.append((obj.instance_id, n, local[caught, 1]))
     if len(counts) == 0:
         raise GraspMissError("closing region holds no object surface")
     if len(counts) > 1:
@@ -266,15 +265,15 @@ def execute_grasp(
             f"closing region intersects {len(counts)} objects: "
             + ", ".join(str(c[0]) for c in counts)
         )
-    instance_id, n_pts, caught_pts = counts[0]
+    instance_id, n_pts, gamma = counts[0]
     if n_pts < min_closing_points:
         raise GraspMissError(
             f"only {n_pts} surface points in the closing region (< {min_closing_points})"
         )
     obj = scene.object_by_id(instance_id)
-    # closing fingers squeeze the object onto the hand's centerline
+    # closing fingers squeeze the object onto the hand's centerline; gamma
+    # is each caught point's offset along the closing axis
     closing_axis = grasp.pose.rotation[:, 1]
-    gamma = (caught_pts - grasp.pose.translation) @ closing_axis
     squeeze = 0.5 * (float(gamma.max()) + float(gamma.min()))
     obj.pose = obj.pose.with_translation(obj.pose.translation - squeeze * closing_axis)
     rel = arm.pose.inverse().compose(obj.pose)
@@ -421,13 +420,14 @@ def place_on_stack(
     arm = replace(arm, attached_id=None, attached_rel=None, opening=arm.max_aperture)
     settle_object(rock, scene.terrain, [support_rock] if support_rock else [])
 
+    # a 2-vector norm in Python floats: np.linalg.norm rounds per BLAS kernel
+    com = rock.center_of_mass
     if support_rock is None:
         outcome = "stable"  # sand conforms under the first rock
-        alignment = float(np.linalg.norm(rock.center_of_mass[:2] - target))
+        alignment = math.hypot(com[0] - target[0], com[1] - target[1])
     else:
-        alignment = float(
-            np.linalg.norm(rock.center_of_mass[:2] - support_rock.center_of_mass[:2])
-        )
+        support_com = support_rock.center_of_mass
+        alignment = math.hypot(com[0] - support_com[0], com[1] - support_com[1])
         try:
             outcome = check_stack_stability(rock, support_rock)
         except NoContactError:

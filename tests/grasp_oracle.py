@@ -61,7 +61,7 @@ def rock_scene_cloud(seed: int):
 
 def finger_volumes_mask(points: np.ndarray, pose: RigidTransform, hand: HandGeometry) -> np.ndarray:
     """Boolean mask of points inside either finger volume of a grasp pose."""
-    local = (points - pose.translation) @ pose.rotation
+    local = pose.inverse().apply(points)
     half_ap = hand.max_aperture / 2.0
     return (
         (local[:, 0] >= -_EPS)
@@ -103,17 +103,22 @@ def reference_candidates(cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig
     fd = hand.finger_depth
     step = cfg.push_step
 
-    pa = pts @ approach
-    pcs = [pts @ c for c, _ in axes]
-    phs = [pts @ h for _, h in axes]
+    # the cloud in each orientation's hand frame: approach, closing and hand
+    # coordinates
+    local = [
+        RigidTransform(np.column_stack([approach, c, h]), np.zeros(3)).inverse().rotate(pts)
+        for c, h in axes
+    ]
+    pa = local[0][:, 0]
 
     out: list[GraspCandidate] = []
     for seed_index, pt_idx in enumerate(seeds):
         s = pts[pt_idx]
-        u_all = pa - float(s @ approach)
+        u_all = pa - float(pa[pt_idx])
         for orient_index, (c_axis, h_axis) in enumerate(axes):
-            gamma = pcs[orient_index] - float(s @ c_axis)
-            eta = phs[orient_index] - float(s @ h_axis)
+            pc, ph = local[orient_index][:, 1], local[orient_index][:, 2]
+            gamma = pc - float(pc[pt_idx])
+            eta = ph - float(ph[pt_idx])
             in_band = np.abs(eta) <= half_h
             closing_band = in_band & (np.abs(gamma) <= half_ap)
             if not np.any(closing_band):

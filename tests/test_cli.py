@@ -100,6 +100,20 @@ class TestGraspDetect:
         assert code == 0
         assert (out / "grasps.json").exists()
 
+    def test_grasps_json_round_trip(self, tmp_path, capsys):
+        cloud_path = tmp_path / "box.xyz"
+        write_cloud_xyz(cloud_path, box_cloud(width=40.0, with_floor=True))
+        out = tmp_path / "g"
+        code = main(
+            ["grasp", "detect", "--cloud", str(cloud_path), "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        text = (out / "grasps.json").read_text()
+        assert payload["grasps"]
+        assert json.loads(text) == {"grasps": payload["grasps"]}
+        assert text.endswith("}\n")
+
 
 class TestSceneGen:
     def test_writes_scene_and_images(self, tmp_path, quick_config):

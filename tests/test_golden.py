@@ -7,10 +7,10 @@ Python 3.11), whose runtime dispatch picked its SkylakeX kernels (as
 ``scipy_openblas_get_corename64_`` reports). Two of the hashes depend on
 that kernel, not only on the build. Forcing the same build onto its
 Haswell or Sandybridge kernels (``OPENBLAS_CORETYPE``) moves
-``assemble_head`` and ``stack_nominal_12``; turning numpy's AVX-512 loops
-off (``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``) moves
-``stack_nominal_12`` alone. The other five hold under all three settings,
-which ``test_kernels.py`` checks. Another numpy or BLAS build may still
+``assemble_head``; turning numpy's AVX-512 loops off
+(``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``) moves
+``stack_nominal_12``. The other five hold under all three settings, which
+``test_kernels.py`` checks. Another numpy or BLAS build may still
 move a hash without any code change.
 
 A change that alters these outputs on purpose updates the hash it moves and
@@ -61,11 +61,11 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "stack_nominal_0": "8688dab3e77296550e3fdd0692b2d4cfdfc9fb81a1bc611deefe6191059f9a9c",
-    "stack_nominal_12": "5315e496336b2bfd67457496ef1c0f9fba0f397deda5569cf651a09cab6e7a9f",
-    "stack_sigma0": "08f1d10102a3f166be9c6cb8f5f3acd0f22a025f5fe47e0f3b7c212470077d2f",
+    "stack_nominal_0": "a9dbcbff672e6ed936c431941842470d5fa9e73deb1b900a49254976edd21cbe",
+    "stack_nominal_12": "70a4dbac2d8499644b4670df5c56df214c21e885afb8d9004e46bd0edb520ee4",
+    "stack_sigma0": "db81664dbfeaeb41954ea22d7aeb2d682c27c88ac1a32e71508f4b45041c50b3",
     "assemble_head": "50fb17e4310c0b3fe517000abcf55110b307b26bead481a65a820c47ad87bfa8",
-    "assemble_leg": "d147ac0eed80f6f6061b292aaaf93f2945478d366f79879de1ea5dbc32f44237",
+    "assemble_leg": "f781f54297eea1cdadb69fa0df36fd4e7c0032e5fbcc9b20e090966ed39b8d4b",
     "grasp_bench": "8438f20581e29730fa41990c181eaab7b9b879d65cbf33ec99144c18f37888da",
     "pose_stability": "157b2c934ff234b55acec32c82b40c9c2b06818b43d4e134167700cc5743aa05",
 }

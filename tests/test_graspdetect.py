@@ -27,7 +27,6 @@ from rockstack.graspdetect import (
     detect_grasps,
     generate_candidates,
     sample_seeds,
-    save_grasps_json,
     score_candidate,
 )
 from rockstack.pointcloud import Plane, PointCloud, estimate_normals
@@ -383,15 +382,6 @@ class TestDetectGrasps:
 
 
 class TestSerialization:
-    def test_grasps_json_round_trip(self, tmp_path):
-        cloud = box_cloud(width=40.0, with_floor=True)
-        plane = Plane((0.0, 0.0, 1.0), 0.0)
-        out = detect_grasps(cloud, HandGeometry(), GraspConfig(seed=3), plane, viewpoint=(0, 0, 400))
-        path = tmp_path / "grasps.json"
-        save_grasps_json(path, out)
-        assert out
-        assert json.loads(path.read_text())["grasps"] == [g.to_json_dict() for g in out]
-
     def test_config_round_trip(self):
         cfg = GraspConfig(num_samples=64, cone_half_angle_deg=30.0, seed=5)
         back = GraspConfig.from_json_dict(cfg.to_json_dict())

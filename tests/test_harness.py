@@ -20,8 +20,8 @@ from rockstack.harness import (
     DEFAULT_ASSEMBLY_CAMERA,
     ExperimentConfig,
     MetricsSummary,
-    _dump_json,
     compute_metrics,
+    dump_json,
     recompute_summary_from_files,
     run_experiment,
     run_trial,
@@ -305,12 +305,35 @@ class TestConfig:
                 {"scene": {"rock_count": [0, 0], "parts": [["body"]]}},
                 "scene: parts: expected a part class name, got ['body']",
             ),
+            (
+                {"grasp": {"expected_closing_points": 0}},
+                "grasp: expected_closing_points: must be > 0, got 0.0",
+            ),
+            (
+                {"grasp": {"expected_closing_points": -40}},
+                "grasp: expected_closing_points: must be > 0, got -40.0",
+            ),
+            ({"grasp": {"normals_k": 2}}, "grasp: normals_k: must be >= 3, got 2"),
+            (
+                {"grasp": {"friction_half_angle_deg": 120}},
+                "grasp: friction_half_angle_deg: must be in (0, 90], got 120.0",
+            ),
+            (
+                {"grasp": {"friction_half_angle_deg": 0}},
+                "grasp: friction_half_angle_deg: must be in (0, 90], got 0.0",
+            ),
+            ({"grasp": {"voxel_leaf": -0.5}}, "grasp: voxel_leaf: must be >= 0, got -0.5"),
         ],
     )
     def test_error_message_is_the_field_path(self, data, message):
         with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_json_dict(dict(data, task="stack"))
         assert str(info.value) == message
+
+    def test_grasp_range_edges_load(self):
+        edges = {"expected_closing_points": 1e-3, "friction_half_angle_deg": 90.0, "normals_k": 3, "voxel_leaf": 0.0}
+        cfg = ExperimentConfig.from_json_dict({"task": "stack", "grasp": edges})
+        assert cfg.grasp == GraspConfig(**edges)
 
     def test_exec_range_edges_load(self):
         edges = {"action_time": 0.0, "attach_tol_mm": 0.0, "attach_tol_deg": 0.0, "arm_speed": 1e-3}
@@ -766,10 +789,10 @@ class TestPoseOracleAgreement:
 class TestDumpJson:
     def test_failed_write_keeps_the_earlier_file(self, tmp_path):
         path = tmp_path / "trial_0.json"
-        _dump_json(path, {"a": 1})
+        dump_json(path, {"a": 1})
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            _dump_json(path, {"a": 2, "b": object()})  # fails after "a" is written
+            dump_json(path, {"a": 2, "b": object()})  # fails after "a" is written
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["trial_0.json"]
 

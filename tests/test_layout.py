@@ -18,6 +18,9 @@ syntax tree alone.
   ``scenesim.NoisyDepth``, so no second read path grows back. The
   whole-image ``render_instance_masks`` is a name of its own, which
   ``perception.detect_objects`` keeps.
+* ``graspdetect`` has no ``@`` product and no ``vecdot``: its points and
+  normals enter hand frames through ``RigidTransform``, whose one rounding
+  rule keeps the batched detector bit-equal to one candidate at a time.
 
 One check imports the library instead: the config fields whose declared
 type the JSON codec passes through unchecked are a fixed list, so a new
@@ -97,6 +100,19 @@ def scenesim_only_references(module: str, tree: ast.Module) -> set[tuple[str, st
         elif isinstance(node, ast.alias):
             found.add(node.name)
     return {(module, name) for name in found & SCENESIM_ONLY}
+
+
+def own_products(tree: ast.Module) -> list[str]:
+    """``line: kind`` of each ``@`` product (``@=`` too) and each reference
+    to ``vecdot`` in a module: the products that round by a rule other than
+    ``RigidTransform``'s."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+            found.append(f"{n.lineno}: @")
+        elif "vecdot" in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None)):
+            found.append(f"{n.lineno}: vecdot")
+    return sorted(set(found))
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -180,6 +196,10 @@ def test_only_scenesim_references_the_renderer_parts():
     assert sorted(found) == []
 
 
+def test_graspdetect_multiplies_only_through_rigid_transforms():
+    assert own_products(_tree(ROOT / "src" / "rockstack" / "graspdetect.py")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(_tree(path)) == []
@@ -224,6 +244,16 @@ class TestTheChecks:
             "def f():\n    from .b import _v\n"
         )
         assert private_imports("m", tree) == {("m", "_x"), ("m", "_z"), ("m", "_v")}
+
+    def test_own_product_found(self):
+        tree = ast.parse(
+            "from numpy import vecdot as vd\n"
+            "a = b @ c\n"
+            "a @= b\n"
+            "d = np.vecdot(a, b)\n"
+            "e = t.apply(p) - a.dot(b)\n"
+        )
+        assert own_products(tree) == ["1: vecdot", "2: @", "3: @", "4: vecdot"]
 
     def test_unreferenced_private_name_found(self):
         tree = ast.parse(
