@@ -18,25 +18,38 @@ Everything is deterministic given the config seed.
 Candidates are evaluated in array passes, not one at a time. For each
 chunk of seeds and each orientation, the closing and finger bands, the push
 depth, the caught points, the insertion and the extent are computed for all
-seeds at once as rows of ``(seeds, points)`` arrays with masked
-``min``/``max``/``count`` reductions, and the survivors are scored in the
-same pass. Candidates stay arrays (:class:`CandidateSet`); each
-orientation's rotation is validated once, and a :class:`RigidTransform` is
-built only for a grasp that is returned or read out.
+seeds at once as rows of ``(seeds, points)`` arrays, and the survivors are
+scored in the same pass. Candidates stay arrays (:class:`CandidateSet`); the
+hand frames are built and validated once per (hand axis, orientation count),
+and a :class:`RigidTransform` is built only for a grasp that is returned or
+read out.
 
 The batched pass gives the same bits as evaluating one candidate at a time
 (:func:`score_candidate`), because every point and normal enters a hand
 frame by :class:`RigidTransform`'s one rounding rule: the cloud is rotated
 once per orientation, and a candidate's points are that rotated cloud plus
 its own translation, coordinate by coordinate, as ``pose.inverse().apply``
-computes them. A masked minimum of ``u + back`` is taken as
-``min(u) + back``, which is exact because rounding is monotone. Seeds are
+computes them. The masked reductions over a row are exact rewrites:
+
+* a masked ``min`` or ``max`` is the plain reduction of the row with the
+  masked-out values replaced by ``inf`` or ``-inf``, since ``min`` and
+  ``max`` do not round (an empty row gives the infinity). Only the sign of
+  a zero result can depend on the reduction order, and no output reads it
+  but a grasp width of exactly zero, which needs a zero ``width_clearance``;
+* rounding is monotone, so a masked minimum of ``u + back`` is
+  ``min(u) + back`` and one of ``palm - finger_depth`` is
+  ``min(palm) - finger_depth``;
+* the finger band is the corridor between the fingers' outer faces XOR the
+  closing band, which it contains.
+
+Row counts are popcounts of packed bits (:func:`row_counts`). Seeds are
 chunked, points never are, and a chunk keeps ``seeds * points`` to 128 KB
 of floats whatever the cloud size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +64,7 @@ from .pointcloud import (
     crop_workspace,
     estimate_normals,
     filter_above_plane,
+    row_counts,
     voxel_downsample,
 )
 
@@ -183,14 +197,16 @@ def _tangent_fallback(normal: np.ndarray) -> np.ndarray:
     return t / np.linalg.norm(t)
 
 
-def _closing_frame_axes(cfg: GraspConfig) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+def _closing_frame_axes(
+    hand_axis, num_orientations: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Approach axis plus (closing, hand) axis pairs for each orientation."""
-    h_cfg = np.asarray(cfg.hand_axis, dtype=np.float64)
+    h_cfg = np.asarray(hand_axis, dtype=np.float64)
     approach = -h_cfg
     c0 = _tangent_fallback(h_cfg)
     axes = []
-    for k in range(cfg.num_orientations):
-        theta = math.pi * k / cfg.num_orientations  # 180-degree sweep
+    for k in range(num_orientations):
+        theta = math.pi * k / num_orientations  # 180-degree sweep
         # Rodrigues rotation of c0 about h_cfg
         c = (
             c0 * math.cos(theta)
@@ -201,6 +217,25 @@ def _closing_frame_axes(cfg: GraspConfig) -> tuple[np.ndarray, list[tuple[np.nda
         h = np.cross(approach, c)
         axes.append((c, h))
     return approach, axes
+
+
+def _hand_frames(cfg: GraspConfig) -> tuple[np.ndarray, tuple[RigidTransform, ...]]:
+    """The approach axis and each orientation's validated hand frame, built
+    once per (hand axis, orientation count) and shared read-only."""
+    # keyed on the axis's bits: -0.0 == 0.0, yet the frames built from them
+    # differ in the signs of their zeros
+    return _frames_for(np.asarray(cfg.hand_axis, dtype=np.float64).tobytes(), cfg.num_orientations)
+
+
+@functools.lru_cache(maxsize=8)
+def _frames_for(axis_bits: bytes, num_orientations: int):
+    approach, axes = _closing_frame_axes(np.frombuffer(axis_bits), num_orientations)
+    frames = tuple(
+        RigidTransform(np.column_stack([approach, c, h]), np.zeros(3)) for c, h in axes
+    )
+    for array in (approach, *(a for f in frames for a in (f.rotation, f.translation))):
+        array.flags.writeable = False
+    return approach, frames
 
 
 # seeds x points per chunk of the batched pass: 128 KB per float array, so
@@ -259,11 +294,22 @@ class CandidateSet:
 
 
 def _masked_min(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return a.min(axis=1, initial=np.inf, where=mask)
+    return np.where(mask, a, np.inf).min(axis=1)
 
 
 def _masked_max(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return a.max(axis=1, initial=-np.inf, where=mask)
+    return np.where(mask, a, -np.inf).max(axis=1)
+
+
+def _bands(gamma: np.ndarray, eta: np.ndarray, hand: HandGeometry):
+    """Masks of the closing band (between the fingers) and the finger band
+    (in the fingers' path) within the hand's height, from the closing and
+    hand-axis offsets."""
+    abs_gamma = np.abs(gamma)
+    corridor = np.abs(eta) <= hand.hand_height / 2.0
+    corridor &= abs_gamma <= hand.max_aperture / 2.0 + hand.finger_width
+    closing = corridor & (abs_gamma <= hand.max_aperture / 2.0)
+    return closing, corridor ^ closing
 
 
 def _push_and_catch(
@@ -281,42 +327,33 @@ def _push_and_catch(
     along the approach, closing and hand axes. Returns the surviving rows
     with their palm centers, grasp widths and caught-point counts.
     """
-    half_ap = hand.max_aperture / 2.0
-    corridor_half = half_ap + hand.finger_width
-    half_h = hand.hand_height / 2.0
     fd = hand.finger_depth
     step = cfg.push_step
 
-    abs_gamma = np.abs(gamma)
-    in_band = np.abs(eta) <= half_h
-    closing_band = in_band & (abs_gamma <= half_ap)
-    finger_band = in_band & (abs_gamma > half_ap) & (abs_gamma <= corridor_half)
+    closing_band, finger_band = _bands(gamma, eta, hand)
     u_closing = _masked_min(u, closing_band)
     u_finger = _masked_min(u, finger_band)
     # rows with an empty closing band turn to inf/nan here and are dropped below
     with np.errstate(invalid="ignore"):
         back = fd - np.minimum(u_closing, u_finger) + step
-        # push depth at which the fingertip plane reaches each point, and at
-        # which the point would pass behind the palm face; rounding is
-        # monotone, so min(u + back) is min(u) + back exactly
+        # push depth at which each point would pass behind the palm face
         palm = u + back[:, None]
-        tip = palm - fd
         bad_finger = u_finger + back - fd
         bad_palm = u_closing + back
         depth_limit = np.minimum(bad_finger - _EPS, bad_palm + _EPS)
         max_steps = np.floor(depth_limit / step)
         delta = max_steps * step
-        caught = (
-            closing_band
-            & (tip <= (delta + _EPS)[:, None])
-            & (delta[:, None] <= palm + _EPS)
-        )
-        count = np.count_nonzero(caught, axis=1)
+        # the fingertip plane reaches a point at palm - fd; one buffer holds
+        # that, then palm + _EPS
+        buf = np.subtract(palm, fd)
+        caught = closing_band & (buf <= (delta + _EPS)[:, None])
+        caught &= delta[:, None] <= np.add(palm, _EPS, out=buf)
+        count = row_counts(caught)
         # material must actually reach between the fingers, not graze the tips
-        insertion = delta - _masked_min(tip, caught)
+        insertion = delta - (_masked_min(palm, caught) - fd)
         width = _masked_max(gamma, caught) - _masked_min(gamma, caught) + cfg.width_clearance
         keep = (
-            closing_band.any(axis=1)
+            (u_closing < np.inf)
             & (max_steps >= 1)
             & (count >= cfg.min_closing_points)
             & (insertion >= cfg.min_insertion)
@@ -339,9 +376,14 @@ def _score_rows(
     ``local`` is the cloud rotated into their hand frame, one row per
     coordinate, ``shift`` each candidate's translation in that frame and
     ``aligned`` flags the normals inside the friction cone."""
-    inside = in_closing_region(local[:, None, :] + shift.T[:, :, None], hand)
-    count = np.count_nonzero(inside, axis=1)
-    antipodal = np.count_nonzero(inside & aligned, axis=1)
+    # one coordinate of every candidate's points at a time, in one buffer
+    buf = np.empty((len(shift), local.shape[1]))
+    inside = in_closing_region(
+        (np.add(axis, s[:, None], out=buf) for axis, s in zip(local, shift.T)), hand
+    )
+    count = row_counts(inside)
+    inside &= aligned
+    antipodal = row_counts(inside)
     with np.errstate(invalid="ignore"):
         score = antipodal / count * (count / expected_closing_points)
     return np.where(count == 0, 0.0, score)
@@ -360,8 +402,7 @@ def generate_candidates(cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig)
         raise ValidationError("scoring requires a cloud with normals")
     seeds = sample_seeds(cloud, cfg)
     seed_points = cloud.points[seeds]
-    approach, axes = _closing_frame_axes(cfg)
-    frames = [RigidTransform(np.column_stack([approach, c, h]), np.zeros(3)) for c, h in axes]
+    approach, frames = _hand_frames(cfg)
     cos_thresh = math.cos(math.radians(cfg.friction_half_angle_deg))
 
     # per orientation: the map into its hand frame, the cloud in that frame
@@ -406,16 +447,17 @@ def generate_candidates(cloud: PointCloud, hand: HandGeometry, cfg: GraspConfig)
     )
 
 
-def in_closing_region(local: np.ndarray, hand: HandGeometry) -> np.ndarray:
+def in_closing_region(local, hand: HandGeometry) -> np.ndarray:
     """Boolean mask of hand-frame points inside the closing region; ``local``
-    holds their x, y and z coordinates along its first axis (``points.T``)."""
-    x, y, z = local
-    return (
-        (x >= -_EPS)
-        & (x <= hand.finger_depth + _EPS)
-        & (np.abs(y) <= hand.max_aperture / 2.0 + _EPS)
-        & (np.abs(z) <= hand.hand_height / 2.0 + _EPS)
-    )
+    yields their x, y and z coordinates in turn (``points.T``). Each is read
+    before the next is taken, so a generator may reuse one buffer."""
+    coords = iter(local)
+    x = next(coords)
+    inside = x >= -_EPS
+    inside &= x <= hand.finger_depth + _EPS
+    inside &= np.abs(next(coords)) <= hand.max_aperture / 2.0 + _EPS
+    inside &= np.abs(next(coords)) <= hand.hand_height / 2.0 + _EPS
+    return inside
 
 
 def closing_region_mask(

@@ -291,8 +291,8 @@ def _hypothesis_counts(pts: np.ndarray, triples: np.ndarray, tol: float) -> np.n
         part = slice(lo, lo + block)
         dist = planes[part] @ homogeneous
         np.abs(dist, out=dist)
-        tight[part] = _row_counts(dist <= tol - margin)
-        loose[part] = _row_counts(dist <= tol + margin)
+        tight[part] = row_counts(dist <= tol - margin)
+        loose[part] = row_counts(dist <= tol + margin)
     counts = np.full(triples.shape[0], -1, dtype=np.intp)
     counts[live] = np.where(tight == loose, tight, -2)
     for i in np.flatnonzero(near | (counts == -2)):
@@ -301,9 +301,14 @@ def _hypothesis_counts(pts: np.ndarray, triples: np.ndarray, tol: float) -> np.n
     return counts
 
 
-def _row_counts(mask: np.ndarray) -> np.ndarray:
-    # true values per row: a popcount of the packed bits takes 29 us on a
-    # 26 x 2,500 block where count_nonzero(axis=1) takes 41 us
+def row_counts(mask: np.ndarray) -> np.ndarray:
+    """True values in each row of a 2-D boolean array, as ``intp``; equal to
+    ``np.count_nonzero(mask, axis=1)``.
+
+    It is a popcount of the rows' packed bits, which takes 6.6 us on a
+    30 x 540 block where ``count_nonzero`` takes 10.7 us, and 11.5 against
+    35.0 us on 26 x 2,500 (best of 7 timeit runs, one core of a 2-vCPU Xeon).
+    """
     return np.bitwise_count(np.packbits(mask, axis=1)).sum(axis=1, dtype=np.intp)
 
 

@@ -29,7 +29,7 @@ from rockstack.graspdetect import (
     sample_seeds,
     score_candidate,
 )
-from rockstack.pointcloud import Plane, PointCloud, estimate_normals
+from rockstack.pointcloud import Plane, PointCloud, estimate_normals, row_counts
 from rockstack.shapes import Superellipsoid
 
 from conftest import box_cloud
@@ -493,3 +493,121 @@ class TestOracleAgreement:
         viewpoint = (0.0, 0.0, 400.0)
         assert detect_grasps(cloud, self.hand, cfg, plane, viewpoint=viewpoint) == []
         assert reference_detect(cloud, self.hand, cfg, plane, viewpoint=viewpoint) == []
+
+
+def _edge_block(rng, shape, bounds) -> np.ndarray:
+    """Random values around ``bounds``; about a third of them are +-0, a
+    bound, its negation or a neighbouring float of either."""
+    specials = [0.0, -0.0]
+    for b in bounds:
+        for v in (b, -b):
+            specials += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+    top = 2.0 * max(bounds)
+    block = rng.uniform(-top, top, shape)
+    pick = rng.random(shape) < 0.35
+    block[pick] = rng.choice(specials, int(pick.sum()))
+    return block
+
+
+def _edge_mask(rng, shape) -> np.ndarray:
+    """Random row masks of random density; row 0 is empty and row 1 full."""
+    mask = rng.random(shape) < rng.random((shape[0], 1))
+    mask[0] = False
+    mask[1] = True
+    return mask
+
+
+class TestExactRewrites:
+    """The batched pass's reductions are exact rewrites of the plain forms,
+    on random blocks with empty rows, signed zeros and values on bounds."""
+
+    SHAPES = [(2, 1), (3, 7), (30, 540), (20, 792), (5, 1001)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_masked_min_max(self, shape):
+        rng = np.random.default_rng(shape[1])
+        for _ in range(40):
+            a = _edge_block(rng, shape, (1.0, 40.0))
+            mask = _edge_mask(rng, shape)
+            for got, want, empty in (
+                (graspdetect._masked_min(a, mask), a.min(axis=1, initial=np.inf, where=mask), np.inf),
+                (graspdetect._masked_max(a, mask), a.max(axis=1, initial=-np.inf, where=mask), -np.inf),
+            ):
+                # bit for bit, up to the sign of a zero result (adding +0
+                # maps -0 to +0 and keeps every other value)
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+                assert got[0] == empty and np.all(got[1:] == want[1:])
+
+    @pytest.mark.parametrize("shape", SHAPES + [(1, 8), (4, 16), (0, 9)])
+    def test_row_counts(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            mask = _edge_mask(rng, shape) if shape[0] >= 2 else rng.random(shape) < 0.5
+            got = row_counts(mask)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.count_nonzero(mask, axis=1))
+
+    @pytest.mark.parametrize(
+        "hand", [HandGeometry(), HandGeometry(finger_width=0.1, max_aperture=0.3, hand_height=0.7)]
+    )
+    def test_finger_band_is_corridor_xor_closing(self, hand):
+        rng = np.random.default_rng(7)
+        half_ap = hand.max_aperture / 2.0
+        corridor_half = half_ap + hand.finger_width
+        half_h = hand.hand_height / 2.0
+        for _ in range(40):
+            gamma = _edge_block(rng, (30, 540), (half_ap, corridor_half))
+            eta = _edge_block(rng, (30, 540), (half_h,))
+            closing, finger = graspdetect._bands(gamma, eta, hand)
+            in_band = np.abs(eta) <= half_h
+            abs_gamma = np.abs(gamma)
+            assert np.array_equal(closing, in_band & (abs_gamma <= half_ap))
+            assert np.array_equal(
+                finger, in_band & (abs_gamma > half_ap) & (abs_gamma <= corridor_half)
+            )
+
+    @pytest.mark.parametrize("fd", [50.0, 0.1, 3.0e-7])
+    def test_min_palm_minus_finger_depth(self, fd):
+        # 1e17 and 1e-17 around fd make the subtraction round
+        rng = np.random.default_rng(int(fd * 10))
+        for _ in range(40):
+            palm = _edge_block(rng, (30, 540), (fd, 1e17, 1e-17))
+            caught = _edge_mask(rng, palm.shape)
+            got = graspdetect._masked_min(palm, caught) - fd
+            want = (palm - fd).min(axis=1, initial=np.inf, where=caught)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestHandFrameCache:
+    AXES = [(0.0, 0.0, 1.0), (0.2, 0.0, 1.0), (0.0, 0.6, 0.8)]
+
+    @pytest.mark.parametrize("orientations", [1, 5, 8])
+    @pytest.mark.parametrize("axis", AXES)
+    def test_cached_frames_equal_a_fresh_build(self, axis, orientations):
+        cfg = GraspConfig(hand_axis=axis, num_orientations=orientations)
+        cached = graspdetect._hand_frames(cfg)
+        assert graspdetect._hand_frames(cfg) is cached
+        approach, frames = cached
+        fresh_approach, axes = graspdetect._closing_frame_axes(cfg.hand_axis, orientations)
+        assert approach.tobytes() == fresh_approach.tobytes()
+        assert len(frames) == orientations
+        for frame, (c, h) in zip(frames, axes):
+            fresh = RigidTransform(np.column_stack([fresh_approach, c, h]), np.zeros(3))
+            assert frame.rotation.tobytes() == fresh.rotation.tobytes()
+            assert frame.translation.tobytes() == fresh.translation.tobytes()
+        for array in (approach, frames[-1].rotation, frames[-1].translation):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_configs_share_an_entry_by_axis_and_orientations(self):
+        shared = graspdetect._hand_frames(GraspConfig(seed=1))
+        assert graspdetect._hand_frames(GraspConfig(seed=2, num_samples=7)) is shared
+        assert graspdetect._hand_frames(GraspConfig(hand_axis=(0.2, 0.0, 1.0))) is not shared
+        assert graspdetect._hand_frames(GraspConfig(num_orientations=4)) is not shared
+
+    def test_signed_zero_axis_has_its_own_entry(self):
+        # -0.0 == 0.0, but the approach -h_cfg differs in the sign of a zero
+        plus = graspdetect._hand_frames(GraspConfig(hand_axis=(0.0, 0.0, 1.0)))
+        minus = graspdetect._hand_frames(GraspConfig(hand_axis=(-0.0, 0.0, 1.0)))
+        fresh, _ = graspdetect._closing_frame_axes((-0.0, 0.0, 1.0), 5)
+        assert minus[0].tobytes() == fresh.tobytes() != plus[0].tobytes()

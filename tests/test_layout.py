@@ -21,6 +21,9 @@ syntax tree alone.
 * ``graspdetect`` has no ``@`` product and no ``vecdot``: its points and
   normals enter hand frames through ``RigidTransform``, whose one rounding
   rule keeps the batched detector bit-equal to one candidate at a time.
+* ``graspdetect`` makes no call with a ``where=`` keyword and no
+  ``count_nonzero`` call along an axis: its masked reductions take
+  ``np.where`` and ``pointcloud.row_counts``, several times faster.
 
 One check imports the library instead: the config fields whose declared
 type the JSON codec passes through unchecked are a fixed list, so a new
@@ -115,6 +118,21 @@ def own_products(tree: ast.Module) -> list[str]:
     return sorted(set(found))
 
 
+def slow_reductions(tree: ast.Module) -> list[str]:
+    """``line: kind`` of each call with a ``where=`` keyword and each
+    ``count_nonzero`` call given an axis (by keyword or position)."""
+    found = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        if any(k.arg == "where" for k in n.keywords):
+            found.append(f"{n.lineno}: where=")
+        name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+        if name == "count_nonzero" and (len(n.args) > 1 or any(k.arg == "axis" for k in n.keywords)):
+            found.append(f"{n.lineno}: count_nonzero axis")
+    return sorted(set(found))
+
+
 def _defined_names(node: ast.stmt) -> list[str]:
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [node.name]
@@ -200,6 +218,10 @@ def test_graspdetect_multiplies_only_through_rigid_transforms():
     assert own_products(_tree(ROOT / "src" / "rockstack" / "graspdetect.py")) == []
 
 
+def test_graspdetect_reduces_rows_without_the_slow_forms():
+    assert slow_reductions(_tree(ROOT / "src" / "rockstack" / "graspdetect.py")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(_tree(path)) == []
@@ -254,6 +276,21 @@ class TestTheChecks:
             "e = t.apply(p) - a.dot(b)\n"
         )
         assert own_products(tree) == ["1: vecdot", "2: @", "3: @", "4: vecdot"]
+
+    def test_slow_reduction_found(self):
+        tree = ast.parse(
+            "a = x.min(axis=1, initial=0.0, where=m)\n"
+            "b = np.count_nonzero(m, axis=1)\n"
+            "c = count_nonzero(m, 1)\n"
+            "d = np.where(m, x, 0.0).min(axis=1) + np.count_nonzero(m)\n"
+            "e = np.minimum.reduce(x, where=m)\n"
+        )
+        assert slow_reductions(tree) == [
+            "1: where=",
+            "2: count_nonzero axis",
+            "3: count_nonzero axis",
+            "5: where=",
+        ]
 
     def test_unreferenced_private_name_found(self):
         tree = ast.parse(
