@@ -97,19 +97,17 @@ def _cmd_grasp_detect(args) -> int:
 def _run_task(args, task: str) -> int:
     cfg = _apply_overrides(_load_config(args.config, task), args)
     out = Path(args.out) if args.out else None
-    reports, summary = run_experiment(
+    _, summary = run_experiment(
         cfg, out_dir=out, workers=args.workers, progress=sys.stderr
     )
     if args.json:
         print(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True))
     else:
-        rate = summary.success_rate if summary.success_rate is not None else 0.0
         print(
-            f"{task}: {cfg.trials} trials, success rate {rate:.2%}",
+            f"{task}: {cfg.trials} trials, success rate {summary.success_rate:.2%}",
             file=sys.stderr,
         )
-    failed = summary.success_rate is not None and summary.success_rate == 0.0 and cfg.trials > 0
-    return EXIT_FAILURE if failed else EXIT_OK
+    return EXIT_FAILURE if summary.success_rate == 0.0 else EXIT_OK
 
 
 def _cmd_report_summarize(args) -> int:

@@ -17,7 +17,8 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -34,6 +35,8 @@ from .geometry import (
 )
 from .graspdetect import GraspConfig, HandGeometry, detect_grasps
 from .perception import (
+    CENTROID_WINDOW,
+    POINT_WINDOW,
     detections_from_masks,
     median_window_depths,
     pose_stability_stats,
@@ -126,7 +129,7 @@ class MetricsSummary(JsonFields):
 
     task: str
     trials: int
-    success_rate: float | None = None
+    success_rate: float
     size_sort_agreement: float | None = None
     height_rel_error_median: float | None = None
     mean_alignment_error_mm: float | None = None
@@ -145,8 +148,7 @@ def compute_metrics(reports: list[TrialReport]) -> MetricsSummary:
         raise ValidationError("compute_metrics needs at least one report")
     task = reports[0].task
     n = len(reports)
-    summary = MetricsSummary(task=task, trials=n)
-    summary.success_rate = sum(1 for r in reports if r.success) / n
+    summary = MetricsSummary(task=task, trials=n, success_rate=sum(1 for r in reports if r.success) / n)
     sim_times = [r.sim_time_s for r in reports]
     summary.sim_time_stats = {
         "total_s": round(sum(sim_times), 6),
@@ -257,10 +259,10 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     """Repeated pose measurement of statically placed objects.
 
     Each probe is a pixel read through the depth image: the mask centroid
-    of every detection (5x5 median window) and, with a body in the scene,
-    the projected socket (3x3 window). Only the noise changes from sample
-    to sample, so the centroids, windows, in-image checks and camera
-    transform are computed once. The scene is read through a noiseless
+    of every detection (``CENTROID_WINDOW`` median window) and, with a body
+    in the scene, the projected socket (``POINT_WINDOW``). Only the noise
+    changes from sample to sample, so the centroids, windows, in-image
+    checks and camera transform are computed once. The scene is read through a noiseless
     :class:`~rockstack.scenesim.NoisyDepth`, which casts only where the
     trial reads: the objects' footprints, for the masks (``masks``), then
     the read windows. Its ``clean`` range is bit-equal to a whole-image
@@ -287,13 +289,13 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
     probes = []  # (label, u, v, read window size)
     for det in dets:
         cu, cv = mask_centroid(det)
-        probes.append((det.label, cu, cv, 5))
+        probes.append((det.label, cu, cv, CENTROID_WINDOW))
     bodies = [p for p in scene.parts if p.part_class == "body"]
     if bodies:
         socket = bodies[0].attachment_world("socket_top")
         cam_pt = camera.pose.inverse().apply(socket.translation)
         u, v, _ = project_point(intr, cam_pt)
-        probes.append(("body_joint", float(u), float(v), 3))
+        probes.append(("body_joint", float(u), float(v), POINT_WINDOW))
 
     windows = [window_pixels(u, v, size, shape) for _, u, v, size in probes]
     pixels = np.unique(np.concatenate([np.empty(0, dtype=np.intp)] + windows))
@@ -385,11 +387,6 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
         return trial.report(False)
 
 
-def _trial_worker(cfg_json: dict, index: int) -> dict:
-    cfg = ExperimentConfig.from_json_dict(cfg_json)
-    return run_trial(cfg, index).to_json_dict()
-
-
 def dump_json(path: Path, payload: dict) -> None:
     """Write ``payload`` to a temporary file beside ``path``, then move it
     into place, so ``path`` holds either its old bytes or the whole new
@@ -413,40 +410,31 @@ def run_experiment(
 ) -> tuple[list[TrialReport], MetricsSummary]:
     """Run all trials, write per-trial reports incrementally plus a summary.
 
-    ``workers > 1`` executes trials in a process pool; outputs are byte
-    identical to a serial run because every trial depends only on
+    One loop takes each trial's report as it completes: from
+    :func:`run_trial` calls in index order, or with ``workers > 1`` from a
+    process pool that is given ``run_trial`` and the config object. Outputs
+    are byte identical either way because every trial depends only on
     (config, base_seed + i) and files are keyed by trial index.
     """
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    report_dicts: list[dict | None] = [None] * cfg.trials
-
-    def _note(i: int) -> None:
-        if progress is not None:
-            print(f"trial {i + 1}/{cfg.trials} done", file=progress)
-
-    if workers <= 1:
-        for i in range(cfg.trials):
-            report_dicts[i] = run_trial(cfg, i).to_json_dict()
+    reports: list[TrialReport | None] = [None] * cfg.trials
+    with ExitStack() as stack:
+        if workers <= 1:
+            done = ((i, run_trial(cfg, i)) for i in range(cfg.trials))
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            futures = {pool.submit(run_trial, cfg, i): i for i in range(cfg.trials)}
+            done = ((futures[f], f.result()) for f in as_completed(futures))
+        for i, report in done:
+            reports[i] = report
             if out_path is not None:
-                dump_json(out_path / f"trial_{i}.json", report_dicts[i])
-            _note(i)
-    else:
-        from concurrent.futures import as_completed
+                dump_json(out_path / f"trial_{i}.json", report.to_json_dict())
+            if progress is not None:
+                print(f"trial {i + 1}/{cfg.trials} done", file=progress)
 
-        cfg_json = cfg.to_json_dict()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_trial_worker, cfg_json, i): i for i in range(cfg.trials)}
-            for future in as_completed(futures):
-                i = futures[future]
-                report_dicts[i] = future.result()
-                if out_path is not None:
-                    dump_json(out_path / f"trial_{i}.json", report_dicts[i])
-                _note(i)
-
-    reports = [TrialReport.from_json_dict(d) for d in report_dicts]
     summary = compute_metrics(reports)
     if out_path is not None:
         dump_json(out_path / "summary.json", summary.to_json_dict())

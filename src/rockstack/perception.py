@@ -34,6 +34,8 @@ from .scenesim import CameraSpec, Scene, SensorModel, degrade_mask, render_insta
 _TOP_FRACTION = 0.05
 # side, px, of the median window object_workspace_pose reads at a mask centroid
 CENTROID_WINDOW = 5
+# side, px, of the median window a known point is read back through
+POINT_WINDOW = 3
 
 
 def detect_objects(
@@ -129,7 +131,7 @@ def median_window_depths(windows: np.ndarray) -> np.ndarray:
     return out
 
 
-def median_window_depth(depth: np.ndarray, u: float, v: float, size: int = 5) -> float:
+def median_window_depth(depth: np.ndarray, u: float, v: float, size: int = CENTROID_WINDOW) -> float:
     """Median of the valid depths in a ``size x size`` window at (u, v), mm.
 
     Robust to holes; raises when the whole window is missing.

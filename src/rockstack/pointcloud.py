@@ -119,15 +119,22 @@ def cloud_from_depth(
     Output order is row-major over the stride grid, one point per pixel with
     depth > 0.
     """
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
     depth = np.asarray(depth)
-    h, w = depth.shape
-    grid = (np.arange(0, h, stride)[:, None] * w + np.arange(0, w, stride)).ravel()
+    grid = stride_pixels(depth.shape, stride)
     pixels = grid[depth.flat[grid] > 0]
     if pixels.size == 0:
         raise EmptyCloudError("depth image has no valid pixels")
     return cloud_from_pixels(depth, intr, cam_to_robot, pixels)
+
+
+def stride_pixels(shape: tuple, stride: int) -> np.ndarray:
+    """Flat row-major indices of the stride grid of an image of ``shape``:
+    every ``stride``-th column of every ``stride``-th row, row by row.
+    ``ValidationError`` for a stride below 1."""
+    if stride < 1:
+        raise ValidationError("stride must be >= 1")
+    h, w = shape
+    return (np.arange(0, h, stride)[:, None] * w + np.arange(0, w, stride)).ravel()
 
 
 def cloud_from_pixels(

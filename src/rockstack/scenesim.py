@@ -30,6 +30,7 @@ from .geometry import (
     json_nested,
     mask_bbox,
 )
+from .pointcloud import stride_pixels
 from .shapes import Box, Cylinder, Sphere, Superellipsoid, Union
 
 TERRAIN_ID = -1
@@ -806,7 +807,7 @@ def apply_depth_noise(depth: np.ndarray, sensor: SensorModel, seed: int) -> np.n
 
     The draws are ``normal`` and then ``random``, each over ``depth.shape``,
     from ``default_rng(seed)``."""
-    return _finish_depth_noise(depth, sensor, *_noise_draws(sensor, seed, depth.shape))
+    return _finish_depth_noise(depth, *_noise_draws(sensor, seed, depth.shape))
 
 
 def noisy_readings(clean: np.ndarray, sensor: SensorModel, seed: int, n: int) -> np.ndarray:
@@ -816,42 +817,42 @@ def noisy_readings(clean: np.ndarray, sensor: SensorModel, seed: int, n: int) ->
     draw of the same shape, so reading k takes row k of each. With ``n`` = 1
     the reading is ``apply_depth_noise(clean, sensor, seed)``."""
     shape = (n, *clean.shape)
-    draws = _noise_draws(sensor, seed, shape)
-    return _finish_depth_noise(np.broadcast_to(clean, shape), sensor, *draws)
+    return _finish_depth_noise(np.broadcast_to(clean, shape), *_noise_draws(sensor, seed, shape))
 
 
 def _noise_draws(sensor: SensorModel, seed: int, shape) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The ``normal`` and then the ``uniform`` draws of
-    :func:`_finish_depth_noise`, each of ``shape``; a draw the sensor does
-    not use is None and not made."""
+    """The noise and the dropout mask of :func:`_finish_depth_noise`, each
+    of ``shape``: first the ``normal`` draws, then the ``random`` draws, a
+    pixel dropped where its draw is below ``dropout_rate``. A draw the
+    sensor does not use is None and not made."""
     rng = np.random.default_rng(seed)
     normal = rng.normal(0.0, sensor.depth_sigma, size=shape) if sensor.depth_sigma > 0 else None
-    uniform = rng.random(shape) if sensor.dropout_rate > 0 else None
-    return normal, uniform
+    dropped = rng.random(shape) < sensor.dropout_rate if sensor.dropout_rate > 0 else None
+    return normal, dropped
 
 
 def _finish_depth_noise(
     depth: np.ndarray,
-    sensor: SensorModel,
     normal: np.ndarray | None,
-    uniform: np.ndarray | None,
+    dropped: np.ndarray | None,
 ) -> np.ndarray:
     """The noise model of :func:`apply_depth_noise` applied to draws made
-    beforehand: ``normal`` holds the ``N(0, depth_sigma)`` draws (None when
-    ``depth_sigma`` is 0) and ``uniform`` the ``[0, 1)`` dropout draws (None
-    when ``dropout_rate`` is 0), each of ``depth``'s shape.
+    beforehand (:func:`_noise_draws`): ``normal`` holds the
+    ``N(0, depth_sigma)`` draws (None when ``depth_sigma`` is 0) and
+    ``dropped`` the dropout mask (None when ``dropout_rate`` is 0), each of
+    ``depth``'s shape.
 
     Misses (non-finite depth) and dropouts become 0, the rest is rounded
     to 1 mm and clipped to the uint16 range. Elementwise, so any subset of
     pixels is finished as the whole image finishes it."""
     valid = np.isfinite(depth)
     noisy = np.where(valid, depth, 0.0)
-    if sensor.depth_sigma > 0:
+    if normal is not None:
         noisy = noisy + normal
     quant = np.clip(np.rint(noisy, out=noisy), 0, 65535, out=noisy).astype(np.uint16)
     quant[~valid] = 0
-    if sensor.dropout_rate > 0:
-        quant[uniform < sensor.dropout_rate] = 0
+    if dropped is not None:
+        quant[dropped] = 0
     return quant
 
 
@@ -871,8 +872,8 @@ class NoisyDepth:
     """The depth image of :func:`render_depth` and the depth and id images
     of :func:`render_scene_geometry`, rendered only at the pixels asked for.
 
-    The noise and dropout draws are made over the whole image when the
-    object is made, in :func:`apply_depth_noise`'s order; a zero sensor
+    The noise draws and the dropout mask are made over the whole image when
+    the object is made, in :func:`apply_depth_noise`'s order; a zero sensor
     draws nothing. :meth:`cast` renders pixels with
     :func:`render_scene_geometry` and finishes them with
     :func:`_finish_depth_noise`; both work pixel by pixel, so each cast pixel
@@ -893,9 +894,9 @@ class NoisyDepth:
     ):
         intr = camera.intrinsics
         shape = (intr.height, intr.width)
-        self.scene, self.camera, self.sensor = scene, camera, sensor
+        self.scene, self.camera = scene, camera
         self.extra_objects = list(extra_objects or [])
-        self._normal, self._uniform = _noise_draws(sensor, seed, intr.height * intr.width)
+        self._normal, self._dropped = _noise_draws(sensor, seed, intr.height * intr.width)
         self.depth = np.zeros(shape, dtype=np.uint16)
         self.clean = np.full(shape, np.nan)
         self.ids = np.full(shape, MISS_ID, dtype=np.int32)
@@ -910,8 +911,8 @@ class NoisyDepth:
             return
         depth, ids = render_scene_geometry(self.scene, self.camera, self.extra_objects, pixels=new)
         normal = None if self._normal is None else self._normal[new]
-        uniform = None if self._uniform is None else self._uniform[new]
-        self.depth.flat[new] = _finish_depth_noise(depth, self.sensor, normal, uniform)
+        dropped = None if self._dropped is None else self._dropped[new]
+        self.depth.flat[new] = _finish_depth_noise(depth, normal, dropped)
         self.clean.flat[new] = depth
         self.ids.flat[new] = ids
 
@@ -925,8 +926,9 @@ class NoisyDepth:
     def cloud_pixels(self, stride: int = 1) -> np.ndarray:
         """The flat pixels that :func:`~rockstack.pointcloud.cloud_from_depth`
         deprojects from the whole image at ``stride``, in its order: those of
-        the stride grid whose finished depth is > 0. ``EmptyCloudError``, as
-        there, when there are none.
+        the stride grid (:func:`~rockstack.pointcloud.stride_pixels`) whose
+        finished depth is > 0. As there, ``ValidationError`` for a stride
+        below 1 and ``EmptyCloudError`` when there are none.
 
         Most pixels are settled by their draws alone. A dropped pixel is
         invalid. A kept pixel whose ray descends always hits the terrain,
@@ -935,10 +937,9 @@ class NoisyDepth:
         bound plus its noise rounds to 1 mm or more. Only the other kept
         pixels are cast.
         """
-        h, w = self.depth.shape
-        grid = (np.arange(0, h, stride)[:, None] * w + np.arange(0, w, stride)).ravel()
-        if self._uniform is not None:
-            grid = grid[~(self._uniform[grid] < self.sensor.dropout_rate)]
+        grid = stride_pixels(self.depth.shape, stride)
+        if self._dropped is not None:
+            grid = grid[~self._dropped[grid]]
         top = self._height_range()[0][grid]
         dz = _pixel_dirs(self.camera.intrinsics, self.camera.pose)[grid, 2]
         with np.errstate(divide="ignore"):
@@ -985,8 +986,8 @@ class NoisyDepth:
                 np.maximum(t0, np.minimum(a, b), out=t0, where=d != 0)
                 np.minimum(t1, np.maximum(a, b), out=t1, where=d != 0)
         kept = (t0 <= t1) | ~(dz < 0)
-        if self._uniform is not None:
-            kept &= ~(self._uniform < self.sensor.dropout_rate)
+        if self._dropped is not None:
+            kept &= ~self._dropped
         return np.flatnonzero(kept)
 
     def _height_range(self) -> tuple[np.ndarray, np.ndarray]:

@@ -52,6 +52,7 @@ from .graspdetect import (
 )
 from .perception import (
     CENTROID_WINDOW,
+    POINT_WINDOW,
     detections_from_masks,
     estimate_height,
     median_window_depth,
@@ -822,16 +823,18 @@ def _observe_base(
     The image is cast where the task runners read it. First come the
     objects' footprints, for the masks
     (:meth:`~rockstack.scenesim.NoisyDepth.masks`), which equal those of a
-    whole-image render. Then come each detection's mask, which
-    ``estimate_height`` reads, and the window at its centroid, which
-    ``object_workspace_pose`` reads. Later reads cast their own pixels
+    whole-image render. They already hold every pixel of each detection's
+    mask, which ``estimate_height`` reads: a rendered mask is the pixels
+    given its object's id, all on the object's footprint, and degradation
+    grows it by at most one pixel, within the footprint's 2-pixel margin.
+    Then comes the window at each centroid, which ``object_workspace_pose``
+    reads. Later reads cast their own pixels
     (:func:`_measure_point_via_depth`, :func:`_cloud_plane`).
     """
     view = NoisyDepth(scene, scene.base_camera, sensor, derive_seed(seed, 1))
     dets = detections_from_masks(view.masks(), sensor, derive_seed(seed, 2), labels=labels)
     shape = view.depth.shape
-    reads = [np.flatnonzero(det.bitmap) for det in dets]
-    reads += [window_pixels(*mask_centroid(det), CENTROID_WINDOW, shape) for det in dets]
+    reads = [window_pixels(*mask_centroid(det), CENTROID_WINDOW, shape) for det in dets]
     view.cast(np.concatenate(reads or [np.empty(0, dtype=np.intp)]))
     return view, dets
 
@@ -839,12 +842,11 @@ def _observe_base(
 def _measure_point_via_depth(
     point_world: np.ndarray,
     view: NoisyDepth,
-    window: int = 3,
     surface_offset: float = 0.0,
 ):
     """Project a known point into the view's camera and read it back through
-    the noisy depth image, casting the window read: the measurement path
-    every detection shares.
+    the noisy depth image, casting the ``POINT_WINDOW`` read: the
+    measurement path every detection shares.
 
     ``surface_offset`` pushes the deprojected surface point forward along
     the sight ray, correcting a ball-shaped feature's near surface to its
@@ -854,8 +856,8 @@ def _measure_point_via_depth(
     cam_pt = camera.pose.inverse().apply(point_world)
     u, v, _ = project_point(camera.intrinsics, cam_pt)
     u, v = float(u), float(v)
-    view.cast(window_pixels(u, v, window, view.depth.shape))
-    d = median_window_depth(view.depth, u, v, size=window)
+    view.cast(window_pixels(u, v, POINT_WINDOW, view.depth.shape))
+    d = median_window_depth(view.depth, u, v, size=POINT_WINDOW)
     measured = camera.pose.apply(deproject_pixel(camera.intrinsics, u, v, d))
     if surface_offset != 0.0:
         ray = measured - camera.pose.translation

@@ -480,15 +480,26 @@ class TestRunExperiment:
         assert h[0] == h[1] == h[2]
 
     def test_parallel_workers_get_every_grasp_field(self, tmp_path):
-        # workers rebuild the config from its JSON, so a field missing from
-        # that JSON would run them with its default (min_insertion 10 mm
-        # finds grasps on these rocks, 60 mm finds none)
+        # the config is read from JSON, so a field that reader dropped
+        # would run both modes with its default (min_insertion 10 mm finds
+        # grasps on these rocks, 60 mm finds none)
         cfg = ExperimentConfig.from_json_dict(
             {"task": "grasp_bench", "trials": 2, "grasp": {"min_insertion": 60}}
         )
         serial, _ = run_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
         run_experiment(cfg, out_dir=tmp_path / "parallel", workers=2)
         assert [r.metrics["n_grasps"] for r in serial] == [0, 0]
+        assert tree_hash(tmp_path / "serial") == tree_hash(tmp_path / "parallel")
+
+    def test_parallel_workers_get_the_config_object(self, tmp_path):
+        # built in Python, never read from JSON: the pool is handed the
+        # object itself, so its non-default grasp field reaches each worker
+        cfg = ExperimentConfig(task="grasp_bench", trials=2, grasp=GraspConfig(min_insertion=60.0))
+        serial, summary = run_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
+        parallel, _ = run_experiment(cfg, out_dir=tmp_path / "parallel", workers=2)
+        assert [r.metrics["n_grasps"] for r in serial] == [0, 0]
+        assert [r.metrics["n_grasps"] for r in parallel] == [0, 0]
+        assert summary.success_rate == 0.0
         assert tree_hash(tmp_path / "serial") == tree_hash(tmp_path / "parallel")
 
     def test_summary_recomputable_from_files(self, tmp_path):
@@ -801,7 +812,7 @@ class TestCsv:
     def test_pose_stability_table_shape(self):
         # rows = object class, columns = per-axis standard deviations; the
         # hardware reference row (head: 0.37/0.21/0.34 mm) fits this shape
-        summary = MetricsSummary(task="pose_stability", trials=1)
+        summary = MetricsSummary(task="pose_stability", trials=1, success_rate=1.0)
         summary.pose_sigma_mm = {
             "head": {"sigma_x_mm": 0.37, "sigma_y_mm": 0.21, "sigma_z_mm": 0.34, "samples": 144871},
             "leg": {"sigma_x_mm": 0.35, "sigma_y_mm": 0.13, "sigma_z_mm": 0.33, "samples": 144871},
@@ -813,7 +824,7 @@ class TestCsv:
         assert lines[2].startswith("leg,")
 
     def test_assembly_table_shape(self):
-        summary = MetricsSummary(task="assemble", trials=56)
+        summary = MetricsSummary(task="assemble", trials=56, success_rate=0.75)
         summary.per_class = {
             "head": {"attempts": 14, "grasp_success_rate": 0.928, "joint_detection_rate": 0.953, "attach_rate": 0.9},
             "leg": {"attempts": 42, "grasp_success_rate": 0.761, "joint_detection_rate": 0.862, "attach_rate": 0.7},

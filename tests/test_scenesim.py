@@ -495,6 +495,16 @@ class TestNoisyDepth:
         if sensor.depth_sigma < 10 and height > 100:
             assert not view.depth.any()  # settled without a cast
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_bad_stride_fails_as_the_whole_cloud_does(self, stride):
+        scene = generate_scene(SceneSpec(rock_count=(3, 3)), seed=6)
+        cam = scene.base_camera
+        whole = render_depth(scene, cam, SensorModel(), seed=4)
+        with pytest.raises(ValidationError, match="stride must be >= 1"):
+            cloud_from_depth(whole, cam.intrinsics, cam.pose, stride=stride)
+        with pytest.raises(ValidationError, match="stride must be >= 1"):
+            NoisyDepth(scene, cam, SensorModel(), 4).cloud_pixels(stride)
+
     @pytest.mark.parametrize("sigma", [0.0, 2.0, 20.0])
     def test_box_pixels_hold_every_point_in_the_box(self, sigma):
         # On flat terrain each ray's hit stretch is a single point, so only

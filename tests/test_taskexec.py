@@ -753,6 +753,32 @@ class TestObserveOracle:
             observe_object(scene, scene.rocks[0].pose.translation[:2], sensor, cfg.exec, 0)
 
 
+class TestBaseViewMasks:
+    """``_observe_base`` casts no mask pixel of its own: the footprints
+    that ``NoisyDepth.masks`` casts already hold every pixel of every
+    detection, however strongly the sensor degrades the masks."""
+
+    @pytest.mark.parametrize(
+        "sensor",
+        [
+            SensorModel(boundary_flip_rate=0.5),
+            SensorModel(mask_erosion=0.2, boundary_flip_rate=0.5),
+            SensorModel(mask_erosion=0.6, boundary_flip_rate=0.5),
+        ],
+    )
+    @pytest.mark.parametrize("task", ["stack", "assemble", "pose_stability"])
+    def test_every_mask_pixel_is_cast(self, task, sensor):
+        scene_spec = ExperimentConfig.from_json_dict({"task": task}).scene
+        detections = 0
+        for seed in range(30):
+            scene = generate_scene(scene_spec, seed)
+            view, dets = _observe_base(scene, sensor, seed, ("rock", "body", "head", "leg"))
+            for det in dets:
+                assert not np.isnan(view.clean[det.bitmap]).any()
+            detections += len(dets)
+        assert detections >= 30
+
+
 def _measure_whole(point, depth, camera):
     """``_measure_point_via_depth`` on a whole depth image."""
     u, v, _ = project_point(camera.intrinsics, camera.pose.inverse().apply(point))
