@@ -14,6 +14,7 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
@@ -233,10 +234,46 @@ def _rotated(r: np.ndarray, p: np.ndarray, t: np.ndarray | None = None) -> np.nd
     return out
 
 
+def _close(a: float, b: float) -> bool:
+    """``np.allclose``'s rule with ``atol=1e-9`` and its default ``rtol``:
+    ``|a - b| <= 1e-9 + 1e-5 * |b|``, in the same float64 operations."""
+    return abs(a - b) <= 1e-9 + 1e-5 * abs(b)
+
+
+def _check_rotation(r: list) -> None:
+    """ValidationError unless the 3x3 rows ``r`` are a rotation by
+    :func:`_close`'s rule: each entry of RᵀR within 1e-9 of the identity's
+    off the diagonal and within 1e-9 + 1e-5 on it, and the determinant
+    within 1e-9 + 1e-5 of +1.
+
+    RᵀR is formed in Python floats as :func:`_rotated` forms it, so that
+    decision is ``np.allclose``'s on ``_rotated(r.T, r.T)``. The determinant
+    is expanded by cofactors; it can differ from LU's in its last bits, so
+    only a determinant within a few ulps of the bound may be decided
+    otherwise than by ``np.linalg.det``."""
+    cols = list(zip(*r))
+    for i, (x, y, z) in enumerate(cols):
+        for j, (a, b, c) in enumerate(cols):
+            if not _close(x * a + y * b + z * c, 1.0 if i == j else 0.0):
+                raise ValidationError(
+                    "rotation is not orthonormal: an entry of R^T R is off the identity's by "
+                    "more than 1e-9 + 1e-5 * |identity entry|"
+                )
+    (a, b, c), (d, e, f), (g, h, k) = r
+    if not _close(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g), 1.0):
+        raise ValidationError("rotation determinant is not +1 within 1e-9 + 1e-5")
+
+
+def _check_finite(t: np.ndarray) -> None:
+    if not all(math.isfinite(v) for v in t.tolist()):
+        raise ValidationError("translation must be finite")
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """Rigid motion: p -> R p + t, with rotation R and translation t in mm.
-    Every product with R rounds one way, :func:`_rotated`'s."""
+    Every product with R rounds one way, :func:`_rotated`'s. The constructor
+    checks the rotation (:func:`_check_rotation`) and that t is finite."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -246,12 +283,8 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if not np.allclose(_rotated(r.T, r.T), np.eye(3), atol=1e-9):
-            raise ValidationError("rotation is not orthonormal within 1e-9")
-        if not np.isclose(np.linalg.det(r), 1.0, atol=1e-9):
-            raise ValidationError("rotation determinant is not +1 within 1e-9")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("translation must be finite")
+        _check_rotation(r.tolist())
+        _check_finite(t)
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -298,8 +331,7 @@ class RigidTransform:
         """This rotation with translation ``t``; only ``t`` is checked, since
         the rotation already was."""
         t = np.asarray(t, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("translation must be finite")
+        _check_finite(t)
         return RigidTransform._unchecked(self.rotation, t)
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
@@ -359,13 +391,14 @@ def camera_pose_from_lookat(eye, target) -> RigidTransform:
 class InstanceMask:
     """Per-object pixel set from (oracle or real) instance segmentation."""
 
-    bitmap: np.ndarray  # bool, shape (height, width)
+    bitmap: np.ndarray  # bool, shape (height, width), stored as a read-only view
     label: str = "object"
     confidence: float = 1.0
     instance_id: int = -1  # oracle provenance; a live detector leaves -1
 
     def __post_init__(self):
-        bm = np.asarray(self.bitmap, dtype=bool)
+        bm = np.asarray(self.bitmap, dtype=bool).view()
+        bm.flags.writeable = False
         object.__setattr__(self, "bitmap", bm)
         if bm.ndim != 2:
             raise ValidationError("mask bitmap must be 2-D")
@@ -379,6 +412,13 @@ class InstanceMask:
     @property
     def height(self) -> int:
         return self.bitmap.shape[0]
+
+    @functools.cached_property
+    def centroid(self) -> tuple[float, float]:
+        """:func:`mask_centroid`, computed once per mask. The mask holds a
+        read-only view of its bitmap, so the value cannot go stale through
+        it."""
+        return mask_centroid(self)
 
 
 def mask_area(mask: InstanceMask) -> int:

@@ -30,7 +30,6 @@ from .geometry import (
     deproject_pixel,
     json_keys,
     json_nested,
-    mask_centroid,
     project_point,
 )
 from .graspdetect import GraspConfig, HandGeometry, detect_grasps
@@ -288,7 +287,7 @@ def _run_pose_stability_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
 
     probes = []  # (label, u, v, read window size)
     for det in dets:
-        cu, cv = mask_centroid(det)
+        cu, cv = det.centroid
         probes.append((det.label, cu, cv, CENTROID_WINDOW))
     bodies = [p for p in scene.parts if p.part_class == "body"]
     if bodies:

@@ -26,7 +26,6 @@ from .geometry import (
     RigidTransform,
     deproject_pixel,
     mask_area,
-    mask_centroid,
 )
 from .scenesim import CameraSpec, Scene, SensorModel, degrade_mask, render_instance_masks
 
@@ -84,7 +83,7 @@ def sort_by_mask_area(masks: list[InstanceMask]) -> list[InstanceMask]:
     :func:`detections_from_masks` never returns one.
     """
     def key(mask: InstanceMask):
-        cu, cv = mask_centroid(mask)
+        cu, cv = mask.centroid
         return (-mask_area(mask), cv, cu)
     return sorted(masks, key=key)
 
@@ -153,7 +152,7 @@ def object_workspace_pose(
 
     Returns the ``(3,)`` position in the robot frame, mm. An empty mask
     raises :class:`~rockstack.errors.EmptyMaskError`."""
-    cu, cv = mask_centroid(mask)
+    cu, cv = mask.centroid
     d = median_window_depth(depth, cu, cv, size=CENTROID_WINDOW)
     return cam_to_robot.apply(deproject_pixel(intr, cu, cv, d))
 

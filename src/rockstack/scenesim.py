@@ -417,14 +417,20 @@ PARTS = {
 }
 
 
+# one shape per part class: every part of a class shares it, so its bounding
+# sphere and surface samples are computed once
+_PART_SHAPES = {part_class: Union(primitives) for part_class, (primitives, _) in PARTS.items()}
+
+
 def make_part(part_class: str, instance_id: int, pose: RigidTransform | None = None) -> RobotPartModel:
-    """The :data:`PARTS` entry ``part_class`` at ``pose`` (identity by default)."""
+    """The :data:`PARTS` entry ``part_class`` at ``pose`` (identity by
+    default); all parts of a class share one :class:`Union`."""
     if part_class not in PARTS:
         raise ValidationError(f"unknown part class {part_class!r}")
-    primitives, attachments = PARTS[part_class]
+    attachments = PARTS[part_class][1]
     return RobotPartModel(
         part_class,
-        Union(primitives),
+        _PART_SHAPES[part_class],
         dict(attachments),
         pose if pose is not None else RigidTransform.identity(),
         instance_id,
@@ -523,26 +529,27 @@ def _settle_rock(rock: RockModel, terrain: Terrain) -> None:
     """Drop the rock along -z until its lowest surface point meets the terrain.
 
     Coarse parametric sampling plus two local refinements keeps the residual
-    penetration well under 0.1 mm.
+    penetration well under 0.1 mm. The coarse pass reads the shape's own
+    surface grid (:meth:`~rockstack.shapes.Superellipsoid.surface_points`).
     """
     shape = rock.shape
-    n_eta, n_omega = 32, 64
-    eta = np.linspace(-math.pi / 2, math.pi / 2, n_eta)
-    omega = np.linspace(-math.pi, math.pi, n_omega, endpoint=False)
 
-    def gap_for(e_grid, w_grid):
-        ee, ww = np.meshgrid(e_grid, w_grid, indexing="ij")
-        pts = rock.pose.apply(shape._param_points(ee.ravel(), ww.ravel()))
+    def lowest(local):
+        pts = rock.pose.apply(local)
         gaps = pts[:, 2] - terrain.height_at(pts[:, 0], pts[:, 1])
         k = int(np.argmin(gaps))
-        return float(gaps[k]), ee.ravel()[k], ww.ravel()[k]
+        return float(gaps[k]), k
 
-    best_gap, be, bw = gap_for(eta, omega)
-    de, dw = math.pi / n_eta, 2 * math.pi / n_omega
+    eta, omega = shape.surface_angles()
+    best_gap, k = lowest(shape.surface_points())
+    be, bw = eta[k // omega.size], omega[k % omega.size]
+    de, dw = math.pi / eta.size, 2 * math.pi / omega.size
     for _ in range(2):
         e_grid = np.linspace(max(be - de, -math.pi / 2), min(be + de, math.pi / 2), 17)
         w_grid = np.linspace(bw - dw, bw + dw, 17)
-        g, be, bw = gap_for(e_grid, w_grid)
+        ee, ww = np.meshgrid(e_grid, w_grid, indexing="ij")
+        g, k = lowest(shape._param_points(ee.ravel(), ww.ravel()))
+        be, bw = ee.flat[k], ww.flat[k]
         best_gap = min(best_gap, g)
         de /= 8.0
         dw /= 8.0
@@ -711,12 +718,31 @@ def _rotated_dirs(intr: CameraIntrinsics, rotation: bytes) -> np.ndarray:
 def _object_pixel_rows(
     obj, intr: CameraIntrinsics, pose: RigidTransform
 ) -> np.ndarray | None:
-    """Flat pixel indices whose rays can hit the object's bounding sphere."""
+    """Flat pixel indices, read-only, whose rays can hit the object's
+    bounding sphere; None when none can.
+
+    They depend on the sphere's centre and radius, the intrinsics and the
+    camera pose alone, and are memoised on those values' bits
+    (:func:`_footprint`), so a body that moves gets its new footprint."""
     center_w, radius = obj.bounding
-    inv = pose.inverse()
-    c = inv.apply(center_w)
+    bits = np.concatenate([pose.rotation.ravel(), pose.translation, center_w, [radius]]).tobytes()
+    return _footprint(intr, bits)
+
+
+@functools.lru_cache(maxsize=16)
+def _footprint(intr: CameraIntrinsics, bits: bytes) -> np.ndarray | None:
+    """:func:`_object_pixel_rows` for the float64 bits of the camera pose's
+    rotation (row-major) and translation, then the sphere's centre and
+    radius. Sixteen entries hold every body of a view, as each cast of the
+    view asks for them in turn."""
+    values = np.frombuffer(bits)
+    inv = RigidTransform(values[:9].reshape(3, 3), values[9:12]).inverse()
+    radius = float(values[15])
+    c = inv.apply(values[12:15])
     if c[2] <= 1.0:
-        return np.arange(intr.width * intr.height)
+        rows = np.arange(intr.width * intr.height)
+        rows.flags.writeable = False
+        return rows
     margin = max(c[2] - radius, 1.0)
     ru = intr.fx * radius / margin + 2
     rv = intr.fy * radius / margin + 2
@@ -727,7 +753,9 @@ def _object_pixel_rows(
     if u1 < u0 or v1 < v0:
         return None
     vv, uu = np.meshgrid(np.arange(v0, v1 + 1), np.arange(u0, u1 + 1), indexing="ij")
-    return (vv * intr.width + uu).ravel()
+    rows = (vv * intr.width + uu).ravel()
+    rows.flags.writeable = False
+    return rows
 
 
 def object_pixels(scene: Scene, camera: CameraSpec) -> np.ndarray:

@@ -28,6 +28,7 @@ ray one sample at a time (``tests/render_oracle.py``):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,18 @@ from .errors import ValidationError
 
 _MISS = np.inf
 _MARCH_BLOCKS = 4  # column blocks of the superellipsoid march
+
+
+def _kept(shape, key, build) -> np.ndarray:
+    """``build()``'s array, made once per frozen ``shape`` and ``key``, kept
+    in the shape's ``__dict__`` and returned read-only, so no caller can
+    change what the next one reads."""
+    memo = shape.__dict__.setdefault("_kept", {})
+    if key not in memo:
+        arr = build()
+        arr.flags.writeable = False
+        memo[key] = arr
+    return memo[key]
 
 
 def _first_crossing(inside, o, d, s_lo, s_hi, w_lo, w_hi, n_samples=48, n_bisect=24):
@@ -185,12 +198,24 @@ class Superellipsoid:
         half = self.az * np.maximum(1.0 - g, 0.0) ** (self.e1 / 2.0)
         return np.where(g < 1.0, half, np.nan)
 
-    def surface_points(self, n_eta: int = 32, n_omega: int = 64) -> np.ndarray:
-        """Deterministic parametric surface grid, shape (n_eta * n_omega, 3)."""
+    @staticmethod
+    def surface_angles(n_eta: int = 32, n_omega: int = 64) -> tuple[np.ndarray, np.ndarray]:
+        """The latitudes eta and longitudes omega of :meth:`surface_points`'
+        grid: row ``k`` of the grid is ``(eta[k // n_omega], omega[k % n_omega])``."""
         eta = np.linspace(-math.pi / 2, math.pi / 2, n_eta)
         omega = np.linspace(-math.pi, math.pi, n_omega, endpoint=False)
-        ee, ww = np.meshgrid(eta, omega, indexing="ij")
-        return self._param_points(ee.ravel(), ww.ravel())
+        return eta, omega
+
+    def surface_points(self, n_eta: int = 32, n_omega: int = 64) -> np.ndarray:
+        """Deterministic parametric surface grid, shape (n_eta * n_omega, 3),
+        over :meth:`surface_angles`; computed once per shape and size and
+        returned read-only."""
+
+        def build():
+            ee, ww = np.meshgrid(*self.surface_angles(n_eta, n_omega), indexing="ij")
+            return self._param_points(ee.ravel(), ww.ravel())
+
+        return _kept(self, (n_eta, n_omega), build)
 
     def _param_points(self, eta: np.ndarray, omega: np.ndarray) -> np.ndarray:
         def sgn_pow(val, expo):
@@ -454,14 +479,22 @@ class Union:
             mask = m if mask is None else (mask | m)
         return mask
 
-    @property
+    @functools.cached_property
     def bounding(self) -> tuple[np.ndarray, float]:
-        """Center and radius of a sphere enclosing all primitives."""
+        """Center (read-only) and radius of a sphere enclosing all
+        primitives, computed once per union."""
         centers, radii = zip(*(prim.bounding for prim in self.primitives))
         centers = np.asarray(centers)
         mid = centers.mean(axis=0)
+        mid.flags.writeable = False
         reach = max(float(np.linalg.norm(c - mid)) + r for c, r in zip(centers, radii))
         return mid, reach
 
     def surface_points(self, spacing: float = 2.5) -> np.ndarray:
-        return np.concatenate([prim.surface_points(spacing) for prim in self.primitives])
+        """The primitives' surface samples at ``spacing``, in primitive
+        order; computed once per union and spacing and returned read-only."""
+        return _kept(
+            self,
+            spacing,
+            lambda: np.concatenate([prim.surface_points(spacing) for prim in self.primitives]),
+        )

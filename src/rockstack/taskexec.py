@@ -40,7 +40,6 @@ from .geometry import (
     camera_pose_from_lookat,
     deproject_pixel,
     mask_area,
-    mask_centroid,
     project_point,
 )
 from .graspdetect import (
@@ -834,7 +833,7 @@ def _observe_base(
     view = NoisyDepth(scene, scene.base_camera, sensor, derive_seed(seed, 1))
     dets = detections_from_masks(view.masks(), sensor, derive_seed(seed, 2), labels=labels)
     shape = view.depth.shape
-    reads = [window_pixels(*mask_centroid(det), CENTROID_WINDOW, shape) for det in dets]
+    reads = [window_pixels(*det.centroid, CENTROID_WINDOW, shape) for det in dets]
     view.cast(np.concatenate(reads or [np.empty(0, dtype=np.intp)]))
     return view, dets
 

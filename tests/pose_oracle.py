@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from rockstack.geometry import deproject_pixel, project_point
+from rockstack.geometry import deproject_pixel, mask_centroid, project_point
 from rockstack.harness import ExperimentConfig
 from rockstack.perception import (
     detect_objects,
-    mask_centroid,
     median_window_depth,
     object_workspace_pose,
     pose_stability_stats,

@@ -33,6 +33,7 @@ from rockstack.geometry import (
     project_point,
     write_depth_pgm,
     write_mask_pbm,
+    _rotated,
 )
 
 from conftest import rotated_by_hand
@@ -162,6 +163,48 @@ class TestRigidTransform:
             RigidTransform(np.eye(3) * 2.0, np.zeros(3))
         with pytest.raises(ValidationError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # det -1
+
+    def test_the_check_allows_1e_5_on_the_diagonal(self):
+        """The check is np.allclose's rule with atol 1e-9 and rtol 1e-5, so
+        RᵀR's diagonal and the determinant may be about 1e-5 off."""
+        RigidTransform(np.eye(3) * (1 + 2e-6), np.zeros(3))
+        with pytest.raises(ValidationError, match="orthonormal"):
+            RigidTransform(np.eye(3) * (1 + 6e-6), np.zeros(3))
+        with pytest.raises(ValidationError, match="determinant"):
+            RigidTransform(np.eye(3) * (1 + 3.34e-6), np.zeros(3))
+
+    def test_the_check_decides_as_numpy_does(self):
+        """Oracle: the NumPy rule the Python-float check replaced, on random
+        rotations and reflections perturbed elementwise by 1e-12 to 1e-4 and
+        on scalings that straddle both bounds."""
+        rng = np.random.default_rng(29)
+        cases = []
+        for k in range(3000):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            if k % 4 == 0:
+                q[:, 0] = -q[:, 0]
+            if np.linalg.det(q) < 0 and k % 4:
+                q[:, 0] = -q[:, 0]
+            scale = 10.0 ** rng.uniform(-12, -4)
+            cases.append(q + rng.choice([-scale, scale], size=(3, 3)) * rng.uniform(0, 1, (3, 3)))
+            band = rng.choice([5e-6, 1e-5 / 3]) * (1 + rng.uniform(-0.02, 0.02))
+            cases.append(q * (1 + band))
+        outcomes = {"orthonormal": 0, "determinant": 0, None: 0}
+        for r in cases:
+            if not np.allclose(_rotated(r.T, r.T), np.eye(3), atol=1e-9):
+                expected = "orthonormal"
+            elif not np.isclose(np.linalg.det(r), 1.0, atol=1e-9):
+                expected = "determinant"
+            else:
+                expected = None
+            try:
+                RigidTransform(r, np.zeros(3))
+                got = None
+            except ValidationError as exc:
+                got = "orthonormal" if "orthonormal" in str(exc) else "determinant"
+            assert got == expected, r
+            outcomes[got] += 1
+        assert min(outcomes.values()) > 500, outcomes
 
     def test_public_entry_points_still_validate(self):
         bad = np.array([[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -323,6 +366,16 @@ class TestMasks:
             got = mask_centroid(InstanceMask(bm))
             want = nonzero_mean(bm)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_centroid_is_kept_on_the_mask(self):
+        bitmap = np.zeros((12, 9), dtype=bool)
+        bitmap[2:7, 3:5] = True
+        bitmap[9, 8] = True
+        mask = InstanceMask(bitmap=bitmap)
+        assert mask.centroid == mask_centroid(mask)
+        assert mask.centroid is mask.centroid
+        with pytest.raises(ValueError, match="read-only"):
+            mask.bitmap[0, 0] = True
 
     def test_empty_centroid_raises(self):
         with pytest.raises(EmptyMaskError):

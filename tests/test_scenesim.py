@@ -43,14 +43,16 @@ from rockstack.scenesim import (
     DEFAULT_BASE_CAMERA,
     DEFAULT_HAND_INTRINSICS,
     MISS_ID,
+    PARTS,
     NoisyDepth,
     _disk,
+    _footprint,
     _object_pixel_rows,
     _pixel_dirs,
     noisy_readings,
     object_pixels,
 )
-from rockstack.shapes import Superellipsoid
+from rockstack.shapes import Superellipsoid, Union
 from rockstack.taskexec import GRIPPER_ID, ArmState, ExecParams, gripper_geometry
 
 from conftest import rotated_by_hand
@@ -524,6 +526,51 @@ class TestNoisyDepth:
             assert got.size < 2 * inside.size + 400
 
 
+class TestFootprintMemo:
+    """Oracle for the memoised footprints: the footprint a render reads is
+    the one computed afresh (an emptied memo) for the body where it is at
+    the call, even for a move of one ulp."""
+
+    def test_a_body_moved_by_one_ulp_gets_its_new_footprint(self):
+        scene = single_rock_scene(Superellipsoid(22, 18, 15), (40.0, 520.0, 15.0))
+        rock, cam = scene.rocks[0], scene.base_camera
+        _, y, z = rock.pose.translation
+
+        def uncached(x):
+            rock.pose = rock.pose.with_translation((x, y, z))
+            _footprint.cache_clear()
+            return object_pixels(scene, cam), render_scene_geometry(scene, cam)[1]
+
+        # two adjacent floats whose footprints differ, by bisection
+        lo, hi = 40.0, 45.0
+        at_lo = uncached(lo)[0]
+        assert not np.array_equal(at_lo, uncached(hi)[0])
+        while np.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2
+            if np.array_equal(uncached(mid)[0], at_lo):
+                lo = mid
+            else:
+                hi = mid
+        want_pixels, want_ids = uncached(hi)
+
+        rock.pose = rock.pose.with_translation((lo, y, z))
+        first = object_pixels(scene, cam)
+        render_scene_geometry(scene, cam)
+        rock.pose = rock.pose.with_translation((hi, y, z))
+        np.testing.assert_array_equal(object_pixels(scene, cam), want_pixels)
+        np.testing.assert_array_equal(render_scene_geometry(scene, cam)[1], want_ids)
+        assert not np.array_equal(first, want_pixels)
+
+    def test_footprints_are_read_only(self):
+        scene = generate_scene(SceneSpec(rock_count=(3, 3), parts=("head",)), seed=6)
+        cam = scene.base_camera
+        for obj in scene.objects():
+            rows = _object_pixel_rows(obj, cam.intrinsics, cam.pose)
+            assert rows is _object_pixel_rows(obj, cam.intrinsics, cam.pose)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0
+
+
 class TestInstanceMasks:
     def test_single_rock_one_mask(self):
         scene = single_rock_scene(Superellipsoid(25, 25, 18), (0.0, 500.0, 18.0))
@@ -718,6 +765,17 @@ class TestParts:
         np.testing.assert_allclose(
             body.attachments["socket_right"].rotation[:, 2], [0.0, -1.0, 0.0], atol=1e-12
         )
+
+    @pytest.mark.parametrize("part_class", ["head", "leg", "body"])
+    def test_parts_of_a_class_share_one_shape(self, part_class):
+        a = make_part(part_class, 0)
+        b = make_part(part_class, 1, RigidTransform.rotation_z(0.3, (5.0, 6.0, 7.0)))
+        assert a.shape is b.shape
+        fresh = Union(PARTS[part_class][0])
+        for spacing in (2.0, 2.5):
+            assert a.shape.surface_points(spacing).tobytes() == fresh.surface_points(spacing).tobytes()
+        (center, radius), (fresh_center, fresh_radius) = a.shape.bounding, fresh.bounding
+        assert center.tobytes() == fresh_center.tobytes() and radius == fresh_radius
 
     def test_part_class_validation(self):
         with pytest.raises(ValidationError, match="unknown part class 'wheel'"):

@@ -192,6 +192,45 @@ class TestCylinder:
         assert np.all(on_side | on_cap)
 
 
+class TestKeptSamples:
+    """Oracle for the samples a shape keeps: a fresh build of the same
+    grid or samples, bit for bit, and no way to write to the kept array."""
+
+    @pytest.mark.parametrize("size", [(), (16, 32), (7, 5)])
+    def test_rock_grid_equals_a_fresh_build(self, size):
+        s = Superellipsoid(ax=21.0, ay=14.5, az=11.0, e1=0.73, e2=1.31)
+        n_eta, n_omega = size or (32, 64)
+        eta = np.linspace(-math.pi / 2, math.pi / 2, n_eta)
+        omega = np.linspace(-math.pi, math.pi, n_omega, endpoint=False)
+        ee, ww = np.meshgrid(eta, omega, indexing="ij")
+        fresh = s._param_points(ee.ravel(), ww.ravel())
+        kept = s.surface_points(*size)
+        assert kept.tobytes() == fresh.tobytes()
+        assert s.surface_points(*size) is kept
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1.0
+
+    def test_union_samples_and_bounding_equal_a_fresh_build(self):
+        prims = (
+            Box(center=(10.0, 0.0, 0.0), half_extents=(2.0, 2.0, 2.0)),
+            Sphere(center=(-10.0, 0.0, 0.0), radius=3.0),
+            Cylinder(base=(0.0, 5.0, 0.0), axis=(0.0, 0.0, 1.0), length=6.0, radius=1.5),
+        )
+        union = Union(prims)
+        for spacing in (2.0, 2.5, 2.0):
+            kept = union.surface_points(spacing)
+            fresh = np.concatenate([prim.surface_points(spacing) for prim in prims])
+            assert kept.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 1.0
+        center, radius = union.bounding
+        fresh_center, fresh_radius = Union(prims).bounding
+        assert union.bounding is union.bounding
+        assert center.tobytes() == fresh_center.tobytes() and radius == fresh_radius
+        with pytest.raises(ValueError, match="read-only"):
+            center[0] = 1.0
+
+
 class TestUnions:
     def test_union_raycast_takes_nearest(self):
         prims = [

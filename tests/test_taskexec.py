@@ -345,6 +345,29 @@ class TestPlaceOnStack:
 
 
 class TestRunStackingTask:
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_each_centroid_is_computed_once(self, monkeypatch, seed):
+        """A stack trial computes each detection's mask centroid once, for
+        the centroid window, the sort and the position read alike."""
+        import rockstack
+
+        calls = []
+        real = rockstack.geometry.mask_centroid
+
+        def counted(mask):
+            calls.append(mask)
+            return real(mask)
+
+        for module in vars(rockstack).values():
+            if getattr(module, "mask_centroid", None) is real:
+                monkeypatch.setattr(module, "mask_centroid", counted)
+        scene = generate_scene(replace(EASY_SCENE, rock_count=(3, 3)), seed=seed)
+        report = run_stacking_task(
+            scene, HandGeometry(), GraspConfig(), SensorModel(depth_sigma=2.0), ExecParams(), seed=seed
+        )
+        assert len(report.rocks) == 3
+        assert len(calls) == len({id(m) for m in calls}) == len(report.rocks)
+
     def test_two_rock_zero_noise_success(self):
         spec = replace(EASY_SCENE, rock_count=(2, 2))
         scene = generate_scene(spec, seed=5)
