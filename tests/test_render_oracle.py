@@ -1,7 +1,7 @@
-"""The superellipsoid march, the terrain height lookup and the RANSAC
-hypothesis against the reference kernels in ``render_oracle.py``, bit for
-bit, and the exact terrain cast against the dense march of
-``terrain_oracle.py``.
+"""The superellipsoid march, the terrain height lookup, the exact terrain
+cast and the RANSAC hypothesis against the reference kernels in
+``render_oracle.py``, bit for bit, and the exact terrain cast against the
+dense march of ``terrain_oracle.py``.
 
 The library kernels skip work whose outcome is known: march samples
 outside the superellipsoid's bounding box and the ``np.cross`` call
@@ -22,15 +22,17 @@ from render_oracle import (
     record_calls,
     superellipsoid_raycast,
     terrain_height_at,
+    terrain_raycast,
 )
 import ransac_oracle
-from rockstack import pointcloud, shapes, taskexec
+from rockstack import pointcloud, scenesim, shapes, taskexec
 from rockstack.geometry import CameraIntrinsics, RigidTransform, camera_pose_from_lookat
 from rockstack.harness import ExperimentConfig, run_trial
 from rockstack.pointcloud import PointCloud, _plane_from_three, fit_plane_ransac
-from rockstack.scenesim import Terrain, _pixel_dirs
+from rockstack.scenesim import CameraSpec, Terrain, _pixel_dirs, generate_scene
 from rockstack.shapes import Superellipsoid
 from terrain_oracle import terrain_cast
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 NOMINAL_STACK = {
     "task": "stack",
@@ -50,6 +52,11 @@ def same_bits(got, want) -> bool:
     got = np.asarray(got)
     want = np.asarray(want)
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def same_cast(got, want) -> bool:
+    """Equal float64 ray parameters, compared as their int64 bits."""
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def cast_matches_oracle(terrain: Terrain, origin, dirs) -> np.ndarray:
@@ -107,6 +114,12 @@ class TestRecordedStackTrials:
         for t, origin, dirs in terrain:
             got = cast_matches_oracle(t, origin, dirs)
             assert np.isfinite(got[dirs[:, 2] < 0]).all()
+
+    def test_terrain_reference(self, calls):
+        terrain = calls[1]
+        assert len(terrain) > 5
+        for t, origin, dirs in terrain:
+            assert same_cast(t.raycast_world(origin, dirs), terrain_raycast(t, origin, dirs))
 
     def test_planes(self, calls):
         planes, fits = calls[2], calls[3]
@@ -484,6 +497,89 @@ class TestTerrain:
         # the barely descending ray meets the clamped corner height far off
         assert got[-1] == pytest.approx((t.heights[0, 0] - cam.translation[2]) / -1e-10)
         assert np.isfinite(got[dirs[:, 2] < 0]).all()
+
+
+def golden_views(name: str, seed: int):
+    """(terrain, origin, dirs) of the whole-image base view and, per object,
+    the two wrist views 120 mm to either side of it of a golden scene."""
+    scene = generate_scene(ExperimentConfig.from_json_dict(GOLDEN_CONFIGS[name]).scene, seed)
+    cameras = [scene.base_camera]
+    for obj in scene.objects():
+        x, y = obj.bounding[0][:2]
+        for dx in (-120.0, 120.0):
+            pose = camera_pose_from_lookat((x + dx, y, 330.0), (x, y, 0.0))
+            cameras.append(CameraSpec(scene.hand_camera_intrinsics, pose))
+    return [(scene.terrain, cam.pose.translation, _pixel_dirs(cam.intrinsics, cam.pose)) for cam in cameras]
+
+
+def terrain_ray_sets():
+    """(terrain, origin, dirs) as in TestTerrain: camera rays, rays grazing
+    the surface from just above its highest point, level and rising rays
+    from within its height range, rays from below it, rays across a saddle
+    cell and a camera far off the grid."""
+    sets = []
+    intr = CameraIntrinsics(fx=150.0, fy=150.0, cx=60.0, cy=45.0, width=120, height=90)
+    cam = camera_pose_from_lookat((20.0, 480.0, 400.0), (0.0, 500.0, 0.0))
+    for amplitude in (0.0, 5.0, 40.0, 80.0):
+        t = Terrain.generate(150.0, 150.0, 2.0, amplitude, seed=9)
+        sets.append((t, cam.translation, _pixel_dirs(intr, cam)))
+    rng = np.random.default_rng(31)
+    heading = rng.uniform(-np.pi, np.pi, 600)
+    slope = np.concatenate([-np.geomspace(1e-4, 0.3, 300), np.zeros(100), np.geomspace(1e-4, 0.2, 200)])
+    dirs = np.column_stack([np.cos(heading), np.sin(heading), slope])
+    for amplitude in (5.0, 40.0, 80.0):
+        t = Terrain.generate(100.0, 80.0, 5.0, amplitude, seed=5)
+        z_hi = t.heights.max()
+        x, y = rng.uniform(-60, 60), rng.uniform(450, 550)
+        h = float(t.height_at(x, y))
+        for z in (z_hi + 0.5, h + 0.2 * (z_hi - h), h + 0.6 * (z_hi - h), h - 0.5):
+            sets.append((t, np.array([x, y, z]), dirs))
+    saddle = Terrain(np.array([[0.0, 0.0], [0.0, 10.0]]), pitch=10.0, origin=(0.0, 0.0))
+    heading = rng.uniform(0.1, 1.5, 400)
+    dirs = np.column_stack([np.cos(heading), np.sin(heading), rng.uniform(-0.3, 0.3, 400)])
+    for z in (2.0, 5.0, 8.0):
+        sets.append((saddle, np.array([-5.0, -5.0, z]), dirs))
+    t = Terrain.generate(60.0, 60.0, 2.0, 20.0, seed=2)
+    intr = CameraIntrinsics(fx=80.0, fy=80.0, cx=40.0, cy=30.0, width=80, height=60)
+    cam = camera_pose_from_lookat((-400.0, 100.0, 150.0), (0.0, 500.0, -50.0))
+    dirs = np.concatenate([_pixel_dirs(intr, cam), [[0.3, 0.2, 0.0], [0.0, 0.0, 1.0], [1e-12, 0.0, -1e-10]]])
+    sets.append((t, cam.translation, dirs))
+    return sets
+
+
+GOLDEN_SCENES = [("stack_nominal_0", 0), ("stack_nominal_12", 12), ("pose_stability", 0),
+                 ("assemble_head", 0), ("assemble_leg", 1)]
+
+
+class TestTerrainReference:
+    """The terrain cast against the reference kernel, ``terrain_raycast``
+    of ``render_oracle.py``, bit for bit; the recorded stack trials'
+    casts are checked in TestRecordedStackTrials."""
+
+    @pytest.mark.parametrize("name, seed", GOLDEN_SCENES)
+    def test_whole_golden_views(self, name, seed):
+        for t, origin, dirs in golden_views(name, seed):
+            assert same_cast(t.raycast_world(origin, dirs), terrain_raycast(t, origin, dirs))
+
+    def test_terrain_ray_sets(self):
+        for t, origin, dirs in terrain_ray_sets():
+            assert same_cast(t.raycast_world(origin, dirs), terrain_raycast(t, origin, dirs))
+
+    def test_blocks_and_order_do_not_matter(self, monkeypatch):
+        """One ray set cast in one block, in many small blocks (whose walks
+        are pooled) and in shuffled order gives the same bits."""
+        rng = np.random.default_rng(41)
+        sets = terrain_ray_sets() + golden_views("stack_nominal_0", 0)[:2]
+        for t, origin, dirs in sets:
+            want = t.raycast_world(origin, dirs)
+            order = rng.permutation(dirs.shape[0])
+            shuffled = np.empty_like(want)
+            shuffled[order] = t.raycast_world(origin, dirs[order])
+            assert same_cast(shuffled, want)
+            for block in (dirs.shape[0], 37):
+                monkeypatch.setattr(scenesim, "_RAY_BLOCK", block)
+                assert same_cast(t.raycast_world(origin, dirs), want)
+            monkeypatch.undo()
 
 
 class TestPlaneHypothesis:

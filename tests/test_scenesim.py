@@ -38,7 +38,8 @@ from rockstack.scenesim import (
     superellipse_unit_area,
 )
 from rockstack.graspdetect import HandGeometry
-from rockstack.harness import ExperimentConfig
+from rockstack import scenesim
+from rockstack.harness import ExperimentConfig, run_trial
 from rockstack.scenesim import (
     DEFAULT_BASE_CAMERA,
     DEFAULT_HAND_INTRINSICS,
@@ -57,6 +58,7 @@ from rockstack.taskexec import GRIPPER_ID, ArmState, ExecParams, gripper_geometr
 
 from conftest import rotated_by_hand
 from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_golden import NOMINAL_SENSOR
 
 
 def flat_terrain(z: float = 0.0) -> Terrain:
@@ -107,6 +109,25 @@ class TestTerrain:
         t = Terrain(np.array([[1.0, 2.0], [3.0, 4.0]]), pitch=1.0, origin=(0.0, 0.0))
         assert float(t.height_at(-100.0, -100.0)) == pytest.approx(1.0)
         assert float(t.height_at(100.0, 100.0)) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_heights_are_a_read_only_copy(self, dtype):
+        """The terrain's tables are built once from its heights, so it keeps
+        its own copy, read-only; the caller's array stays its own."""
+        heights = np.arange(12.0, dtype=dtype).reshape(3, 4)
+        t = Terrain(heights, pitch=10.0, origin=(0.0, 0.0))
+        assert t.heights.dtype == np.float64 and not np.shares_memory(t.heights, heights)
+        with pytest.raises(ValueError, match="read-only"):
+            t.heights[0, 0] = 5.0
+        heights[0, 0] = 100.0
+        assert heights.flags.writeable and t.heights[0, 0] == 0.0
+        # straight down onto the middle of the first cell: (0 + 1 + 4 + 5) / 4
+        assert t.raycast_world(np.array([5.0, 5.0, 50.0]), np.array([[0.0, 0.0, -1.0]]))[0] == 47.5
+
+    @pytest.mark.parametrize("heights", [np.zeros(4), np.zeros((0, 3)), np.zeros((2, 2, 2))])
+    def test_heights_must_be_a_grid(self, heights):
+        with pytest.raises(ValidationError, match="non-empty 2-d grid"):
+            Terrain(heights, pitch=1.0, origin=(0.0, 0.0))
 
 
 class TestGenerateScene:
@@ -295,6 +316,25 @@ class TestRenderDepth:
                 assert dirs.shape == grid.shape
                 for k in range(0, len(grid), 97):
                     assert dirs[k].tobytes() == np.array(rotated_by_hand(p.rotation, grid[k])).tobytes()
+
+    def test_stack_trials_miss_once_per_rotation(self, monkeypatch):
+        """A run of stack trials asks for a few more pixel-grid rotations
+        than three (the base view, and wrist views that round differently
+        from rock to rock); the cache holds them all, so each is built once."""
+        real = scenesim._rotated_dirs
+        asked = []
+
+        def recorded(intr, rotation):
+            asked.append((intr, rotation))
+            return real(intr, rotation)
+
+        monkeypatch.setattr(scenesim, "_rotated_dirs", recorded)
+        real.cache_clear()
+        cfg = ExperimentConfig.from_json_dict({"task": "stack", "base_seed": 1000, "sensor": NOMINAL_SENSOR})
+        for index in range(5):
+            run_trial(cfg, index)
+        assert len(set(asked)) > 3
+        assert real.cache_info().misses == len(set(asked))
 
     def test_noise_model_validation(self):
         with pytest.raises(ValidationError):
@@ -560,6 +600,43 @@ class TestFootprintMemo:
         np.testing.assert_array_equal(object_pixels(scene, cam), want_pixels)
         np.testing.assert_array_equal(render_scene_geometry(scene, cam)[1], want_ids)
         assert not np.array_equal(first, want_pixels)
+
+    def test_a_body_moved_by_one_ulp_gets_its_new_height_range(self):
+        """A view keeps its per-pixel height range while no body moves, and
+        builds it afresh for a body moved by one ulp, as an emptied memo and
+        a new view do."""
+        scene = single_rock_scene(Superellipsoid(22, 18, 15), (40.0, 520.0, 15.0))
+        rock, cam = scene.rocks[0], scene.base_camera
+        _, y, z = rock.pose.translation
+
+        def moved(x):
+            rock.pose = rock.pose.with_translation((x, y, z))
+            _footprint.cache_clear()
+            return object_pixels(scene, cam)
+
+        # two adjacent floats whose footprints differ, by bisection
+        lo, hi = 40.0, 45.0
+        at_lo = moved(lo)
+        while np.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2
+            if np.array_equal(moved(mid), at_lo):
+                lo = mid
+            else:
+                hi = mid
+        moved(hi)
+        want = NoisyDepth(scene, cam, SensorModel(), 0)._height_range()
+
+        moved(lo)
+        view = NoisyDepth(scene, cam, SensorModel(), 0)
+        first = view._height_range()
+        assert view._height_range() is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][0] = 0.0
+        rock.pose = rock.pose.with_translation((hi, y, z))
+        got = view._height_range()
+        assert not np.array_equal(got[0], first[0])
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
     def test_footprints_are_read_only(self):
         scene = generate_scene(SceneSpec(rock_count=(3, 3), parts=("head",)), seed=6)
