@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, RockstackError, ValidationError
-from .geometry import write_depth_pgm, write_mask_pbm
+from .geometry import open_atomic, write_depth_pgm, write_mask_pbm
 from .graspdetect import detect_grasps
 from .harness import (
     ExperimentConfig,
@@ -116,8 +116,8 @@ def _cmd_report_summarize(args) -> int:
         raise FileNotFoundError(f"report directory not found: {in_dir}")
     summary = recompute_summary_from_files(in_dir)
     if args.csv:
-        csv_text = summary_to_csv(summary)
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
+        with open_atomic(args.csv, "w", encoding="utf-8") as f:
+            f.write(summary_to_csv(summary))
         print(f"csv written to {args.csv}", file=sys.stderr)
     if args.json or not args.csv:
         print(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True))

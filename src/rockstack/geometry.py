@@ -13,8 +13,10 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
@@ -456,13 +458,30 @@ def mask_bbox(mask: InstanceMask) -> tuple[int, int, int, int]:
 # file formats
 
 
+@contextlib.contextmanager
+def open_atomic(path, mode: str = "wb", encoding: str | None = None):
+    """Open a temporary file beside ``path`` for writing and, when the block
+    exits cleanly, move it onto ``path`` with ``os.replace``, so ``path``
+    holds either its old bytes or the whole new file, never a partial one.
+    When the block raises, the temporary file is removed."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_depth_pgm(path, depth: np.ndarray) -> None:
     """Write a depth image as 16-bit binary PGM (P5, maxval 65535, mm)."""
     depth = np.asarray(depth)
     if depth.dtype != np.uint16 or depth.ndim != 2:
         raise ValidationError("depth image must be a 2-D uint16 array (mm)")
     h, w = depth.shape
-    with open(path, "wb") as f:
+    with open_atomic(path) as f:
         f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         f.write(depth.astype(">u2").tobytes())
 
@@ -475,7 +494,7 @@ def write_mask_pbm(path, mask: InstanceMask) -> None:
     padded = np.zeros((h, padded_w), dtype=bool)
     padded[:, :w] = bm
     packed = np.packbits(padded, axis=1)
-    with open(path, "wb") as f:
+    with open_atomic(path) as f:
         f.write(f"P4\n{w} {h}\n".encode("ascii"))
         f.write(packed.tobytes())
 

@@ -125,12 +125,14 @@ class GraspConfig(JsonFields):
         object.__setattr__(self, "hand_axis", tuple(axis / norm))
         if self.push_step <= 0:
             raise ValidationError("push_step must be > 0")
-        # a score divides by expected_closing_points; normals need 3 neighbours
+        # a score divides by expected_closing_points; normals need 3 neighbours;
+        # a negative clearance would report grasp widths below zero
         rules = (
             ("expected_closing_points", self.expected_closing_points > 0, "> 0"),
             ("friction_half_angle_deg", 0.0 < self.friction_half_angle_deg <= 90.0, "in (0, 90]"),
             ("normals_k", self.normals_k >= 3, ">= 3"),
             ("voxel_leaf", self.voxel_leaf >= 0, ">= 0"),
+            ("width_clearance", self.width_clearance >= 0, ">= 0"),
         )
         for name, ok, bound in rules:
             if not ok:

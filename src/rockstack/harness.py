@@ -13,23 +13,22 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, PlacementError, ValidationError
 from .geometry import (
     JsonFields,
     deproject_pixel,
     json_keys,
     json_nested,
+    open_atomic,
     project_point,
 )
 from .graspdetect import GraspConfig, HandGeometry, detect_grasps
@@ -356,6 +355,10 @@ def _run_grasp_bench_trial(cfg: ExperimentConfig, seed: int) -> TrialReport:
 def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
     """Run trial ``index`` with seed ``base_seed + index``; never raises.
 
+    A seed whose scene cannot be placed (``PlacementError``) is reported as
+    one failed ``scene`` phase with ``error_code`` ``placement-failed`` and
+    the generator's message as ``error_message``.
+
     Unexpected exceptions become failure reports so one poisoned trial
     cannot abort the batch. The report's one phase records the exception's
     type as its ``error_code`` and its message as ``error_message``; the
@@ -378,6 +381,10 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
         if cfg.task == "grasp_bench":
             return _run_grasp_bench_trial(cfg, seed)
         raise ConfigError(f"task: unknown task {cfg.task!r}")
+    except PlacementError as exc:  # the seed has no scene; the code did not fail
+        trial = TrialLog(cfg.task, seed)
+        trial.phase("scene", "placement-failed", str(exc))
+        return trial.report(False)
     except Exception as exc:  # crash containment: record, don't abort
         print(f"{cfg.task} trial {index} (seed {seed}) crashed:", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
@@ -387,18 +394,12 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialReport:
 
 
 def dump_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` to a temporary file beside ``path``, then move it
-    into place, so ``path`` holds either its old bytes or the whole new
-    file, never a partial one."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write ``payload`` as indented, key-sorted JSON through
+    :func:`~rockstack.geometry.open_atomic`, so ``path`` never holds a
+    partial file."""
+    with open_atomic(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def run_experiment(
@@ -424,6 +425,9 @@ def run_experiment(
         if workers <= 1:
             done = ((i, run_trial(cfg, i)) for i in range(cfg.trials))
         else:
+            # imported on first use: the pool loads multiprocessing (about 25 ms), which a serial run never uses
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             futures = {pool.submit(run_trial, cfg, i): i for i in range(cfg.trials)}
             done = ((futures[f], f.result()) for f in as_completed(futures))

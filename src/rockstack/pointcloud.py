@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateInputError,
@@ -193,6 +192,9 @@ def estimate_normals(cloud: PointCloud, k: int = 15, viewpoint=(0.0, 0.0, 0.0)) 
         raise ValidationError("k must be >= 3 for normal estimation")
     if n < k:
         raise TooFewPointsError(f"cloud of {n} points is smaller than k={k}")
+    # imported on first use: scipy.spatial takes about 0.4 s to load, and a pose trial never fits normals
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(cloud.points)
     _, idx = tree.query(cloud.points, k=k)
     nb = cloud.points[idx]  # (n, k, 3)

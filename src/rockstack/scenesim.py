@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, EmptyCloudError, PlacementError, ValidationError
 from .geometry import (
@@ -1259,6 +1258,9 @@ def degrade_mask(mask: InstanceMask, sensor: SensorModel, seed: int) -> Instance
     bitmap = mask.bitmap
     if not np.any(bitmap):
         return mask
+    # imported on first use: scipy.ndimage takes about 0.4 s to load, and a pose trial never degrades a mask
+    from scipy import ndimage
+
     radius = int(round(sensor.mask_erosion * 5.0))
     u0, v0, u1, v1 = mask_bbox(mask)
     pad = radius + 2

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .errors import ValidationError
 
@@ -170,6 +169,9 @@ class Superellipsoid:
     @property
     def volume(self) -> float:
         """Closed-form volume via Beta functions, mm^3."""
+        # imported on first use: scipy.special takes about 0.25 s to load, and a pose trial never needs a volume
+        from scipy.special import beta as beta_fn
+
         return (
             2.0
             * self.ax

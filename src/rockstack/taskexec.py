@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     BehindCameraError,
@@ -382,6 +381,9 @@ def check_stack_stability(top: RockModel, support: RockModel) -> str:
         raise NoContactError(f"bodies are {min_gap:.2f} mm apart")
     region = xys[ok & (gap <= min_gap + 1.0)]
     com = top.center_of_mass[:2]
+    # imported on first use: scipy.spatial takes about 0.4 s to load, and only stacking checks a hull
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(region)
     except QhullError:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from rockstack.cli import main
 from rockstack.geometry import write_depth_pgm, write_mask_pbm
+from rockstack.harness import dump_json
 from rockstack.scenesim import SceneSpec, SensorModel, generate_scene, render_depth, render_instance_masks
+from rockstack.taskexec import TrialLog
 
 from conftest import box_cloud, write_cloud_xyz
 
@@ -166,6 +169,19 @@ class TestReportSummarize:
 
     def test_missing_dir_is_io_error(self):
         assert main(["report", "summarize", "--in", "/no/reports"]) == 2
+
+    def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
+        reports = tmp_path / "r"
+        reports.mkdir()
+        for i in range(2):
+            dump_json(reports / f"trial_{i}.json", TrialLog("stack", i).report(True).to_json_dict())
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(["report", "summarize", "--in", str(reports), "--csv", str(tmp_path / "s.csv")]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
 
     @pytest.fixture
     def pose_run(self, tmp_path, capsys):

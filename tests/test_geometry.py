@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from rockstack.geometry import (
     mask_area,
     mask_bbox,
     mask_centroid,
+    open_atomic,
     project_point,
     write_depth_pgm,
     write_mask_pbm,
@@ -424,6 +426,38 @@ class TestFileFormats:
         data = path.read_bytes()
         assert data.startswith(b"P4\n9 5\n")
         assert len(data) == len(b"P4\n9 5\n") + 2 * 5  # two packed bytes per row
+
+    def test_open_atomic_leaves_no_file_when_the_block_raises(self, tmp_path):
+        path = tmp_path / "d.pgm"
+        with pytest.raises(RuntimeError):
+            with open_atomic(path) as f:
+                f.write(b"P5\n23 17\n")
+                raise RuntimeError("write failed partway")
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with open_atomic(path, "w", encoding="utf-8") as f:
+                f.write("new")
+                raise RuntimeError("write failed partway")
+        assert [p.name for p in tmp_path.iterdir()] == ["d.pgm"]
+        assert path.read_bytes() == b"old"
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_depth_pgm(path, np.zeros((4, 5), dtype=np.uint16)),
+            lambda path: write_mask_pbm(path, InstanceMask(np.ones((4, 5), dtype=bool))),
+        ],
+        ids=["pgm", "pbm"],
+    )
+    def test_failed_image_write_leaves_no_file(self, tmp_path, monkeypatch, write):
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write(tmp_path / "image")
+        assert list(tmp_path.iterdir()) == []
 
     def test_intrinsics_extrinsic_json(self, intr):
         import json

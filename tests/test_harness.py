@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from rockstack.errors import ConfigError, ValidationError
+from rockstack.errors import ConfigError, PlacementError, ValidationError
 from rockstack.geometry import CameraIntrinsics, RigidTransform
 from rockstack.graspdetect import GraspConfig, HandGeometry
 from rockstack.harness import (
@@ -323,6 +323,7 @@ class TestConfig:
                 "grasp: friction_half_angle_deg: must be in (0, 90], got 0.0",
             ),
             ({"grasp": {"voxel_leaf": -0.5}}, "grasp: voxel_leaf: must be >= 0, got -0.5"),
+            ({"grasp": {"width_clearance": -60}}, "grasp: width_clearance: must be >= 0, got -60.0"),
         ],
     )
     def test_error_message_is_the_field_path(self, data, message):
@@ -331,7 +332,13 @@ class TestConfig:
         assert str(info.value) == message
 
     def test_grasp_range_edges_load(self):
-        edges = {"expected_closing_points": 1e-3, "friction_half_angle_deg": 90.0, "normals_k": 3, "voxel_leaf": 0.0}
+        edges = {
+            "expected_closing_points": 1e-3,
+            "friction_half_angle_deg": 90.0,
+            "normals_k": 3,
+            "voxel_leaf": 0.0,
+            "width_clearance": 0.0,
+        }
         cfg = ExperimentConfig.from_json_dict({"task": "stack", "grasp": edges})
         assert cfg.grasp == GraspConfig(**edges)
 
@@ -549,6 +556,26 @@ class TestRunExperiment:
         assert reports[1].phases[0]["error_message"] == "poisoned trial"
         assert reports[0].success or reports[0].phases  # other trials completed
         assert (tmp_path / "trial_2.json").exists()
+
+    @pytest.mark.parametrize("task", ["stack", "pose_stability"])
+    def test_unplaceable_seed_is_not_a_crash(self, task, capsys):
+        # test_scenesim's unplaceable spec: eight rocks 120 mm apart in a 60 x 40 mm region
+        scene = {"rock_count": [8, 8], "region": [[-30.0, 30.0], [480.0, 520.0]], "min_separation": 120.0}
+        cfg = ExperimentConfig.from_json_dict({"task": task, "base_seed": 0, "scene": scene})
+        with pytest.raises(PlacementError) as info:
+            generate_scene(cfg.scene, 0)
+        report = run_trial(cfg, 0)
+        assert report.success is False
+        assert report.phases == [
+            {
+                "phase": "scene",
+                "outcome": "failed",
+                "error_code": "placement-failed",
+                "error_message": str(info.value),
+                "sim_time_s": 0.0,
+            }
+        ]
+        assert capsys.readouterr().err == ""
 
     def test_pose_stability_zero_noise_exact_zero(self):
         cfg = ExperimentConfig.from_json_dict(

@@ -24,6 +24,11 @@ syntax tree alone.
 * ``graspdetect`` makes no call with a ``where=`` keyword and no
   ``count_nonzero`` call along an axis: its masked reductions take
   ``np.where`` and ``pointcloud.row_counts``, several times faster.
+* No library module imports ``scipy``, ``concurrent.futures`` or
+  ``multiprocessing`` outside a function body (``LAZY_PACKAGES``): scipy takes
+  about 0.4 s to load and the pool about 25 ms, so the functions that use
+  them import them on first use, and ``import rockstack`` stays fast for a
+  process that never calls them.
 
 One check imports the library instead: the config fields whose declared
 type the JSON codec passes through unchecked are a fixed list, so a new
@@ -133,6 +138,33 @@ def slow_reductions(tree: ast.Module) -> list[str]:
     return sorted(set(found))
 
 
+LAZY_PACKAGES = ("scipy", "concurrent.futures", "multiprocessing")
+
+
+def import_time_imports(tree: ast.Module, packages=LAZY_PACKAGES) -> list[str]:
+    """``line: module`` of each import of one of ``packages`` (or a module
+    in it) that runs when the module is imported: any outside a function
+    body."""
+    found = []
+    pending = list(ast.iter_child_nodes(tree))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        pending.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            if any(name == p or name.startswith(p + ".") for p in packages):
+                found.append((node.lineno, name))
+                break
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
 def _defined_names(node: ast.stmt) -> list[str]:
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [node.name]
@@ -223,6 +255,11 @@ def test_graspdetect_reduces_rows_without_the_slow_forms():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_scipy_and_the_pool_load_on_first_use(path):
+    assert import_time_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(_tree(path)) == []
 
@@ -290,6 +327,31 @@ class TestTheChecks:
             "2: count_nonzero axis",
             "3: count_nonzero axis",
             "5: where=",
+        ]
+
+    def test_import_time_import_found(self):
+        tree = ast.parse(
+            "import numpy as np\n"
+            "from scipy import ndimage\n"
+            "import scipy.spatial as sp\n"
+            "from concurrent import futures\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "import multiprocessing\n"
+            "import scipyx\n"
+            "try:\n    from scipy.special import beta\nexcept ImportError:\n    beta = None\n"
+            "class A:\n    import multiprocessing.pool\n"
+            "def f():\n    from scipy.spatial import cKDTree\n    return cKDTree\n"
+            "g = lambda: __import__('scipy')\n"
+            "from .scipy import x\n"
+        )
+        assert import_time_imports(tree) == [
+            "2: scipy",
+            "3: scipy.spatial",
+            "4: concurrent.futures",
+            "5: concurrent.futures",
+            "6: multiprocessing",
+            "9: scipy.special",
+            "13: multiprocessing.pool",
         ]
 
     def test_unreferenced_private_name_found(self):
