@@ -237,33 +237,30 @@ def _rotated(r: np.ndarray, p: np.ndarray, t: np.ndarray | None = None) -> np.nd
 
 
 def _close(a: float, b: float) -> bool:
-    """``np.allclose``'s rule with ``atol=1e-9`` and its default ``rtol``:
-    ``|a - b| <= 1e-9 + 1e-5 * |b|``, in the same float64 operations."""
-    return abs(a - b) <= 1e-9 + 1e-5 * abs(b)
+    """``|a - b| <= 1e-9``, in float64."""
+    return abs(a - b) <= 1e-9
 
 
 def _check_rotation(r: list) -> None:
     """ValidationError unless the 3x3 rows ``r`` are a rotation by
-    :func:`_close`'s rule: each entry of RᵀR within 1e-9 of the identity's
-    off the diagonal and within 1e-9 + 1e-5 on it, and the determinant
-    within 1e-9 + 1e-5 of +1.
+    :func:`_close`'s rule: each entry of RᵀR within 1e-9 of the identity's,
+    and the determinant within 1e-9 of +1.
 
     RᵀR is formed in Python floats as :func:`_rotated` forms it, so that
-    decision is ``np.allclose``'s on ``_rotated(r.T, r.T)``. The determinant
-    is expanded by cofactors; it can differ from LU's in its last bits, so
-    only a determinant within a few ulps of the bound may be decided
-    otherwise than by ``np.linalg.det``."""
+    decision is ``np.allclose``'s with ``rtol=0`` on ``_rotated(r.T, r.T)``.
+    The determinant is expanded by cofactors; it can differ from LU's in its
+    last bits, so only a determinant within a few ulps of the bound may be
+    decided otherwise than by ``np.linalg.det``."""
     cols = list(zip(*r))
     for i, (x, y, z) in enumerate(cols):
         for j, (a, b, c) in enumerate(cols):
             if not _close(x * a + y * b + z * c, 1.0 if i == j else 0.0):
                 raise ValidationError(
-                    "rotation is not orthonormal: an entry of R^T R is off the identity's by "
-                    "more than 1e-9 + 1e-5 * |identity entry|"
+                    "rotation is not orthonormal: an entry of R^T R is off the identity's by more than 1e-9"
                 )
     (a, b, c), (d, e, f), (g, h, k) = r
     if not _close(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g), 1.0):
-        raise ValidationError("rotation determinant is not +1 within 1e-9 + 1e-5")
+        raise ValidationError("rotation determinant is not +1 within 1e-9")
 
 
 def _check_finite(t: np.ndarray) -> None:
@@ -361,31 +358,30 @@ class RigidTransform:
 
 
 def camera_pose_from_lookat(eye, target) -> RigidTransform:
-    """Camera-to-world pose for a camera at ``eye`` looking at ``target``.
+    """Camera-to-world pose for a camera at ``eye`` looking at ``target``:
+    the straight-down camera (image +x along world +x, image +y along world
+    -y) turned along the shortest arc onto the view direction f.
 
-    Camera +z points at the target and image +x is world +y crossed with it.
-    Within about 2.6 degrees of the z axis image +x is world +x, so
-    straight-down views (the common case here) keep world +x; within about
-    2.6 degrees of the y axis, where that cross product vanishes, it is
-    world -x, the limit of the cross product for views tilted down onto
-    that axis. Both are made orthogonal to the optical axis.
+    The rotation's columns are (1 - f_x²a, -b, f_x), (b, f_y²a - 1, -f_y)
+    and f, with a = 1 / (1 - f_z) and b = f_x f_y a, in Python floats: Duff
+    et al.'s branch-free orthonormal basis ("Building an Orthonormal Basis,
+    Revisited", JCGT 6(1), 2017) with its sign fixed at -1, so the image
+    never flips. RᵀR is off the identity by up to 2(|f|² - 1)/(1 - f_z),
+    and the rounded f's |f|² - 1 is a few ulps: views with 1 - f_z below
+    1e-5 (within 0.26 degrees of straight up) are rejected, which keeps
+    every rotation within 1e-10 of orthonormal.
     """
-    eye = np.asarray(eye, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    fwd = target - eye
-    n = np.linalg.norm(fwd)
+    eye, target = (np.asarray(p, dtype=np.float64).reshape(3).tolist() for p in (eye, target))
+    n = math.dist(eye, target)
     if n == 0:
         raise ValidationError("look-at target must differ from the eye position")
-    fwd = fwd / n
-    near_z = abs(np.dot(fwd, (0.0, 0.0, 1.0))) > 0.999
-    if near_z or abs(fwd[1]) > 0.999:
-        x = 1.0 if near_z else -1.0
-        right = np.array([x, 0.0, 0.0]) - x * fwd[0] * fwd
-    else:
-        right = np.cross((0.0, 1.0, 0.0), fwd)
-    right /= np.linalg.norm(right)
-    down = np.cross(fwd, right)
-    rot = np.column_stack([right, down, fwd])
+    fx, fy, fz = ((t - e) / n for t, e in zip(target, eye))
+    if not 1.0 - fz >= 1e-5:
+        raise ValidationError(f"look-at view not finite or too close to straight up: 1 - f_z = {1.0 - fz!r}")
+    a = 1.0 / (1.0 - fz)
+    b = fx * fy * a
+    # 0.0 - x, not -x: a zero entry stays +0.0, as in the straight-down rotation
+    rot = [[1.0 - fx * fx * a, b, fx], [0.0 - b, fy * fy * a - 1.0, fy], [fx, 0.0 - fy, fz]]
     return RigidTransform(rot, eye)
 
 

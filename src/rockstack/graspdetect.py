@@ -34,8 +34,8 @@ computes them. The masked reductions over a row are exact rewrites:
 * a masked ``min`` or ``max`` is the plain reduction of the row with the
   masked-out values replaced by ``inf`` or ``-inf``, since ``min`` and
   ``max`` do not round (an empty row gives the infinity). Only the sign of
-  a zero result can depend on the reduction order, and no output reads it
-  but a grasp width of exactly zero, which needs a zero ``width_clearance``;
+  a zero result can depend on the reduction order, and no output reads it:
+  a grasp width adds ``width_clearance``, stored as +0.0 or more;
 * rounding is monotone, so a masked minimum of ``u + back`` is
   ``min(u) + back`` and one of ``palm - finger_depth`` is
   ``min(palm) - finger_depth``;
@@ -126,7 +126,7 @@ class GraspConfig(JsonFields):
         if self.push_step <= 0:
             raise ValidationError("push_step must be > 0")
         # a score divides by expected_closing_points; normals need 3 neighbours;
-        # a negative clearance would report grasp widths below zero
+        # a negative clearance would report grasp widths below zero; a -0.0 one is stored as +0.0
         rules = (
             ("expected_closing_points", self.expected_closing_points > 0, "> 0"),
             ("friction_half_angle_deg", 0.0 < self.friction_half_angle_deg <= 90.0, "in (0, 90]"),
@@ -137,6 +137,7 @@ class GraspConfig(JsonFields):
         for name, ok, bound in rules:
             if not ok:
                 raise ValidationError(f"{name}: must be {bound}, got {getattr(self, name)!r}")
+        object.__setattr__(self, "width_clearance", self.width_clearance + 0.0)
 
 
 @dataclass(frozen=True)

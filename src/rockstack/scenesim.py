@@ -855,17 +855,17 @@ def _pixel_dirs(intr: CameraIntrinsics, pose: RigidTransform) -> np.ndarray:
     the optical axis.
 
     They depend on the intrinsics and the rotation alone, and are cached
-    read-only for the last eight (:func:`_rotated_dirs`)."""
+    read-only for the last four (:func:`_rotated_dirs`)."""
     return _rotated_dirs(intr, pose.rotation.tobytes())
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=4)
 def _rotated_dirs(intr: CameraIntrinsics, rotation: bytes) -> np.ndarray:
     """:func:`_pixel_dirs` for the C-ordered bytes of a rotation. A run of
-    stack trials asks for the base view and a few wrist rotations: a wrist
-    camera 120 mm to either side of a rock, looking at it, rounds to one of
-    a few rotations depending on the rock's x. Eight entries hold them all
-    (seven over 150 benchmark trials); three missed on most asks."""
+    stack or assembly trials asks for three rotations: the base view's and
+    the two wrist views', 120 mm to either side of an object, which take
+    their rotation from that offset alone (``taskexec.observe_object``).
+    Four entries hold them all."""
     dirs_cam = np.ones((intr.height, intr.width, 3))
     dirs_cam[..., 0] = (np.arange(intr.width, dtype=np.float64) - intr.cx) / intr.fx
     dirs_cam[..., 1] = ((np.arange(intr.height, dtype=np.float64) - intr.cy) / intr.fy)[:, None]

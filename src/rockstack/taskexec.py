@@ -240,7 +240,7 @@ def execute_grasp(
         raise ValidationError("arm already holds an object")
     approach = grasp.pose.rotation[:, 0]
     pre_pose = grasp.pose.with_translation(grasp.pose.translation - pregrasp_offset * approach)
-    travel = float(np.linalg.norm(pre_pose.translation - arm.pose.translation))
+    travel = math.dist(pre_pose.translation, arm.pose.translation)
     arm = move_to(arm, pre_pose)
     arm = move_to(arm, grasp.pose)
     travel += pregrasp_offset
@@ -387,7 +387,7 @@ def check_stack_stability(top: RockModel, support: RockModel) -> str:
     try:
         hull = ConvexHull(region)
     except QhullError:
-        inside = bool(np.min(np.linalg.norm(region - com, axis=1)) <= 1.0)
+        inside = bool(np.min(np.hypot(region[:, 0] - com[0], region[:, 1] - com[1])) <= 1.0)
         return "stable" if inside else "toppled"
     eqs = hull.equations
     inside = bool(np.all(eqs[:, :2] @ com + eqs[:, 2] <= 1e-9))
@@ -415,7 +415,7 @@ def place_on_stack(
     bottom_target = stack.top_z + (params.release_clearance_factor - 1.0) * rock_height
     gripper_z = bottom_target + arm.grip_bottom_offset
     release_pose = arm.pose.with_translation((target[0], target[1], gripper_z))
-    travel = float(np.linalg.norm(release_pose.translation - arm.pose.translation))
+    travel = math.dist(release_pose.translation, arm.pose.translation)
     arm = move_to(arm, release_pose, scene)
 
     support_rock = scene.object_by_id(stack.placed[-1]) if stack.placed else None
@@ -579,18 +579,12 @@ def observe_object(
     height = params.pregrasp_height - 20.0
     half = params.crop_half_xy
     ws = Workspace((cx - half, cy - half, -60.0), (cx + half, cy + half, 400.0))
-    views = [
-        NoisyDepth(
-            scene,
-            CameraSpec(
-                scene.hand_camera_intrinsics,
-                camera_pose_from_lookat((cx + dx, cy, height), (cx, cy, 0.0)),
-            ),
-            sensor,
-            derive_seed(seed, 200 + i),
-        )
-        for i, dx in enumerate((-120.0, 120.0))
-    ]
+    views = []
+    for i, dx in enumerate((-120.0, 120.0)):
+        # the rotation from the offset alone, so every object is seen through the same two
+        rotation = camera_pose_from_lookat((dx, 0.0, height), (0.0, 0.0, 0.0))
+        camera = CameraSpec(scene.hand_camera_intrinsics, rotation.with_translation((cx + dx, cy, height)))
+        views.append(NoisyDepth(scene, camera, sensor, derive_seed(seed, 200 + i)))
     boxes = [view.box_pixels(ws.min_corner, ws.max_corner) for view in views]
     plane, n_points = _cloud_plane(views, 1, derive_seed(seed, 210), boxes)
     points = np.concatenate(
@@ -649,7 +643,7 @@ def _approach_and_detect(
     moved arm, the grasps and the local support-plane fit.
     """
     pre = TOP_DOWN.with_translation((xy[0], xy[1], params.pregrasp_height))
-    trial.move(float(np.linalg.norm(pre.translation - arm.pose.translation)))
+    trial.move(math.dist(pre.translation, arm.pose.translation))
     arm = move_to(arm, pre, scene)
     trial.move(240.0)  # observation sweep
     seen = observe_object(scene, xy, sensor, params, observe_seed)
@@ -784,7 +778,7 @@ def run_stacking_task(
             lift = arm.pose.with_translation(
                 (arm.pose.translation[0], arm.pose.translation[1], params.transport_height)
             )
-            trial.move(float(np.linalg.norm(lift.translation - arm.pose.translation)))
+            trial.move(math.dist(lift.translation, arm.pose.translation))
             arm = move_to(arm, lift, scene)
             arm, stack, placement = place_on_stack(arm, scene, stack, height_est, params)
             trial.move(placement["travel_mm"])
@@ -862,7 +856,7 @@ def _measure_point_via_depth(
     measured = camera.pose.apply(deproject_pixel(camera.intrinsics, u, v, d))
     if surface_offset != 0.0:
         ray = measured - camera.pose.translation
-        measured = measured + surface_offset * ray / np.linalg.norm(ray)
+        measured = measured + surface_offset * ray / math.hypot(*ray)
     return measured
 
 
@@ -882,7 +876,7 @@ def _point_visible(
         float(obj.raycast_world(origin, ray)[0])
         for obj in [scene.terrain, *scene.objects(), *extra_objects]
     )
-    return s_min >= 1.0 - tol_mm / float(np.linalg.norm(ray))
+    return s_min >= 1.0 - tol_mm / math.dist(point_world, origin)
 
 
 def run_assembly_task(
@@ -965,7 +959,7 @@ def run_assembly_task(
 
     # -- pre_assembly
     pre_asm = arm.pose.with_translation(params.pre_assembly_position)
-    trial.move(float(np.linalg.norm(pre_asm.translation - arm.pose.translation)))
+    trial.move(math.dist(pre_asm.translation, arm.pose.translation))
     try:
         lift = arm.pose.with_translation(
             (arm.pose.translation[0], arm.pose.translation[1], params.transport_height)
@@ -999,7 +993,7 @@ def run_assembly_task(
     target_plug = socket_meas.compose(PLUG_MATE_FLIP)
     displacement = target_plug.compose(plug_meas.inverse())
     new_arm_pose = displacement.compose(arm.pose)
-    trial.move(float(np.linalg.norm(new_arm_pose.translation - arm.pose.translation)))
+    trial.move(math.dist(new_arm_pose.translation, arm.pose.translation))
     try:
         arm = move_to(arm, new_arm_pose, scene)
     except TaskFailure as exc:
@@ -1009,7 +1003,7 @@ def run_assembly_task(
     # -- attach: true plug frame must meet the true socket frame
     plug_final = part.attachment_world("plug")
     socket_mate = body.attachment_world(socket_name).compose(PLUG_MATE_FLIP)
-    pos_error = float(np.linalg.norm(plug_final.translation - socket_mate.translation))
+    pos_error = math.dist(plug_final.translation, socket_mate.translation)
     axis_cos = float(np.clip(plug_final.rotation[:, 2] @ socket_mate.rotation[:, 2], -1, 1))
     rot_error_deg = math.degrees(math.acos(axis_cos))
     entry["attach_pos_error_mm"] = pos_error

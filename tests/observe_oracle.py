@@ -50,7 +50,9 @@ def observe_object(scene, xy, sensor, params, seed: int):
     for i, dx in enumerate((-120.0, 120.0)):
         cam = CameraSpec(
             scene.hand_camera_intrinsics,
-            camera_pose_from_lookat((cx + dx, cy, height), (cx, cy, 0.0)),
+            camera_pose_from_lookat((dx, 0.0, height), (0.0, 0.0, 0.0)).with_translation(
+                (cx + dx, cy, height)
+            ),
         )
         depth = render_depth(scene, cam, sensor, derive_seed(seed, 200 + i))
         pts.append(cloud_from_depth(depth, cam.intrinsics, cam.pose, stride=1).points)

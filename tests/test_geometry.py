@@ -166,19 +166,22 @@ class TestRigidTransform:
         with pytest.raises(ValidationError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # det -1
 
-    def test_the_check_allows_1e_5_on_the_diagonal(self):
-        """The check is np.allclose's rule with atol 1e-9 and rtol 1e-5, so
-        RᵀR's diagonal and the determinant may be about 1e-5 off."""
-        RigidTransform(np.eye(3) * (1 + 2e-6), np.zeros(3))
+    def test_the_check_bound_is_1e_9(self):
+        """The check is |a - b| <= 1e-9 on each entry of RᵀR and on the
+        determinant: a uniform scaling by 1 + s puts RᵀR's diagonal 2s off
+        and the determinant 3s off."""
+        RigidTransform(np.eye(3) * (1 + 2e-10), np.zeros(3))
         with pytest.raises(ValidationError, match="orthonormal"):
-            RigidTransform(np.eye(3) * (1 + 6e-6), np.zeros(3))
+            RigidTransform(np.eye(3) * (1 + 6e-10), np.zeros(3))
         with pytest.raises(ValidationError, match="determinant"):
-            RigidTransform(np.eye(3) * (1 + 3.34e-6), np.zeros(3))
+            RigidTransform(np.eye(3) * (1 + 4e-10), np.zeros(3))
+        with pytest.raises(ValidationError, match="orthonormal"):
+            RigidTransform(np.eye(3) * (1 + 2e-6), np.zeros(3))
 
     def test_the_check_decides_as_numpy_does(self):
-        """Oracle: the NumPy rule the Python-float check replaced, on random
-        rotations and reflections perturbed elementwise by 1e-12 to 1e-4 and
-        on scalings that straddle both bounds."""
+        """Oracle: np.allclose and np.isclose with atol 1e-9 and rtol 0, on
+        random rotations and reflections perturbed elementwise by 1e-13 to
+        1e-7 and on scalings that straddle both bounds."""
         rng = np.random.default_rng(29)
         cases = []
         for k in range(3000):
@@ -187,15 +190,15 @@ class TestRigidTransform:
                 q[:, 0] = -q[:, 0]
             if np.linalg.det(q) < 0 and k % 4:
                 q[:, 0] = -q[:, 0]
-            scale = 10.0 ** rng.uniform(-12, -4)
+            scale = 10.0 ** rng.uniform(-13, -7)
             cases.append(q + rng.choice([-scale, scale], size=(3, 3)) * rng.uniform(0, 1, (3, 3)))
-            band = rng.choice([5e-6, 1e-5 / 3]) * (1 + rng.uniform(-0.02, 0.02))
+            band = rng.choice([5e-10, 1e-9 / 3]) * (1 + rng.uniform(-0.02, 0.02))
             cases.append(q * (1 + band))
         outcomes = {"orthonormal": 0, "determinant": 0, None: 0}
         for r in cases:
-            if not np.allclose(_rotated(r.T, r.T), np.eye(3), atol=1e-9):
+            if not np.allclose(_rotated(r.T, r.T), np.eye(3), rtol=0.0, atol=1e-9):
                 expected = "orthonormal"
-            elif not np.isclose(np.linalg.det(r), 1.0, atol=1e-9):
+            elif not np.isclose(np.linalg.det(r), 1.0, rtol=0.0, atol=1e-9):
                 expected = "determinant"
             else:
                 expected = None
@@ -289,37 +292,102 @@ class TestLookAt:
 
     @pytest.mark.parametrize("offset", [0.0, 1e-4, 10.0, 20.0])
     def test_near_vertical_views(self, offset):
-        """Within about 2.6 degrees of vertical (offsets below about 13.4 mm here)
-        the image x axis is world +x made orthogonal to the optical axis;
-        straight down keeps the exact axes."""
+        """A view tilted about world y from straight down keeps image +x in
+        the xz plane, next to world +x; straight down keeps the exact axes."""
         eye = np.array([offset, 0.0, 300.0])
         r = camera_pose_from_lookat(eye, (0.0, 0.0, 0.0)).rotation
         np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(r[:, 2], -eye / np.linalg.norm(eye), atol=1e-15)
-        assert abs(r[0, 0]) > 0.99 and r[1, 0] == 0.0
-        if offset < 13.4:
-            assert r[0, 0] > 0.0
+        assert r[0, 0] > 0.99 and r[1, 0] == 0.0
         if offset == 0.0:
             straight_down = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
             assert r.tobytes() == straight_down.tobytes()
 
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_level_views_along_y(self, direction):
-        """World +y crossed with a level optical axis along +-y vanishes; the
-        image x axis is then world -x, where the generic branch heads for
-        views tilted down onto that axis (3 degrees down takes that branch)."""
+        """A level view along +-y is straight down turned a quarter turn
+        about world x: image +x stays world +x and image +y is world -z for
+        +y, +z for -y. A view 3 degrees lower is close to it."""
         eye = np.array([0.0, 500.0, 600.0])
         ahead = np.array([0.0, 4500.0 * direction, 0.0])
         level = camera_pose_from_lookat(eye, eye + ahead).rotation
-        np.testing.assert_allclose(level.T @ level, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(level[:, 2], [0.0, direction, 0.0], atol=1e-15)
+        want = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, direction], [0.0, -direction, 0.0]])
+        np.testing.assert_array_equal(level, want)
         drop = np.array([0.0, 0.0, -4500.0 * math.tan(math.radians(3.0))])
         tilted = camera_pose_from_lookat(eye, eye + ahead + drop).rotation
         np.testing.assert_allclose(level, tilted, rtol=0.0, atol=0.06)
 
+    def test_the_straight_down_camera_turned_along_the_shortest_arc(self):
+        """Oracle: Rodrigues' rotation taking (0, 0, -1) onto the optical
+        axis f about their common normal, I + V + V²/(1 + c) with V the
+        cross-product matrix of (0, 0, -1) x f and c their dot product,
+        applied to the straight-down camera. Over 1200 seeded views of the
+        lower hemisphere, level views and the upper one up to the guard, the
+        image axes agree within 1e-12, f is the unit view direction within
+        1e-15, and RᵀR is within 1e-10 of the identity."""
+        rng = np.random.default_rng(33)
+        polar = np.concatenate(
+            [
+                rng.uniform(math.pi / 2, math.pi, 600),  # below the horizon
+                np.full(200, math.pi / 2),  # level
+                rng.uniform(math.acos(1 - 1e-5) * (1 + 1e-9), math.pi / 2, 300),
+                math.acos(1 - 1e-5) * (1 + rng.uniform(1e-9, 1e-3, 100)),  # up to the guard
+            ]
+        )
+        azimuth = rng.uniform(-math.pi, math.pi, polar.size)
+        view = np.column_stack(
+            [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
+        ) * rng.uniform(1.0, 2000.0, (polar.size, 1))
+        down = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+        e = np.array([0.0, 0.0, -1.0])
+        for d, eye in zip(view, rng.uniform(-800.0, 800.0, (polar.size, 3))):
+            r = camera_pose_from_lookat(eye, eye + d).rotation
+            f = r[:, 2]
+            true_d = (eye + d) - eye
+            np.testing.assert_allclose(f, true_d / np.linalg.norm(true_d), rtol=0.0, atol=1e-15)
+            vx, vy, vz = np.cross(e, f)
+            v = np.array([[0.0, -vz, vy], [vz, 0.0, -vx], [-vy, vx, 0.0]])
+            arc = np.eye(3) + v + v @ v / (1.0 + e @ f)
+            np.testing.assert_allclose(r[:, :2], (arc @ down)[:, :2], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(r.T @ r, np.eye(3), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("heading", [0.0, 0.5, math.pi / 2, 2.0, math.pi, -1.2])
+    def test_the_image_turns_continuously(self, heading):
+        """Tilting the view from straight down to 60 degrees, a quarter
+        degree at a time, toward one horizontal heading turns image +x by no
+        more than each step, and every rotation is within 1e-10 of
+        orthonormal."""
+        step = math.radians(0.25)
+        tilts = np.arange(0.0, math.radians(60.0) + step / 2, step)
+        eye = np.array([30.0, 480.0, 400.0])
+        toward = np.array([math.cos(heading), math.sin(heading)])
+        previous = None
+        for tilt in tilts:
+            offset = 400.0 * math.tan(tilt) * toward
+            r = camera_pose_from_lookat(eye, eye + (offset[0], offset[1], -400.0)).rotation
+            np.testing.assert_allclose(r.T @ r, np.eye(3), rtol=0.0, atol=1e-10)
+            if previous is not None:
+                turn = math.acos(min(1.0, float(previous @ r[:, 0])))
+                assert turn <= step * (1 + 1e-9), (tilt, turn)
+            previous = r[:, 0]
+
     def test_degenerate_lookat_rejected(self):
         with pytest.raises(ValidationError):
             camera_pose_from_lookat((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            (0.0, 0.0, 500.0),
+            (500.0 * math.sin(math.acos(1 - 0.99e-5)), 0.0, 500.0 * (1 - 0.99e-5)),
+            (np.nan, 0.0, -1.0),
+        ],
+        ids=["straight-up", "inside-the-guard", "nan"],
+    )
+    def test_views_near_straight_up_rejected(self, target):
+        """The guard: 1 - f_z below 1e-5, or not a number."""
+        with pytest.raises(ValidationError, match="straight up"):
+            camera_pose_from_lookat((0.0, 0.0, 0.0), target)
 
 
 class TestMasks:

@@ -33,8 +33,7 @@ NOMINAL_SENSOR = {
     "dropout_rate": 0.01,
 }
 
-# seed 14 of stack_nominal_12 topples a rock; seeds 0 and 3 of
-# assemble_leg end in joint-not-visible
+# seeds 0, 1 and 3 of assemble_leg end in joint-not-visible
 CONFIGS = {
     "stack_nominal_0": {"task": "stack", "trials": 4, "base_seed": 0, "sensor": NOMINAL_SENSOR},
     "stack_nominal_12": {"task": "stack", "trials": 4, "base_seed": 12, "sensor": NOMINAL_SENSOR},
@@ -61,12 +60,12 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "stack_nominal_0": "a9dbcbff672e6ed936c431941842470d5fa9e73deb1b900a49254976edd21cbe",
-    "stack_nominal_12": "70a4dbac2d8499644b4670df5c56df214c21e885afb8d9004e46bd0edb520ee4",
-    "stack_sigma0": "db81664dbfeaeb41954ea22d7aeb2d682c27c88ac1a32e71508f4b45041c50b3",
-    "assemble_head": "50fb17e4310c0b3fe517000abcf55110b307b26bead481a65a820c47ad87bfa8",
-    "assemble_leg": "f781f54297eea1cdadb69fa0df36fd4e7c0032e5fbcc9b20e090966ed39b8d4b",
-    "grasp_bench": "8438f20581e29730fa41990c181eaab7b9b879d65cbf33ec99144c18f37888da",
+    "stack_nominal_0": "6733f429730dc2c4ac6685785ebda69ff9bdf99620c19cf80964243b4a2906bb",
+    "stack_nominal_12": "cccccf85f6cefce85236dfd7a150fa07edebd213e2c104a28116d02569f964de",
+    "stack_sigma0": "f810fd57c22a335f77bc2ccaf59b84259940d2140d19f02803968f7e43909b16",
+    "assemble_head": "6ad2277fe8ee5ed5299d3d901564b5ffe0c810be8cfcab2b83570d2b75d106d5",
+    "assemble_leg": "fb5c8ec85218835084a7e2c949fc488cf18665bcf4277771b81a2676ef396f2b",
+    "grasp_bench": "30a7b156df1b4765298227d91e7cf591541a53916e85d3d03f80c09a5a912ac4",
     "pose_stability": "157b2c934ff234b55acec32c82b40c9c2b06818b43d4e134167700cc5743aa05",
 }
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -341,6 +342,13 @@ class TestConfig:
         }
         cfg = ExperimentConfig.from_json_dict({"task": "stack", "grasp": edges})
         assert cfg.grasp == GraspConfig(**edges)
+
+    def test_a_negative_zero_width_clearance_is_stored_as_positive_zero(self):
+        """-0.0 passes ">= 0"; stored as +0.0, a grasp width of exactly zero
+        (max - min + clearance) is +0.0 whichever sign its max - min has."""
+        cfg = GraspConfig.from_json_dict({"width_clearance": -0.0})
+        assert cfg.width_clearance == 0.0 and math.copysign(1.0, cfg.width_clearance) == 1.0
+        assert math.copysign(1.0, (-0.0 - 0.0) + cfg.width_clearance) == 1.0
 
     def test_exec_range_edges_load(self):
         edges = {"action_time": 0.0, "attach_tol_mm": 0.0, "attach_tol_deg": 0.0, "arm_speed": 1e-3}

@@ -24,6 +24,10 @@ syntax tree alone.
 * ``graspdetect`` makes no call with a ``where=`` keyword and no
   ``count_nonzero`` call along an axis: its masked reductions take
   ``np.where`` and ``pointcloud.row_counts``, several times faster.
+* ``geometry`` and ``taskexec`` call neither ``np.linalg.norm`` nor
+  ``np.cross``: their norms are ``math.dist`` or ``hypot`` and their look-at
+  basis is written out in Python floats, which round the same on every
+  BLAS kernel and CPU.
 * No library module imports ``scipy``, ``concurrent.futures`` or
   ``multiprocessing`` outside a function body (``LAZY_PACKAGES``): scipy takes
   about 0.4 s to load and the pool about 25 ms, so the functions that use
@@ -136,6 +140,21 @@ def slow_reductions(tree: ast.Module) -> list[str]:
         if name == "count_nonzero" and (len(n.args) > 1 or any(k.arg == "axis" for k in n.keywords)):
             found.append(f"{n.lineno}: count_nonzero axis")
     return sorted(set(found))
+
+
+def norms_and_crosses(tree: ast.Module) -> list[str]:
+    """``line: name`` of each reference to numpy's ``linalg.norm`` or
+    ``cross``, as an attribute of ``np``, ``numpy`` or ``linalg`` or imported
+    by name."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, (ast.Name, ast.Attribute)):
+            owner = getattr(n.value, "id", None) or n.value.attr
+            if (owner, n.attr) in {("linalg", "norm"), ("np", "cross"), ("numpy", "cross")}:
+                found.append(f"{n.lineno}: {owner}.{n.attr}")
+        elif isinstance(n, ast.ImportFrom) and n.module in ("numpy", "numpy.linalg"):
+            found += [f"{n.lineno}: {a.name}" for a in n.names if a.name in ("norm", "cross")]
+    return sorted(found)
 
 
 LAZY_PACKAGES = ("scipy", "concurrent.futures", "multiprocessing")
@@ -254,6 +273,11 @@ def test_graspdetect_reduces_rows_without_the_slow_forms():
     assert slow_reductions(_tree(ROOT / "src" / "rockstack" / "graspdetect.py")) == []
 
 
+@pytest.mark.parametrize("module", ["geometry", "taskexec"])
+def test_norms_and_crosses_in_python_floats(module):
+    assert norms_and_crosses(_tree(ROOT / "src" / "rockstack" / f"{module}.py")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_scipy_and_the_pool_load_on_first_use(path):
     assert import_time_imports(_tree(path)) == []
@@ -327,6 +351,25 @@ class TestTheChecks:
             "2: count_nonzero axis",
             "3: count_nonzero axis",
             "5: where=",
+        ]
+
+    def test_norm_and_cross_found(self):
+        tree = ast.parse(
+            "import numpy as np\n"
+            "a = np.linalg.norm(x)\n"
+            "b = np.cross(x, y)\n"
+            "from numpy.linalg import norm\n"
+            "c = numpy.linalg.norm(x, axis=1) + linalg.norm(y)\n"
+            "from numpy import cross as cr\n"
+            "d = math.dist(x, y) + np.hypot(x, y) + a.norm + np.sum(x)\n"
+        )
+        assert norms_and_crosses(tree) == [
+            "2: linalg.norm",
+            "3: np.cross",
+            "4: norm",
+            "5: linalg.norm",
+            "5: linalg.norm",
+            "6: cross",
         ]
 
     def test_import_time_import_found(self):
